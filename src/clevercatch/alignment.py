@@ -16,8 +16,6 @@ from scipy.special import expit, logsumexp
 
 from .errors import ContractError, NumericError, ShapeError, ValidationError
 
-LOG_DOMAIN_FACTOR = 0.05  # switch to log-domain iterations when eps < factor * max(C)
-
 
 @dataclass
 class AlignmentConfig:
@@ -89,14 +87,13 @@ def sinkhorn(
     b: np.ndarray | None = None,
     max_iters: int = 500,
     tol: float = 1e-9,
-    method: str = "auto",
 ) -> TransportPlan:
-    """Entropic transport plan by alternating marginal scaling.
+    """Entropic transport plan by log-domain Sinkhorn iterations.
 
-    method "auto" picks log-domain iterations when epsilon is small relative
-    to the cost scale (eps < 0.05 * max(C)); "scaling" and "log" force a path.
-    Stops when the worst marginal violation drops below tol or after
-    max_iters sweeps, reporting convergence in the returned plan.
+    The dual potentials f, g are updated with log-sum-exp reductions, so the
+    kernel exp(-C / epsilon) is never formed and cannot underflow. Stops when
+    the worst marginal violation drops below tol or after max_iters sweeps,
+    reporting convergence in the returned plan.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.size == 0:
@@ -110,33 +107,6 @@ def sinkhorn(
     n_rows, n_cols = cost.shape
     a = _check_marginal(a, n_rows, "row")
     b = _check_marginal(b, n_cols, "column")
-    if method == "auto":
-        method = "log" if epsilon < LOG_DOMAIN_FACTOR * cost.max() else "scaling"
-    if method not in ("scaling", "log"):
-        raise ValidationError(f"unknown sinkhorn method {method!r}")
-
-    if method == "scaling":
-        kernel = np.exp(-cost / epsilon)
-        v = np.ones(n_cols)
-        plan = None
-        for iteration in range(1, max_iters + 1):
-            denom_u = kernel @ v
-            if np.any(denom_u <= 0) or not np.all(np.isfinite(denom_u)):
-                raise NumericError(
-                    "sinkhorn kernel underflow in scaling iterations; use the log method"
-                )
-            u = a / denom_u
-            denom_v = kernel.T @ u
-            if np.any(denom_v <= 0) or not np.all(np.isfinite(denom_v)):
-                raise NumericError(
-                    "sinkhorn kernel underflow in scaling iterations; use the log method"
-                )
-            v = b / denom_v
-            plan = u[:, None] * kernel * v[None, :]
-            if _violation(plan, a, b) < tol:
-                return TransportPlan(plan, a, b, float(epsilon), True, iteration)
-        return TransportPlan(plan, a, b, float(epsilon), False, max_iters)
-
     log_kernel = -cost / epsilon
     log_a = np.log(a)
     log_b = np.log(b)

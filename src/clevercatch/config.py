@@ -15,6 +15,7 @@ from .alignment import AlignmentConfig
 from .detector import DetectorConfig
 from .encoders import PretrainConfig
 from .errors import ConfigError, ValidationError
+from .evaluation import ABLATION_GROUPS
 from .simulator import SimConfig
 
 PATH_KEYS = (
@@ -30,8 +31,6 @@ PATH_KEYS = (
 
 CHANNEL_MODES = ("full", "mean-claims-only")
 
-ABLATION_GROUPS = ("cost_preference", "opioid")
-
 
 @dataclass
 class EvaluateConfig:
@@ -45,7 +44,7 @@ class EvaluateConfig:
 
 @dataclass
 class AblationConfig:
-    groups: tuple[str, ...] = ABLATION_GROUPS
+    groups: tuple[str, ...] = tuple(ABLATION_GROUPS)
     seeds: tuple[int, ...] = ()
     eval_fraction: float = 0.0
 

@@ -43,7 +43,7 @@ logger = logging.getLogger(__name__)
 
 SCORE_CLAMP = 1e-7
 
-DETECTOR_FORMAT_VERSION = 1
+DETECTOR_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -222,48 +222,6 @@ def hybrid_train(
     return model, history
 
 
-def supervised_train(
-    features: np.ndarray, labels: LabelTable, cfg: DetectorConfig, seed: int
-) -> tuple[DetectorModel, list[TrainEpochStats]]:
-    """Plain supervised trainer: same batch schedule, no alignment term.
-
-    Kept as an independent loop so the lambda = 0 reduction of hybrid_train
-    can be checked bitwise against it.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] < 1:
-        raise ShapeError("features must be a non-empty 2-D array")
-    if labels.n_labeled == 0:
-        raise ValidationError("training needs at least one labeled prescriber")
-    n = features.shape[0]
-    y, mask = labels.to_dense(n)
-    rng = nn.make_rng(seed)
-    mlp = init_detector(features.shape[1], cfg.hidden, rng)
-    opt = nn.adam(cfg.learning_rate)
-    names = mlp.parameter_names()
-    history: list[TrainEpochStats] = []
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        sup_sum = 0.0
-        sup_count = 0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            out, cache = nn.mlp_forward(mlp, features[idx])
-            scores = out[:, 0]
-            d_scores = np.zeros_like(scores)
-            labeled = mask[idx]
-            if labeled.any():
-                sup_loss, d_sup = bce_with_grad(scores[labeled], y[idx][labeled])
-                d_scores[labeled] = d_sup
-                sup_sum += sup_loss * int(labeled.sum())
-                sup_count += int(labeled.sum())
-            grads, _ = nn.mlp_backward(mlp, cache, d_scores[:, None])
-            nn.optimizer_step(opt, mlp.parameters(), grads, names)
-        epoch_sup = sup_sum / sup_count if sup_count else float("nan")
-        history.append(TrainEpochStats(epoch, float(epoch_sup), 0.0))
-    return DetectorModel(mlp=mlp, lam=0.0, seed=int(seed)), history
-
-
 @dataclass
 class ScoreReport:
     scores: np.ndarray  # (N,) in (0, 1)
@@ -342,13 +300,7 @@ def save_detector(path, model: DetectorModel) -> None:
     doc = {
         "format_version": DETECTOR_FORMAT_VERSION,
         "input_width": model.input_dim,
-        "architecture": {
-            "hidden": [layer.weight.shape[1] for layer in model.mlp.layers[:-1]],
-            "activations": [layer.activation for layer in model.mlp.layers],
-        },
-        "weights": [
-            {"weight": layer.weight, "bias": layer.bias} for layer in model.mlp.layers
-        ],
+        "weights": nn.mlp_to_json(model.mlp),
         "lambda": model.lam,
         "seed": model.seed,
         "encoder_fingerprint": model.encoder_fingerprint,
@@ -362,38 +314,14 @@ def load_detector(path) -> DetectorModel:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not valid JSON: {exc}") from None
-    expected = [
-        "format_version",
-        "input_width",
-        "architecture",
-        "weights",
-        "lambda",
-        "seed",
-        "encoder_fingerprint",
-    ]
-    if not isinstance(doc, dict) or list(doc.keys()) != expected:
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    if doc.get("format_version") != DETECTOR_FORMAT_VERSION:
+        raise ParseError(f"{path}: unsupported format version {doc.get('format_version')!r}")
+    expected = ["format_version", "input_width", "weights", "lambda", "seed", "encoder_fingerprint"]
+    if list(doc.keys()) != expected:
         raise ParseError(f"{path}: expected detector model keys {expected}")
-    if doc["format_version"] != DETECTOR_FORMAT_VERSION:
-        raise ParseError(f"{path}: unsupported format version {doc['format_version']!r}")
-    activations = doc["architecture"]["activations"]
-    entries = doc["weights"]
-    if len(activations) != len(entries):
-        raise ParseError(f"{path}: weight and activation counts disagree")
-    try:
-        layers = [
-            nn.Layer(
-                np.asarray(entry["weight"], dtype=np.float64),
-                np.asarray(entry["bias"], dtype=np.float64),
-                act,
-            )
-            for entry, act in zip(entries, activations)
-        ]
-        mlp = nn.Mlp(layers)
-    except (KeyError, TypeError, ValidationError, ShapeError) as exc:
-        raise ParseError(f"{path}: malformed detector weights: {exc}") from None
-    for arr in mlp.parameters():
-        if not np.all(np.isfinite(arr)):
-            raise ParseError(f"{path}: non-finite detector weights")
+    mlp = nn.mlp_from_json(doc["weights"], str(path))
     if mlp.input_dim != int(doc["input_width"]):
         raise ParseError(f"{path}: stored input width does not match the weights")
     return DetectorModel(

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .errors import NumericError, ParseError, ShapeError, ValidationError
+from .errors import NumericError, ParseError, ValidationError
 from .io_utils import atomic_write_text, dumps_canonical
 from .rules import RuleSet
 
@@ -223,28 +223,6 @@ def gen_synthetic_triplets(
     return TripletBatch(rule_idx=rule_idx.astype(np.int64), pos=pos, neg=neg)
 
 
-def triplet_loss(
-    e_rule: np.ndarray,
-    e_pos: np.ndarray,
-    e_neg: np.ndarray,
-    weight: float,
-    margin: float,
-) -> float:
-    """Weighted hinge on squared distances: w * max(0, d+^2 - d-^2 + margin)."""
-    e_rule = np.asarray(e_rule, dtype=np.float64).ravel()
-    e_pos = np.asarray(e_pos, dtype=np.float64).ravel()
-    e_neg = np.asarray(e_neg, dtype=np.float64).ravel()
-    if not (e_rule.shape == e_pos.shape == e_neg.shape):
-        raise ShapeError("triplet embeddings must share one latent dimension")
-    if not 0.0 <= weight <= 1.0:
-        raise ValidationError(f"triplet weight must lie in [0, 1], got {weight}")
-    if margin < 0:
-        raise ValidationError("margin must be non-negative")
-    d_pos = float(((e_pos - e_rule) ** 2).sum())
-    d_neg = float(((e_neg - e_rule) ** 2).sum())
-    return weight * max(0.0, d_pos - d_neg + margin)
-
-
 def _triplet_batch_loss(
     e_rule: np.ndarray,
     e_pos: np.ndarray,
@@ -360,32 +338,6 @@ class EncoderModel:
         return self.se.feature_dim
 
 
-def _mlp_to_json(mlp: nn.Mlp) -> list[dict]:
-    return [
-        {"weight": layer.weight, "bias": layer.bias, "activation": layer.activation}
-        for layer in mlp.layers
-    ]
-
-
-def _mlp_from_json(obj, where: str) -> nn.Mlp:
-    try:
-        layers = [
-            nn.Layer(
-                np.asarray(entry["weight"], dtype=np.float64),
-                np.asarray(entry["bias"], dtype=np.float64),
-                entry["activation"],
-            )
-            for entry in obj
-        ]
-        mlp = nn.Mlp(layers)
-    except (KeyError, TypeError, ValidationError, ShapeError) as exc:
-        raise ParseError(f"{where}: malformed network weights: {exc}") from None
-    for arr in mlp.parameters():
-        if not np.all(np.isfinite(arr)):
-            raise ParseError(f"{where}: non-finite network weights")
-    return mlp
-
-
 def save_encoders(
     path, re: RuleEncoderParams, se: SampleEncoderParams, ruleset_fingerprint: str
 ) -> None:
@@ -395,9 +347,9 @@ def save_encoders(
         "L": re.latent_dim,
         "d": re.index_dim,
         "ruleset_fingerprint": ruleset_fingerprint,
-        "re_weights": {"embedding": re.embedding, "mlp": _mlp_to_json(re.mlp)},
+        "re_weights": {"embedding": re.embedding, "mlp": nn.mlp_to_json(re.mlp)},
         "e_null": re.e_null,
-        "se_weights": {"mlp": _mlp_to_json(se.mlp)},
+        "se_weights": {"mlp": nn.mlp_to_json(se.mlp)},
     }
     atomic_write_text(path, dumps_canonical(doc) + "\n")
 
@@ -421,8 +373,8 @@ def load_encoders(path) -> EncoderModel:
         raise ParseError(f"{path}: embedding table and null embedding widths disagree")
     if not (np.all(np.isfinite(embedding)) and np.all(np.isfinite(e_null))):
         raise ParseError(f"{path}: non-finite embedding entries")
-    re = RuleEncoderParams(embedding, e_null, _mlp_from_json(doc["re_weights"]["mlp"], str(path)))
-    se = SampleEncoderParams(_mlp_from_json(doc["se_weights"]["mlp"], str(path)))
+    re = RuleEncoderParams(embedding, e_null, nn.mlp_from_json(doc["re_weights"]["mlp"], str(path)))
+    se = SampleEncoderParams(nn.mlp_from_json(doc["se_weights"]["mlp"], str(path)))
     if re.mlp.input_dim != 2 * embedding.shape[1]:
         raise ParseError(f"{path}: rule network width does not match twice the index width")
     if int(doc["L"]) != re.latent_dim or int(doc["L"]) != se.latent_dim:

@@ -22,10 +22,10 @@ from .alignment import AlignmentConfig
 from .detector import DetectorConfig, hybrid_train, score
 from .encoders import EncoderModel, PretrainConfig, pretrain
 from .errors import ParseError, ShapeError, UndefinedMetricError, ValidationError
-from .features import build_feature_matrix
+from .features import BLOCK, build_feature_matrix
 from .ingest import ClaimsTable, LabelTable
 from .io_utils import atomic_write_text, fmt_float
-from .rules import KINDS, RuleSet
+from .rules import RuleSet
 from .vocab import Vocabulary
 
 logger = logging.getLogger(__name__)
@@ -216,38 +216,49 @@ def split_labels(
         count = min(max(count, 1), ids.size - 1)
         eval_ids.extend(int(i) for i in ids[rng.permutation(ids.size)][:count])
     eval_table = labels.restrict(np.array(eval_ids, dtype=np.int64))
-    train_ids = [int(i) for i in labels.idx if int(i) not in set(eval_ids)]
-    train_table = labels.restrict(np.array(train_ids, dtype=np.int64))
+    train_table = labels.restrict(labels.idx[~np.isin(labels.idx, eval_ids)])
     return train_table, eval_table
 
 
-ABLATION_CONFIGS = ("full", "minus-cost", "minus-opioid", "lambda0")
-
-GROUP_TO_CONFIG = {"cost_preference": "minus-cost", "opioid": "minus-opioid"}
+# Droppable rule groups: group -> (configuration name, kind of the group's rules).
+# Cost-preference rules are the binary pairs; opioid rules are unary.
+ABLATION_GROUPS = {
+    "cost_preference": ("minus-cost", "binary"),
+    "opioid": ("minus-opioid", "unary"),
+}
 
 
 def configs_for_groups(groups: tuple[str, ...]) -> tuple[str, ...]:
     """Configuration names for a selection of droppable rule groups."""
     for group in groups:
-        if group not in GROUP_TO_CONFIG:
+        if group not in ABLATION_GROUPS:
             raise ValidationError(f"unknown ablation group {group!r}")
     if len(set(groups)) != len(groups):
         raise ValidationError("ablation groups must be distinct")
-    return ("full",) + tuple(GROUP_TO_CONFIG[g] for g in groups) + ("lambda0",)
+    return ("full",) + tuple(ABLATION_GROUPS[g][0] for g in groups) + ("lambda0",)
 
 
-def _ablation_ruleset(name: str, ruleset: RuleSet) -> RuleSet | None:
-    """Cost-preference rules are the binary pairs; opioid rules are unary."""
-    if name in ("full", "lambda0"):
-        return ruleset
-    drop_kind = "binary" if name == "minus-cost" else "unary"
-    assert drop_kind in KINDS
-    return ruleset.subset(lambda rule: rule.kind != drop_kind)
+def ablation_subset(
+    name: str, ruleset: RuleSet, features: np.ndarray
+) -> tuple[RuleSet, np.ndarray] | None:
+    """Rule subset of one configuration and its features, or None if no rules remain.
+
+    A subset's features are the kept rules' 15-column blocks of the full-rule
+    feature matrix, in rule order, so they are sliced rather than rebuilt.
+    """
+    dropped = {config: kind for config, kind in ABLATION_GROUPS.values()}.get(name)
+    keep = [j for j, rule in enumerate(ruleset.rules) if rule.kind != dropped]
+    if not keep:
+        return None
+    if len(keep) == len(ruleset):
+        return ruleset, features
+    columns = (BLOCK * np.array(keep)[:, None] + np.arange(BLOCK)).ravel()
+    return ruleset.subset(lambda rule: rule.kind != dropped), features[:, columns]
 
 
 def _run_configuration(
     name: str,
-    claims: ClaimsTable,
+    features: np.ndarray,
     ruleset: RuleSet,
     train_labels: LabelTable,
     eval_labels: LabelTable,
@@ -258,7 +269,6 @@ def _run_configuration(
     ks: tuple[int, ...],
     threshold: float,
 ) -> EvalResult:
-    features = build_feature_matrix(claims, ruleset)
     lam_zero = name == "lambda0"
     cfg = dataclasses.replace(detector_cfg, lam=0.0) if lam_zero else detector_cfg
     encoders = None
@@ -272,7 +282,7 @@ def _run_configuration(
             ruleset_fingerprint=ruleset.fingerprint(),
         )
     model, _ = hybrid_train(
-        features.values,
+        features,
         train_labels,
         cfg,
         nn.derive_seed(seed, "detector"),
@@ -280,7 +290,7 @@ def _run_configuration(
         ruleset=None if lam_zero else ruleset,
         align_cfg=align_cfg,
     )
-    scores = score(model, features.values).scores
+    scores = score(model, features).scores
     y_eval = eval_labels.labels
     s_eval = scores[eval_labels.idx]
     return evaluate_scores(y_eval, s_eval, ks, threshold)
@@ -297,7 +307,7 @@ def ablation_run(
     ks: tuple[int, ...] = DEFAULT_KS,
     threshold: float = 0.5,
     eval_fraction: float = 0.0,
-    groups: tuple[str, ...] = ("cost_preference", "opioid"),
+    groups: tuple[str, ...] = tuple(ABLATION_GROUPS),
 ) -> AblationReport:
     """Retrain encoders and detector per rule subset and report metric drops.
 
@@ -305,9 +315,11 @@ def ablation_run(
     (cost-preference pairs, opioid single-drug rules), and lambda = 0
     (alignment off, full features). Every configuration reuses the same
     derived stage seeds per run seed, so differences come from the rules
-    alone. A subset that would leave no rules is skipped with a note. With
-    eval_fraction > 0 the labeled set is split and metrics are computed on
-    the held-out part only; otherwise on all labeled prescribers.
+    alone. The feature matrix is built once for the full rule set and each
+    subset slices its rules' blocks from it. A subset that would leave no
+    rules is skipped with a note. With eval_fraction > 0 the labeled set is
+    split and metrics are computed on the held-out part only; otherwise on
+    all labeled prescribers.
     """
     config_names = configs_for_groups(tuple(groups))
     pretrain_cfg = pretrain_cfg if pretrain_cfg is not None else PretrainConfig()
@@ -315,6 +327,7 @@ def ablation_run(
     detector_cfg = detector_cfg if detector_cfg is not None else DetectorConfig()
     if labels.n_labeled == 0:
         raise ValidationError("ablation needs labeled prescribers")
+    features = build_feature_matrix(claims, ruleset).values
     rows: list[MetricsRow] = []
     deltas: list[DeltaRow] = []
     notes: list[str] = []
@@ -327,16 +340,17 @@ def ablation_run(
             train_labels, eval_labels = labels, labels
         full_result: EvalResult | None = None
         for name in config_names:
-            sub = _ablation_ruleset(name, ruleset)
-            if sub is None:
+            subset = ablation_subset(name, ruleset, features)
+            if subset is None:
                 note = f"{name} seed {seed}: skipped, no rules remain"
                 notes.append(note)
                 logger.warning(note)
                 continue
+            sub_rules, sub_features = subset
             result = _run_configuration(
                 name,
-                claims,
-                sub,
+                sub_features,
+                sub_rules,
                 train_labels,
                 eval_labels,
                 pretrain_cfg,

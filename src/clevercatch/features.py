@@ -11,19 +11,16 @@ mean, max). Every coordinate lies in [-1, 1].
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParseError, ShapeError, ValidationError
 from .ingest import CHANNELS, ClaimsTable
-from .io_utils import fmt_float
-from .rules import Rule, RuleSet
+from .io_utils import atomic_write_text, fmt_float
+from .rules import RuleSet
 
 STATS = ("min", "mean", "max")
-
-FEATURES_MAGIC = b"CCFM1"
 
 BLOCK = len(CHANNELS) * len(STATS)  # 15 coordinates per rule
 
@@ -77,19 +74,6 @@ def _gather_shares(group: tuple[np.ndarray, np.ndarray], wanted: np.ndarray) -> 
     hit = drug_idx[pos_clipped] == wanted
     out[hit] = shares[pos_clipped[hit]]
     return out
-
-
-def rule_contrast(shares: ShareTable, rule: Rule, prescriber: int, year: int) -> np.ndarray:
-    """Five-channel contrast for one rule at one prescriber-year."""
-    p = shares.drugs.index(rule.p)
-    group = shares.groups.get((prescriber, year))
-    if group is None:
-        return np.zeros(len(CHANNELS))
-    contrast = _gather_shares(group, np.array([p], dtype=np.int64))[0].copy()
-    if rule.q is not None:
-        q = shares.drugs.index(rule.q)
-        contrast -= _gather_shares(group, np.array([q], dtype=np.int64))[0]
-    return contrast
 
 
 def aggregate_over_years(values: np.ndarray) -> np.ndarray:
@@ -174,8 +158,7 @@ def write_features_csv(features: FeatureMatrix, path) -> None:
     lines = ["npi," + ",".join(features.columns)]
     for npi, row in zip(features.npis, features.values):
         lines.append(npi + "," + ",".join(fmt_float(v) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_features_csv(path) -> FeatureMatrix:
@@ -203,29 +186,3 @@ def read_features_csv(path) -> FeatureMatrix:
                 raise ParseError(f"{path}: line {lineno}: malformed feature value") from None
     values = np.vstack(rows) if rows else np.empty((0, len(columns)))
     return FeatureMatrix(values=values, columns=columns, npis=tuple(npis))
-
-
-def write_features_bin(features: FeatureMatrix, path) -> None:
-    """Compact binary container: magic, int64 LE counts, row-major float64 LE."""
-    n, width = features.values.shape
-    blob = FEATURES_MAGIC + struct.pack("<qq", n, width)
-    blob += np.ascontiguousarray(features.values, dtype="<f8").tobytes()
-    with open(path, "wb") as handle:
-        handle.write(blob)
-
-
-def read_features_bin(path) -> np.ndarray:
-    """Read the binary container back as an (N, width) float64 array."""
-    with open(path, "rb") as handle:
-        blob = handle.read()
-    head = len(FEATURES_MAGIC)
-    if blob[:head] != FEATURES_MAGIC:
-        raise ParseError(f"{path}: not a feature matrix container (bad magic)")
-    if len(blob) < head + 16:
-        raise ParseError(f"{path}: truncated feature matrix container")
-    n, width = struct.unpack("<qq", blob[head : head + 16])
-    expected = head + 16 + 8 * n * width
-    if n < 0 or width < 0 or len(blob) != expected:
-        raise ParseError(f"{path}: feature matrix container size does not match its header")
-    data = np.frombuffer(blob, dtype="<f8", offset=head + 16)
-    return data.reshape(n, width).astype(np.float64)

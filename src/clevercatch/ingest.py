@@ -53,9 +53,6 @@ class ClaimsTable:
     def n_records(self) -> int:
         return int(self.npi_idx.size)
 
-    def column_sums(self) -> np.ndarray:
-        return self.metrics.sum(axis=0)
-
 
 def parse_claims_csv(path) -> ClaimsTable:
     """Parse a claims CSV; duplicate (npi, year, drug) rows are summed."""

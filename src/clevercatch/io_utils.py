@@ -72,19 +72,6 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def atomic_write_bytes(path, blob: bytes) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def sha256_file(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as handle:

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import expit
 
-from .errors import ContractError, NumericError, ShapeError, ValidationError
+from .errors import ContractError, NumericError, ParseError, ShapeError, ValidationError
 
 ACTIVATIONS = ("relu", "identity", "sigmoid")
 
@@ -97,10 +97,33 @@ class Mlp:
             out.append(f"layer{i}.bias")
         return out
 
-    def copy(self) -> "Mlp":
-        return Mlp(
-            [Layer(l.weight.copy(), l.bias.copy(), l.activation) for l in self.layers]
-        )
+
+def mlp_to_json(mlp: Mlp) -> list[dict]:
+    """One {weight, bias, activation} entry per layer, for dumps_canonical."""
+    return [
+        {"weight": layer.weight, "bias": layer.bias, "activation": layer.activation}
+        for layer in mlp.layers
+    ]
+
+
+def mlp_from_json(obj, where: str) -> Mlp:
+    """Rebuild an MLP from mlp_to_json entries; anything malformed is a ParseError."""
+    try:
+        layers = [
+            Layer(
+                np.asarray(entry["weight"], dtype=np.float64),
+                np.asarray(entry["bias"], dtype=np.float64),
+                entry["activation"],
+            )
+            for entry in obj
+        ]
+        mlp = Mlp(layers)
+    except (KeyError, TypeError, ValidationError, ShapeError) as exc:
+        raise ParseError(f"{where}: malformed network weights: {exc}") from None
+    for arr in mlp.parameters():
+        if not np.all(np.isfinite(arr)):
+            raise ParseError(f"{where}: non-finite network weights")
+    return mlp
 
 
 def init_mlp(dims: Sequence[int], activations: Sequence[str], rng: np.random.Generator) -> Mlp:
@@ -188,7 +211,8 @@ def mlp_backward(
 
 @dataclass
 class OptimizerState:
-    kind: str
+    """Adam hyperparameters plus the moments owned by optimizer_step."""
+
     learning_rate: float
     beta1: float = 0.9
     beta2: float = 0.999
@@ -198,12 +222,6 @@ class OptimizerState:
     moments2: list[np.ndarray] | None = field(default=None, repr=False)
 
 
-def sgd(learning_rate: float) -> OptimizerState:
-    if learning_rate <= 0:
-        raise ValidationError("learning rate must be positive")
-    return OptimizerState(kind="sgd", learning_rate=learning_rate)
-
-
 def adam(
     learning_rate: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8
 ) -> OptimizerState:
@@ -211,7 +229,7 @@ def adam(
         raise ValidationError("learning rate must be positive")
     if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
         raise ValidationError("adam betas must lie in [0, 1)")
-    return OptimizerState(kind="adam", learning_rate=learning_rate, beta1=beta1, beta2=beta2, eps=eps)
+    return OptimizerState(learning_rate=learning_rate, beta1=beta1, beta2=beta2, eps=eps)
 
 
 def optimizer_step(
@@ -230,10 +248,6 @@ def optimizer_step(
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient for {label}")
     state.step_count += 1
-    if state.kind == "sgd":
-        for p, g in zip(params, grads):
-            p -= state.learning_rate * g
-        return
     if state.moments1 is None:
         state.moments1 = [np.zeros_like(p) for p in params]
         state.moments2 = [np.zeros_like(p) for p in params]
@@ -248,75 +262,3 @@ def optimizer_step(
         v *= state.beta2
         v += (1.0 - state.beta2) * (g * g)
         p -= state.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
-
-
-@dataclass
-class GradCheckReport:
-    max_rel_err: float
-    n_coords: int
-    passed: bool
-
-
-def grad_check(
-    loss_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    theta: np.ndarray,
-    tolerance: float = 1e-5,
-    step: float = 1e-6,
-    max_coords: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> GradCheckReport:
-    """Compare an analytic gradient against central finite differences.
-
-    loss_and_grad maps a flat float64 vector to (loss, gradient). Differences
-    are normalized by the max-norm over both gradients so near-zero
-    coordinates do not divide by noise. All coordinates are checked unless
-    theta has more than 10,000 entries, in which case a random subset of at
-    least 100 is sampled.
-    """
-    theta = np.asarray(theta, dtype=np.float64).ravel()
-    _, analytic = loss_and_grad(theta)
-    analytic = np.asarray(analytic, dtype=np.float64).ravel()
-    if analytic.shape != theta.shape:
-        raise ShapeError(
-            f"analytic gradient has {analytic.size} entries for {theta.size} parameters"
-        )
-    n = theta.size
-    coords = np.arange(n)
-    if n > 10_000:
-        k = max(100, max_coords or 0)
-        gen = rng if rng is not None else make_rng(0)
-        coords = np.sort(gen.choice(n, size=min(k, n), replace=False))
-    elif max_coords is not None and max_coords < n:
-        gen = rng if rng is not None else make_rng(0)
-        coords = np.sort(gen.choice(n, size=max(1, max_coords), replace=False))
-    numeric = np.empty(coords.size)
-    for j, idx in enumerate(coords):
-        bumped = theta.copy()
-        bumped[idx] = theta[idx] + step
-        loss_plus, _ = loss_and_grad(bumped)
-        bumped[idx] = theta[idx] - step
-        loss_minus, _ = loss_and_grad(bumped)
-        numeric[j] = (loss_plus - loss_minus) / (2.0 * step)
-    scale = max(np.abs(analytic[coords]).max(initial=0.0), np.abs(numeric).max(initial=0.0), 1e-12)
-    max_rel_err = float(np.abs(analytic[coords] - numeric).max(initial=0.0) / scale)
-    return GradCheckReport(max_rel_err=max_rel_err, n_coords=int(coords.size), passed=max_rel_err < tolerance)
-
-
-def flatten_arrays(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-    shapes = [a.shape for a in arrays]
-    if not arrays:
-        return np.empty(0), []
-    return np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays]), shapes
-
-
-def unflatten_arrays(vec: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
-    vec = np.asarray(vec, dtype=np.float64).ravel()
-    sizes = [int(np.prod(shape)) if shape else 1 for shape in shapes]
-    if sum(sizes) != vec.size:
-        raise ShapeError(f"vector has {vec.size} entries but shapes need {sum(sizes)}")
-    out = []
-    offset = 0
-    for shape, size in zip(shapes, sizes):
-        out.append(vec[offset : offset + size].reshape(shape))
-        offset += size
-    return out

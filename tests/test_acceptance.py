@@ -22,6 +22,8 @@ from conftest import make_claims, random_claims, random_ruleset
 from test_alignment import oracle_sinkhorn
 from test_evaluation import brute_force_pr_auc
 from test_features import brute_force_features
+import oracles
+from oracles import supervised_train
 
 from clevercatch import nn
 from clevercatch.alignment import AlignmentConfig, sinkhorn
@@ -33,7 +35,6 @@ from clevercatch.detector import (
     init_detector,
     pseudo_label_classifier,
     score,
-    supervised_train,
 )
 from clevercatch.encoders import (
     EncoderModel,
@@ -187,15 +188,15 @@ def test_c02_analytic_gradients_match_finite_differences(capsys):
     margin = 0.5
 
     def triplet_loss_and_grad(theta):
-        e_rule, e_pos, e_neg = nn.unflatten_arrays(theta, shapes)
+        e_rule, e_pos, e_neg = oracles.unflatten_arrays(theta, shapes)
         loss, d_rule, d_pos, d_neg = _triplet_batch_loss(
             e_rule, e_pos, e_neg, weights, margin
         )
-        flat, _ = nn.flatten_arrays([d_rule, d_pos, d_neg])
+        flat, _ = oracles.flatten_arrays([d_rule, d_pos, d_neg])
         return loss, flat
 
-    theta0, _ = nn.flatten_arrays([rng.normal(size=s) for s in shapes])
-    reports.append(nn.grad_check(triplet_loss_and_grad, theta0))
+    theta0, _ = oracles.flatten_arrays([rng.normal(size=s) for s in shapes])
+    reports.append(oracles.grad_check(triplet_loss_and_grad, theta0))
 
     # (b) supervised BCE w.r.t. the scores
     y_hard = (rng.random(120) < 0.5).astype(np.float64)
@@ -203,7 +204,7 @@ def test_c02_analytic_gradients_match_finite_differences(capsys):
     def sup_loss_and_grad(s):
         return bce_with_grad(s, y_hard)
 
-    reports.append(nn.grad_check(sup_loss_and_grad, rng.uniform(0.05, 0.95, 120)))
+    reports.append(oracles.grad_check(sup_loss_and_grad, rng.uniform(0.05, 0.95, 120)))
 
     # (c) alignment BCE against soft pseudo-label targets
     y_soft = rng.uniform(0.05, 0.95, 120)
@@ -211,7 +212,7 @@ def test_c02_analytic_gradients_match_finite_differences(capsys):
     def align_loss_and_grad(s):
         return bce_with_grad(s, y_soft)
 
-    reports.append(nn.grad_check(align_loss_and_grad, rng.uniform(0.05, 0.95, 120)))
+    reports.append(oracles.grad_check(align_loss_and_grad, rng.uniform(0.05, 0.95, 120)))
 
     # (d) full hybrid objective through the detector network
     n, width, lam = 12, 8, 0.5
@@ -224,7 +225,7 @@ def test_c02_analytic_gradients_match_finite_differences(capsys):
     param_shapes = [p.shape for p in mlp.parameters()]
 
     def hybrid_loss_and_grad(theta):
-        for p, v in zip(mlp.parameters(), nn.unflatten_arrays(theta, param_shapes)):
+        for p, v in zip(mlp.parameters(), oracles.unflatten_arrays(theta, param_shapes)):
             p[...] = v
         out, cache = nn.mlp_forward(mlp, x)
         scores = out[:, 0]
@@ -234,11 +235,11 @@ def test_c02_analytic_gradients_match_finite_differences(capsys):
         d_scores[labeled] = d_sup
         d_scores += lam * d_align
         grads, _ = nn.mlp_backward(mlp, cache, d_scores[:, None])
-        flat, _ = nn.flatten_arrays(grads)
+        flat, _ = oracles.flatten_arrays(grads)
         return sup + lam * align, flat
 
-    theta_net, _ = nn.flatten_arrays(mlp.parameters())
-    reports.append(nn.grad_check(hybrid_loss_and_grad, theta_net))
+    theta_net, _ = oracles.flatten_arrays(mlp.parameters())
+    reports.append(oracles.grad_check(hybrid_loss_and_grad, theta_net))
 
     elapsed = time.perf_counter() - start
     n_points = sum(r.n_coords for r in reports)

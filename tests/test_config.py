@@ -3,7 +3,6 @@
 import pytest
 
 from clevercatch.config import (
-    ABLATION_GROUPS,
     PATH_KEYS,
     RunConfig,
     load_config,
@@ -25,7 +24,7 @@ class TestDefaults:
         assert cfg.pretrain.latent_dim == 32
         assert cfg.detector.lam == 0.5
         assert cfg.evaluate.ks == (10, 20, 50, 100)
-        assert cfg.ablation.groups == ABLATION_GROUPS
+        assert cfg.ablation.groups == ("cost_preference", "opioid")
         assert cfg.channels == "full"
         assert cfg.paths == {}
 

@@ -17,7 +17,6 @@ from clevercatch.detector import (
     save_detector,
     score,
     supervised_loss,
-    supervised_train,
     write_pseudo_labels_csv,
 )
 from clevercatch.encoders import (
@@ -35,6 +34,9 @@ from clevercatch.errors import (
 from clevercatch.ingest import LabelTable
 from clevercatch.rules import Rule, RuleSet
 from clevercatch.vocab import Vocabulary
+
+import oracles
+from oracles import supervised_train
 
 
 def toy_encoders(ruleset, seed=0, epochs=2):
@@ -93,7 +95,7 @@ def test_bce_gradient_matches_finite_differences():
     def loss_and_grad(theta):
         return bce_with_grad(theta, targets)
 
-    report = nn.grad_check(loss_and_grad, scores)
+    report = oracles.grad_check(loss_and_grad, scores)
     assert report.passed, f"max relative error {report.max_rel_err}"
 
 
@@ -128,7 +130,7 @@ def test_hybrid_objective_gradient_through_network():
     shapes = [p.shape for p in mlp.parameters()]
 
     def loss_and_grad(theta):
-        for p, v in zip(mlp.parameters(), nn.unflatten_arrays(theta, shapes)):
+        for p, v in zip(mlp.parameters(), oracles.unflatten_arrays(theta, shapes)):
             p[...] = v
         out, cache = nn.mlp_forward(mlp, x)
         scores = out[:, 0]
@@ -138,11 +140,11 @@ def test_hybrid_objective_gradient_through_network():
         d_scores[labeled] = d_sup
         d_scores += lam * d_align
         grads, _ = nn.mlp_backward(mlp, cache, d_scores[:, None])
-        flat, _ = nn.flatten_arrays(grads)
+        flat, _ = oracles.flatten_arrays(grads)
         return sup + lam * align, flat
 
-    theta0, _ = nn.flatten_arrays(mlp.parameters())
-    report = nn.grad_check(loss_and_grad, theta0)
+    theta0, _ = oracles.flatten_arrays(mlp.parameters())
+    report = oracles.grad_check(loss_and_grad, theta0)
     assert report.passed, f"max relative error {report.max_rel_err}"
 
 
@@ -286,6 +288,28 @@ def test_load_detector_rejects_malformed(tmp_path):
     nan_file.write_text(json.dumps(doc_nan), encoding="utf-8")
     with pytest.raises(ParseError):
         load_detector(nan_file)
+    doc_v1 = {
+        "format_version": 1,
+        "input_width": doc["input_width"],
+        "architecture": {
+            "hidden": [len(entry["bias"]) for entry in doc["weights"][:-1]],
+            "activations": [entry["activation"] for entry in doc["weights"]],
+        },
+        "weights": [{"weight": e["weight"], "bias": e["bias"]} for e in doc["weights"]],
+        "lambda": doc["lambda"],
+        "seed": doc["seed"],
+        "encoder_fingerprint": doc["encoder_fingerprint"],
+    }
+    v1_file = tmp_path / "v1.json"
+    v1_file.write_text(json.dumps(doc_v1), encoding="utf-8")
+    with pytest.raises(ParseError, match="unsupported format version 1"):
+        load_detector(v1_file)
+    doc_no_act = json.loads(path.read_text(encoding="utf-8"))
+    del doc_no_act["weights"][-1]["activation"]
+    no_act_file = tmp_path / "no_activation.json"
+    no_act_file.write_text(json.dumps(doc_no_act), encoding="utf-8")
+    with pytest.raises(ParseError, match="malformed network weights"):
+        load_detector(no_act_file)
 
 
 def test_detector_config_validation():

@@ -16,14 +16,15 @@ from clevercatch.encoders import (
     sample_encode,
     save_encoders,
     separation_rate,
-    triplet_loss,
     _triplet_batch_loss,
 )
 from clevercatch.errors import ParseError, ValidationError
 from clevercatch.rules import Rule, RuleSet
 from clevercatch.vocab import Vocabulary
 
+import oracles
 from conftest import random_ruleset
+from oracles import triplet_loss
 
 
 def small_cfg(**overrides):
@@ -139,13 +140,13 @@ def test_triplet_batch_loss_gradients():
     shapes = [a.shape for a in arrays]
 
     def loss_and_grad(theta):
-        e_rule, e_pos, e_neg = nn.unflatten_arrays(theta, shapes)
+        e_rule, e_pos, e_neg = oracles.unflatten_arrays(theta, shapes)
         loss, d_rule, d_pos, d_neg = _triplet_batch_loss(e_rule, e_pos, e_neg, weights, margin)
-        flat, _ = nn.flatten_arrays([d_rule, d_pos, d_neg])
+        flat, _ = oracles.flatten_arrays([d_rule, d_pos, d_neg])
         return loss, flat
 
-    theta0, _ = nn.flatten_arrays(arrays)
-    report = nn.grad_check(loss_and_grad, theta0)
+    theta0, _ = oracles.flatten_arrays(arrays)
+    report = oracles.grad_check(loss_and_grad, theta0)
     assert report.passed, f"max relative error {report.max_rel_err}"
 
 

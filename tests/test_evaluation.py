@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clevercatch import nn
 from clevercatch.errors import (
     ParseError,
     ShapeError,
@@ -15,12 +16,13 @@ from clevercatch.errors import (
     ValidationError,
 )
 from clevercatch.evaluation import (
-    ABLATION_CONFIGS,
+    ABLATION_GROUPS,
     DeltaRow,
     EvalResult,
     MetricsRow,
     PrCurve,
     R_AT_K_NOTE,
+    ablation_subset,
     configs_for_groups,
     evaluate_scores,
     pr_auc,
@@ -33,8 +35,12 @@ from clevercatch.evaluation import (
     write_report_csv,
     write_scores_csv,
 )
+from clevercatch.features import build_feature_matrix
 from clevercatch.ingest import LabelTable
+from clevercatch.rules import Rule, RuleSet
 from clevercatch.vocab import Vocabulary
+
+from conftest import random_claims, random_ruleset
 
 
 def brute_force_pr_auc(labels, scores) -> float:
@@ -308,6 +314,17 @@ class TestSplitLabels:
         c_train, _ = split_labels(table, 0.4, seed=8)
         assert not np.array_equal(a_train.idx, c_train.idx)
 
+    def test_sides_keep_input_order(self):
+        table = make_labels(9, 21)
+        perm = nn.make_rng(3).permutation(30)
+        shuffled = LabelTable(table.idx[perm], table.labels[perm])
+        train, eval_ = split_labels(shuffled, 0.3, seed=5)
+        for side in (train, eval_):
+            chosen = set(int(i) for i in side.idx)
+            np.testing.assert_array_equal(
+                side.idx, [i for i in shuffled.idx if int(i) in chosen]
+            )
+
     def test_validation(self):
         table = make_labels(5, 5)
         for bad in (0.0, 1.0, -0.1, 1.5):
@@ -319,7 +336,9 @@ class TestSplitLabels:
 
 class TestConfigsForGroups:
     def test_default_groups_cover_the_standard_set(self):
-        assert configs_for_groups(("cost_preference", "opioid")) == ABLATION_CONFIGS
+        assert configs_for_groups(tuple(ABLATION_GROUPS)) == (
+            "full", "minus-cost", "minus-opioid", "lambda0"
+        )
 
     def test_single_group(self):
         assert configs_for_groups(("opioid",)) == ("full", "minus-opioid", "lambda0")
@@ -330,6 +349,31 @@ class TestConfigsForGroups:
             configs_for_groups(("bogus",))
         with pytest.raises(ValidationError):
             configs_for_groups(("opioid", "opioid"))
+
+
+class TestAblationSubset:
+    def test_sliced_blocks_equal_rebuilt_features(self):
+        # Mixed binary/unary rule sets: every configuration's slice of the
+        # full matrix must equal a rebuild from its own rule subset, bitwise.
+        for seed in range(4):
+            rng = nn.make_rng(seed)
+            claims = random_claims(rng, 10, 5, 3)
+            ruleset = random_ruleset(rng, claims.drugs, 7)
+            assert {rule.kind for rule in ruleset.rules} == {"binary", "unary"}
+            full = build_feature_matrix(claims, ruleset).values
+            for name in configs_for_groups(tuple(ABLATION_GROUPS)):
+                sub_rules, sub_values = ablation_subset(name, ruleset, full)
+                rebuilt = build_feature_matrix(claims, sub_rules).values
+                assert sub_values.shape == rebuilt.shape
+                assert sub_values.tobytes() == rebuilt.tobytes(), (seed, name)
+
+    def test_dropped_kind_and_empty_subset(self):
+        vocab = Vocabulary(["A", "B", "C"])
+        ruleset = RuleSet([Rule("unary", "A", None, 0.5), Rule("unary", "C", None, 0.9)], vocab)
+        features = np.arange(2 * 30, dtype=np.float64).reshape(2, 30)
+        sub_rules, sub_values = ablation_subset("minus-cost", ruleset, features)
+        assert sub_rules is ruleset and sub_values is features
+        assert ablation_subset("minus-opioid", ruleset, features) is None
 
 
 def result_fixture() -> EvalResult:

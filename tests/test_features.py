@@ -4,18 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clevercatch import nn
+from clevercatch import io_utils, nn
 from clevercatch.errors import ParseError, ValidationError
 from clevercatch.features import (
     BLOCK,
+    FeatureMatrix,
     aggregate_over_years,
     build_feature_matrix,
     compute_shares,
     feature_columns,
-    read_features_bin,
     read_features_csv,
-    rule_contrast,
-    write_features_bin,
     write_features_csv,
 )
 from clevercatch.ingest import CHANNELS
@@ -23,6 +21,7 @@ from clevercatch.rules import Rule, RuleSet
 from clevercatch.vocab import Vocabulary
 
 from conftest import make_claims, random_claims, random_ruleset
+from oracles import rule_contrast
 
 N_CHANNELS = len(CHANNELS)
 
@@ -237,14 +236,20 @@ def test_feature_csv_round_trip(tmp_path):
         read_features_csv(bad)
 
 
-def test_feature_bin_round_trip(tmp_path):
+def test_write_features_csv_leaves_earlier_file_on_failure(tmp_path, monkeypatch):
     rng = nn.make_rng(4)
     claims = random_claims(rng, 4, 3, 2)
-    ruleset = random_ruleset(rng, claims.drugs, 2)
-    features = build_feature_matrix(claims, ruleset)
-    path = tmp_path / "features.bin"
-    write_features_bin(features, path)
-    assert np.array_equal(read_features_bin(path), features.values)
-    path.write_bytes(b"JUNK" + path.read_bytes())
-    with pytest.raises(ParseError):
-        read_features_bin(path)
+    features = build_feature_matrix(claims, random_ruleset(rng, claims.drugs, 2))
+    path = tmp_path / "features.csv"
+    write_features_csv(features, path)
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(io_utils.os, "replace", fail)
+    doubled = FeatureMatrix(2.0 * features.values, features.columns, features.npis)
+    with pytest.raises(OSError):
+        write_features_csv(doubled, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["features.csv"]
