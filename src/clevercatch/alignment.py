@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 from .errors import ContractError, NumericError, ShapeError, ValidationError
 
@@ -80,6 +80,21 @@ def _violation(plan: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     return float(max(row, col))
 
 
+def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+    """scipy.special.logsumexp of finite real input along one axis, bitwise.
+
+    The same operations in the same order as scipy 1.17, without its
+    array-API dispatch, which dominates the cost on small batches: the m
+    entries equal to the maximum are left out of the shifted exp-sum, which is
+    divided by m before log1p.
+    """
+    x_max = x.max(axis=axis, keepdims=True)
+    is_max = x == x_max
+    m = is_max.sum(axis=axis, keepdims=True, dtype=x.dtype)
+    s = np.exp(np.where(is_max, -np.inf, x) - x_max).sum(axis=axis, keepdims=True) / m
+    return (np.log1p(s) + np.log(m) + x_max).squeeze(axis)
+
+
 def sinkhorn(
     cost: np.ndarray,
     epsilon: float,
@@ -114,8 +129,8 @@ def sinkhorn(
     g = np.zeros(n_cols)
     plan = None
     for iteration in range(1, max_iters + 1):
-        f = log_a - logsumexp(log_kernel + g[None, :], axis=1)
-        g = log_b - logsumexp(log_kernel + f[:, None], axis=0)
+        f = log_a - _logsumexp(log_kernel + g[None, :], axis=1)
+        g = log_b - _logsumexp(log_kernel + f[:, None], axis=0)
         plan = np.exp(f[:, None] + g[None, :] + log_kernel)
         if _violation(plan, a, b) < tol:
             return TransportPlan(plan, a, b, float(epsilon), True, iteration)

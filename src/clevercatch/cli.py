@@ -172,7 +172,7 @@ def cmd_featurize(cfg: RunConfig, root_seed: int, out_dir: Path, manifest: RunMa
 
 
 def cmd_pretrain(cfg: RunConfig, root_seed: int, out_dir: Path, manifest: RunManifest):
-    _, ruleset = _load_claims_and_rules(cfg, out_dir, manifest)
+    ruleset = _load_claims_and_rules(cfg, out_dir, manifest)[1]  # the claims table is not kept
     seed = nn.derive_seed(root_seed, "pretrain")
     manifest.start("pretrain")
     re_params, se_params, stats = pretrain(ruleset, cfg.pretrain, seed)

@@ -324,6 +324,12 @@ def load_detector(path) -> DetectorModel:
     mlp = nn.mlp_from_json(doc["weights"], str(path))
     if mlp.input_dim != int(doc["input_width"]):
         raise ParseError(f"{path}: stored input width does not match the weights")
+    head = mlp.layers[-1]
+    if mlp.output_dim != 1 or head.activation != "sigmoid":
+        raise ParseError(
+            f"{path}: the detector must end in one sigmoid unit, got {mlp.output_dim} "
+            f"{head.activation} output(s)"
+        )
     return DetectorModel(
         mlp=mlp,
         lam=float(doc["lambda"]),

@@ -20,12 +20,12 @@ import numpy as np
 
 from . import nn
 from .errors import NumericError, ParseError, ValidationError
+from .features import BLOCK
 from .io_utils import atomic_write_text, dumps_canonical
 from .rules import RuleSet
 
 logger = logging.getLogger(__name__)
 
-BLOCK = 15  # coordinates per rule block in a contrast vector
 
 ENCODER_FORMAT_VERSION = 1
 
@@ -284,6 +284,7 @@ def pretrain(
     n_hold = int(round(cfg.holdout_fraction * len(triplets)))
     holdout = triplets.take(perm[:n_hold])
     train = triplets.take(perm[n_hold:])
+    del triplets  # train and holdout are copies; the unsplit draw is dead
     if len(train) == 0:
         raise ValidationError("holdout fraction leaves no training triplets")
     re_opt = nn.adam(cfg.learning_rate)

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .vocab import Vocabulary, VocabularyBuilder
+from .vocab import Vocabulary
 
 logger = logging.getLogger(__name__)
 
@@ -44,7 +46,6 @@ class ClaimsTable:
     year: np.ndarray  # (n,) int64
     drug_idx: np.ndarray  # (n,) int64 into drugs
     metrics: np.ndarray  # (n, 5) float64, CHANNELS order
-    specialties: tuple[str, ...]  # per record, metadata only
     drugs: Vocabulary
     prescribers: Vocabulary
     years: tuple[int, ...]  # distinct years, ascending
@@ -55,73 +56,132 @@ class ClaimsTable:
 
 
 def parse_claims_csv(path) -> ClaimsTable:
-    """Parse a claims CSV; duplicate (npi, year, drug) rows are summed."""
-    drugs = VocabularyBuilder()
-    prescribers = VocabularyBuilder()
-    position: dict[tuple[int, int, int], int] = {}
-    npi_idx: list[int] = []
-    years: list[int] = []
-    drug_idx: list[int] = []
-    metrics: list[np.ndarray] = []
-    specialties: list[str] = []
-    n_duplicates = 0
+    """Parse a claims CSV; duplicate (npi, year, drug) rows are summed.
+
+    One streaming pass appends each record to typed columns: prescriber and
+    drug indices in first-appearance order, the year, and the five metrics.
+    The metrics are checked in one step after the pass, and duplicates are
+    summed in file order. A file with several faults reports the one a
+    record-by-record check meets first.
+    """
+    prescribers: dict[str, int] = {}
+    drugs: dict[str, int] = {}
+    npi_col = array("q")
+    year_col = array("q")
+    drug_col = array("q")
+    metric_col = array("d")
+    # bound once: this loop runs once per record
+    add_npi, add_year, add_drug = npi_col.append, year_col.append, drug_col.append
+    add_metrics = metric_col.extend
+    npi_index, drug_index = prescribers.setdefault, drugs.setdefault
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header != CLAIMS_HEADER:
             raise ParseError(f"{path}: line 1: expected header {','.join(CLAIMS_HEADER)}")
         for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 9:
-                raise ParseError(f"{path}: line {lineno}: expected 9 fields, got {len(row)}")
-            npi, year_text, specialty, drug = row[0], row[1], row[2], row[3]
-            if not npi or not drug:
-                raise ParseError(f"{path}: line {lineno}: npi and drug must be non-empty")
+            if len(row) != 9 or not row[0] or not row[3]:
+                if not row:
+                    continue
+                raise _first_error(path, lineno, row, metric_col, len(npi_col))
             try:
-                year = int(year_text)
-            except ValueError:
-                raise ParseError(f"{path}: line {lineno}: malformed year {year_text!r}") from None
-            values = np.empty(5)
-            for k, text in enumerate(row[4:9]):
-                try:
-                    values[k] = float(text)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: line {lineno}: malformed number {text!r} in column "
-                        f"{CLAIMS_HEADER[4 + k]}"
-                    ) from None
-                if not np.isfinite(values[k]) or values[k] < 0:
-                    raise ParseError(
-                        f"{path}: line {lineno}: {CLAIMS_HEADER[4 + k]} must be a finite "
-                        f"non-negative number, got {text}"
-                    )
-            i = prescribers.add(npi)
-            d = drugs.add(drug)
-            key = (i, year, d)
-            at = position.get(key)
-            if at is None:
-                position[key] = len(npi_idx)
-                npi_idx.append(i)
-                years.append(year)
-                drug_idx.append(d)
-                metrics.append(values)
-                specialties.append(specialty)
-            else:
-                metrics[at] = metrics[at] + values
-                n_duplicates += 1
+                add_year(int(row[1]))
+                add_metrics(map(float, row[4:9]))
+            except (ValueError, OverflowError):
+                raise _first_error(path, lineno, row, metric_col, len(npi_col)) from None
+            add_drug(drug_index(row[3], len(drugs)))
+            add_npi(npi_index(row[0], len(prescribers)))
+    n = len(npi_col)
+    npi_idx = np.frombuffer(npi_col, dtype=np.int64)
+    year = np.frombuffer(year_col, dtype=np.int64)
+    drug_idx = np.frombuffer(drug_col, dtype=np.int64)
+    metrics = np.frombuffer(metric_col, dtype=np.float64).reshape(n, len(CHANNELS))
+    error = _metric_error(path, metrics)
+    if error is not None:
+        raise error
+    years = np.unique(year)
+    # one int64 key per (npi, year, drug); the bound keeps the packing exact
+    n_cells = len(prescribers) * years.size * len(drugs)
+    if n_cells > np.iinfo(np.int64).max:
+        raise ParseError(f"{path}: {n_cells} (npi, year, drug) cells exceed the int64 key range")
+    year_rank = np.searchsorted(years, year)
+    key = (npi_idx * years.size + year_rank) * len(drugs) + drug_idx
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    del key, year_rank
+    n_duplicates = n - first.size
     if n_duplicates:
+        order = np.argsort(first)
+        keep = first[order]
+        position = np.empty_like(order)
+        position[order] = np.arange(order.size)
+        repeat = np.ones(n, dtype=bool)
+        repeat[keep] = False
+        summed = metrics[keep]
+        # unbuffered and in file order, so each cell sums left to right
+        np.add.at(summed, position[group[repeat]], metrics[repeat])
+        npi_idx, year, drug_idx, metrics = npi_idx[keep], year[keep], drug_idx[keep], summed
         logger.warning("%s: summed %d duplicate (npi, year, drug) rows", path, n_duplicates)
     return ClaimsTable(
-        npi_idx=np.asarray(npi_idx, dtype=np.int64),
-        year=np.asarray(years, dtype=np.int64),
-        drug_idx=np.asarray(drug_idx, dtype=np.int64),
-        metrics=np.vstack(metrics) if metrics else np.empty((0, 5)),
-        specialties=tuple(specialties),
-        drugs=drugs.build(),
-        prescribers=prescribers.build(),
-        years=tuple(sorted(set(years))),
+        npi_idx=npi_idx,
+        year=year,
+        drug_idx=drug_idx,
+        metrics=metrics,
+        drugs=Vocabulary(drugs),
+        prescribers=Vocabulary(prescribers),
+        years=tuple(int(y) for y in years),
     )
+
+
+def _record_error(path, lineno: int, row: list[str]) -> ParseError | None:
+    """The first fault of one claims record, checking its fields in column order."""
+    where = f"{path}: line {lineno}"
+    if len(row) != 9:
+        return ParseError(f"{where}: expected 9 fields, got {len(row)}")
+    if not row[0] or not row[3]:
+        return ParseError(f"{where}: npi and drug must be non-empty")
+    try:
+        int(row[1])
+    except ValueError:
+        return ParseError(f"{where}: malformed year {row[1]!r}")
+    for name, text in zip(CLAIMS_HEADER[4:], row[4:]):
+        try:
+            value = float(text)
+        except ValueError:
+            return ParseError(f"{where}: malformed number {text!r} in column {name}")
+        if not math.isfinite(value) or value < 0:
+            return ParseError(f"{where}: {name} must be a finite non-negative number, got {text}")
+    return None
+
+
+def _metric_error(path, metrics: np.ndarray) -> ParseError | None:
+    """The error of the first record whose metrics are not all finite and non-negative."""
+    ok = np.isfinite(metrics)
+    ok &= metrics >= 0
+    bad = ~ok.all(axis=1)
+    if not bad.any():
+        return None
+    target = int(bad.argmax())
+    # only the failing record's text is needed, so read the file again to find it
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        records = ((lineno, row) for lineno, row in enumerate(reader, start=2) if row)
+        for k, (lineno, row) in enumerate(records):
+            if k == target:
+                error = _record_error(path, lineno, row)
+                if error is not None:
+                    return error
+                break
+    raise ParseError(f"{path}: changed while it was being read")
+
+
+def _first_error(path, lineno: int, row: list[str], metric_col: array, n_done: int) -> ParseError:
+    """The error for a faulty record, unless an earlier record's metrics fail first."""
+    earlier = np.array(metric_col[: n_done * len(CHANNELS)]).reshape(n_done, len(CHANNELS))
+    error = _metric_error(path, earlier) or _record_error(path, lineno, row)
+    if error is None:  # an int() overflow: the year does not fit the int64 column
+        error = ParseError(f"{path}: line {lineno}: malformed year {row[1]!r}")
+    return error
 
 
 @dataclass

@@ -45,23 +45,3 @@ class Vocabulary:
     def name(self, index: int) -> str:
         return self.names[index]
 
-
-class VocabularyBuilder:
-    """Accumulates names in first-appearance order, then freezes."""
-
-    __slots__ = ("_names", "_seen")
-
-    def __init__(self):
-        self._names: list[str] = []
-        self._seen: dict[str, int] = {}
-
-    def add(self, name: str) -> int:
-        idx = self._seen.get(name)
-        if idx is None:
-            idx = len(self._names)
-            self._seen[name] = idx
-            self._names.append(name)
-        return idx
-
-    def build(self) -> Vocabulary:
-        return Vocabulary(self._names)

@@ -23,7 +23,6 @@ def make_claims(records, drugs=None, prescribers=None):
         year=years,
         drug_idx=drug_idx,
         metrics=metrics,
-        specialties=tuple("gp" for _ in records),
         drugs=drugs,
         prescribers=prescribers,
         years=tuple(sorted(set(int(y) for y in years))),

@@ -1,12 +1,15 @@
 """Reference implementations that the tests check the library against.
 
 None of these run in the pipeline: finite-difference gradient checks, the
-scalar triplet loss, per-prescriber-year rule contrasts, and the plain
-supervised trainer that hybrid_train must reproduce bitwise at lambda = 0.
+scalar triplet loss, per-prescriber-year rule contrasts, the plain
+supervised trainer that hybrid_train must reproduce bitwise at lambda = 0,
+and the record-at-a-time claims parser that the columnar one must match.
 """
 
 from __future__ import annotations
 
+import csv
+import logging
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -20,11 +23,14 @@ from clevercatch.detector import (
     bce_with_grad,
     init_detector,
 )
-from clevercatch.errors import ShapeError, ValidationError
+from clevercatch.errors import ParseError, ShapeError, ValidationError
 from clevercatch.features import ShareTable, _gather_shares
-from clevercatch.ingest import CHANNELS, LabelTable
+from clevercatch.ingest import CHANNELS, CLAIMS_HEADER, ClaimsTable, LabelTable
 from clevercatch.nn import make_rng
 from clevercatch.rules import Rule
+from clevercatch.vocab import Vocabulary
+
+logger = logging.getLogger("clevercatch.ingest")  # where the library parser warns, so tests compare both
 
 
 @dataclass
@@ -174,3 +180,91 @@ def supervised_train(
         epoch_sup = sup_sum / sup_count if sup_count else float("nan")
         history.append(TrainEpochStats(epoch, float(epoch_sup), 0.0))
     return DetectorModel(mlp=mlp, lam=0.0, seed=int(seed)), history
+
+
+class VocabularyBuilder:
+    """Accumulates names in first-appearance order, then freezes."""
+
+    __slots__ = ("_names", "_seen")
+
+    def __init__(self):
+        self._names: list[str] = []
+        self._seen: dict[str, int] = {}
+
+    def add(self, name: str) -> int:
+        idx = self._seen.get(name)
+        if idx is None:
+            idx = len(self._names)
+            self._seen[name] = idx
+            self._names.append(name)
+        return idx
+
+    def build(self) -> Vocabulary:
+        return Vocabulary(self._names)
+
+
+def parse_claims_csv(path) -> ClaimsTable:
+    """Parse a claims CSV record by record; duplicate (npi, year, drug) rows are summed."""
+    drugs = VocabularyBuilder()
+    prescribers = VocabularyBuilder()
+    position: dict[tuple[int, int, int], int] = {}
+    npi_idx: list[int] = []
+    years: list[int] = []
+    drug_idx: list[int] = []
+    metrics: list[np.ndarray] = []
+    n_duplicates = 0
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header != CLAIMS_HEADER:
+            raise ParseError(f"{path}: line 1: expected header {','.join(CLAIMS_HEADER)}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 9:
+                raise ParseError(f"{path}: line {lineno}: expected 9 fields, got {len(row)}")
+            npi, year_text, specialty, drug = row[0], row[1], row[2], row[3]
+            if not npi or not drug:
+                raise ParseError(f"{path}: line {lineno}: npi and drug must be non-empty")
+            try:
+                year = int(year_text)
+            except ValueError:
+                raise ParseError(f"{path}: line {lineno}: malformed year {year_text!r}") from None
+            values = np.empty(5)
+            for k, text in enumerate(row[4:9]):
+                try:
+                    values[k] = float(text)
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: line {lineno}: malformed number {text!r} in column "
+                        f"{CLAIMS_HEADER[4 + k]}"
+                    ) from None
+                if not np.isfinite(values[k]) or values[k] < 0:
+                    raise ParseError(
+                        f"{path}: line {lineno}: {CLAIMS_HEADER[4 + k]} must be a finite "
+                        f"non-negative number, got {text}"
+                    )
+            i = prescribers.add(npi)
+            d = drugs.add(drug)
+            key = (i, year, d)
+            at = position.get(key)
+            if at is None:
+                position[key] = len(npi_idx)
+                npi_idx.append(i)
+                years.append(year)
+                drug_idx.append(d)
+                metrics.append(values)
+            else:
+                metrics[at] = metrics[at] + values
+                n_duplicates += 1
+    if n_duplicates:
+        logger.warning("%s: summed %d duplicate (npi, year, drug) rows", path, n_duplicates)
+    return ClaimsTable(
+        npi_idx=np.asarray(npi_idx, dtype=np.int64),
+        year=np.asarray(years, dtype=np.int64),
+        drug_idx=np.asarray(drug_idx, dtype=np.int64),
+        metrics=np.vstack(metrics) if metrics else np.empty((0, 5)),
+        drugs=drugs.build(),
+        prescribers=prescribers.build(),
+        years=tuple(sorted(set(years))),
+    )

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import expit
+from scipy.special import expit, logsumexp
 
 from clevercatch import nn
 from clevercatch.alignment import (
     AlignmentConfig,
+    _logsumexp,
     CalibrationState,
     align_batch,
     batch_epsilon,
@@ -144,6 +145,32 @@ def test_pseudo_labels_hand_value():
     assert labels[0] == pytest.approx(0.731059, abs=1e-5)
     with pytest.raises(ContractError):
         pseudo_labels(np.array([0.5]), CalibrationState(), tau=1.0)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(1, 300),
+    n_cols=st.integers(1, 8),
+    scale=st.sampled_from([1e-3, 1.0, 50.0, 1e4]),
+    decimals=st.sampled_from([None, 0, 1]),
+)
+def test_logsumexp_is_bitwise_scipy(seed, n_rows, n_cols, scale, decimals):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, scale, (n_rows, n_cols))
+    if decimals is not None:  # rounding makes ties, including ties at the maximum
+        x = np.round(x, decimals)
+    for axis in (0, 1):
+        ours, scipys = _logsumexp(x, axis), logsumexp(x, axis=axis)
+        assert ours.shape == scipys.shape
+        assert ours.tobytes() == scipys.tobytes()
+
+
+def test_logsumexp_counts_tied_maxima():
+    x = np.array([[2.0, 2.0, 1.0], [0.0, 0.0, 0.0]])
+    assert _logsumexp(x, 1).tobytes() == logsumexp(x, axis=1).tobytes()
+    assert _logsumexp(x, 0).tobytes() == logsumexp(x, axis=0).tobytes()
+    assert _logsumexp(x, 1)[1] == np.log(3.0)
 
 
 @settings(deadline=None)

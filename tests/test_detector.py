@@ -8,6 +8,7 @@ import pytest
 from clevercatch import nn
 from clevercatch.detector import (
     DetectorConfig,
+    DetectorModel,
     alignment_loss,
     bce_with_grad,
     hybrid_train,
@@ -310,6 +311,18 @@ def test_load_detector_rejects_malformed(tmp_path):
     no_act_file.write_text(json.dumps(doc_no_act), encoding="utf-8")
     with pytest.raises(ParseError, match="malformed network weights"):
         load_detector(no_act_file)
+
+
+@pytest.mark.parametrize(
+    "dims, activations",
+    [([4, 3, 2], ["relu", "identity"]), ([4, 3, 1], ["relu", "identity"]), ([4, 3, 2], ["relu", "sigmoid"])],
+)
+def test_load_detector_rejects_a_head_that_is_not_one_sigmoid_unit(tmp_path, dims, activations):
+    mlp = nn.init_mlp(dims, activations, nn.make_rng(0))
+    path = tmp_path / "detector.json"
+    save_detector(path, DetectorModel(mlp=mlp, lam=0.0, seed=0))
+    with pytest.raises(ParseError, match="one sigmoid unit"):
+        load_detector(path)
 
 
 def test_detector_config_validation():
