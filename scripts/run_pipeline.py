@@ -71,6 +71,7 @@ def run(seed: int, providers: int, out_dir: Path) -> None:
         latent_dim=PRETRAIN.latent_dim,
         index_dim=PRETRAIN.index_dim,
         ruleset_fingerprint=ruleset.fingerprint(),
+        drugs=ruleset.vocab,
     )
     print(
         f"pretrain: final loss {stats[-1].mean_loss:.4f}, "

@@ -134,12 +134,17 @@ def _load_features(cfg, out_dir, manifest):
 
 
 def _load_encoder_bundle(cfg, out_dir, manifest):
-    """Encoders plus the rule set they were trained against."""
+    """Encoders plus the rule set, bound to the encoders' drug names.
+
+    A rule naming a drug the encoders have no embedding for fails to parse;
+    claims.csv is not read.
+    """
     encoders_path = _input_path(cfg, "encoders", out_dir)
+    rules_path = _input_path(cfg, "rules", out_dir)
     manifest.add_input("encoders", encoders_path)
+    manifest.add_input("rules", rules_path)
     encoders = load_encoders(encoders_path)
-    _, ruleset = _load_claims_and_rules(cfg, out_dir, manifest)
-    return encoders, ruleset
+    return encoders, parse_rules(rules_path, encoders.drugs)
 
 
 def cmd_simulate(cfg: RunConfig, root_seed: int, out_dir: Path, manifest: RunManifest):
@@ -162,13 +167,13 @@ def cmd_simulate(cfg: RunConfig, root_seed: int, out_dir: Path, manifest: RunMan
 def cmd_featurize(cfg: RunConfig, root_seed: int, out_dir: Path, manifest: RunManifest):
     claims, ruleset = _load_claims_and_rules(cfg, out_dir, manifest)
     manifest.start("featurize")
-    features = build_feature_matrix(claims, ruleset, cfg.channels)
+    features = build_feature_matrix(claims, ruleset)
     manifest.stop("featurize")
     path = _output_path(cfg, "features", out_dir)
     write_features_csv(features, path)
     manifest.add_output("features", path)
     n, width = features.values.shape
-    print(f"featurize: {n} prescribers x {width} features ({cfg.channels}) -> {path}")
+    print(f"featurize: {n} prescribers x {width} features -> {path}")
 
 
 def cmd_pretrain(cfg: RunConfig, root_seed: int, out_dir: Path, manifest: RunManifest):
@@ -178,7 +183,7 @@ def cmd_pretrain(cfg: RunConfig, root_seed: int, out_dir: Path, manifest: RunMan
     re_params, se_params, stats = pretrain(ruleset, cfg.pretrain, seed)
     manifest.stop("pretrain")
     path = _output_path(cfg, "encoders", out_dir)
-    save_encoders(path, re_params, se_params, ruleset.fingerprint())
+    save_encoders(path, re_params, se_params, ruleset.fingerprint(), ruleset.vocab)
     manifest.add_output("encoders", path)
     last = stats[-1]
     print(

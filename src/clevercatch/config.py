@@ -29,9 +29,6 @@ PATH_KEYS = (
     "out_dir",
 )
 
-CHANNEL_MODES = ("full", "mean-claims-only")
-
-
 @dataclass
 class EvaluateConfig:
     ks: tuple[int, ...] = (10, 20, 50, 100)
@@ -60,7 +57,6 @@ class AblationConfig:
 class RunConfig:
     paths: dict[str, str] = field(default_factory=dict)
     simulator: SimConfig = field(default_factory=SimConfig)
-    channels: str = "full"
     pretrain: PretrainConfig = field(default_factory=PretrainConfig)
     alignment: AlignmentConfig = field(default_factory=AlignmentConfig)
     detector: DetectorConfig = field(default_factory=DetectorConfig)
@@ -189,7 +185,7 @@ def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:
             raw[section] = dict(parser.items(section))
     raw = _merge_overrides(raw, overrides)
 
-    known_sections = ("paths", "features", *_SECTION_SPECS.keys())
+    known_sections = ("paths", *_SECTION_SPECS.keys())
     for section in raw:
         if section not in known_sections:
             raise ConfigError(f"unknown config section [{section}]")
@@ -199,13 +195,6 @@ def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:
         if key not in PATH_KEYS:
             raise ConfigError(f"unknown key paths.{key}")
         cfg.paths[key] = value.strip()
-    for key, value in raw.get("features", {}).items():
-        if key != "channels":
-            raise ConfigError(f"unknown key features.{key}")
-        mode = value.strip()
-        if mode not in CHANNEL_MODES:
-            raise ConfigError(f"features.channels must be one of {CHANNEL_MODES}")
-        cfg.channels = mode
     for section in _SECTION_SPECS:
         if section in raw:
             setattr(cfg, section, _build_section(section, raw[section]))

@@ -133,6 +133,8 @@ def _check_binding(features: np.ndarray, encoders: EncoderModel, ruleset: RuleSe
             f"feature width {features.shape[1]} does not match encoder width "
             f"{encoders.feature_dim}"
         )
+    if ruleset.vocab != encoders.drugs:
+        raise FingerprintMismatch("rule set is bound to a different drug list than the encoders")
     fp = ruleset.fingerprint()
     if fp != encoders.ruleset_fingerprint:
         raise FingerprintMismatch(

@@ -23,11 +23,12 @@ from .errors import NumericError, ParseError, ValidationError
 from .features import BLOCK
 from .io_utils import atomic_write_text, dumps_canonical
 from .rules import RuleSet
+from .vocab import Vocabulary
 
 logger = logging.getLogger(__name__)
 
 
-ENCODER_FORMAT_VERSION = 1
+ENCODER_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -332,6 +333,7 @@ class EncoderModel:
     latent_dim: int
     index_dim: int
     ruleset_fingerprint: str
+    drugs: Vocabulary  # the drug each embedding row belongs to
     file_sha256: str = ""
 
     @property
@@ -340,14 +342,23 @@ class EncoderModel:
 
 
 def save_encoders(
-    path, re: RuleEncoderParams, se: SampleEncoderParams, ruleset_fingerprint: str
+    path,
+    re: RuleEncoderParams,
+    se: SampleEncoderParams,
+    ruleset_fingerprint: str,
+    drugs: Vocabulary,
 ) -> None:
-    """Write the encoder pair as a single JSON document with fixed key order."""
+    """Write the encoder pair as a single JSON document with fixed key order.
+
+    drugs names the drug of each embedding row, so a reader binds rules to
+    the embeddings by name rather than by position in some claims file.
+    """
     doc = {
         "format_version": ENCODER_FORMAT_VERSION,
         "L": re.latent_dim,
         "d": re.index_dim,
         "ruleset_fingerprint": ruleset_fingerprint,
+        "drugs": list(drugs.names),
         "re_weights": {"embedding": re.embedding, "mlp": nn.mlp_to_json(re.mlp)},
         "e_null": re.e_null,
         "se_weights": {"mlp": nn.mlp_to_json(se.mlp)},
@@ -363,11 +374,15 @@ def load_encoders(path) -> EncoderModel:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not valid JSON: {exc}") from None
-    expected = ["format_version", "L", "d", "ruleset_fingerprint", "re_weights", "e_null", "se_weights"]
-    if not isinstance(doc, dict) or list(doc.keys()) != expected:
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    if doc.get("format_version") != ENCODER_FORMAT_VERSION:
+        raise ParseError(f"{path}: unsupported format version {doc.get('format_version')!r}")
+    expected = [
+        "format_version", "L", "d", "ruleset_fingerprint", "drugs", "re_weights", "e_null", "se_weights"
+    ]
+    if list(doc.keys()) != expected:
         raise ParseError(f"{path}: expected encoder model keys {expected}")
-    if doc["format_version"] != ENCODER_FORMAT_VERSION:
-        raise ParseError(f"{path}: unsupported format version {doc['format_version']!r}")
     embedding = np.asarray(doc["re_weights"]["embedding"], dtype=np.float64)
     e_null = np.asarray(doc["e_null"], dtype=np.float64)
     if embedding.ndim != 2 or e_null.shape != (embedding.shape[1],):
@@ -382,11 +397,23 @@ def load_encoders(path) -> EncoderModel:
         raise ParseError(f"{path}: latent width does not match stored networks")
     if int(doc["d"]) != embedding.shape[1]:
         raise ParseError(f"{path}: index width does not match the embedding table")
+    names = doc["drugs"]
+    if not isinstance(names, list) or not all(isinstance(n, str) and n for n in names):
+        raise ParseError(f"{path}: drugs must be a list of non-empty names")
+    if len(names) != embedding.shape[0]:
+        raise ParseError(
+            f"{path}: {len(names)} drug names for {embedding.shape[0]} embedding rows"
+        )
+    try:
+        drugs = Vocabulary(names)
+    except ValidationError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     return EncoderModel(
         re=re,
         se=se,
         latent_dim=int(doc["L"]),
         index_dim=int(doc["d"]),
         ruleset_fingerprint=str(doc["ruleset_fingerprint"]),
+        drugs=drugs,
         file_sha256=sha256_file(path),
     )

@@ -280,6 +280,7 @@ def _run_configuration(
             latent_dim=pretrain_cfg.latent_dim,
             index_dim=pretrain_cfg.index_dim,
             ruleset_fingerprint=ruleset.fingerprint(),
+            drugs=ruleset.vocab,
         )
     model, _ = hybrid_train(
         features,

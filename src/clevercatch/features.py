@@ -26,67 +26,6 @@ BLOCK = len(CHANNELS) * len(STATS)  # 15 coordinates per rule
 
 
 @dataclass
-class ShareTable:
-    """Per (prescriber, year) drug shares for all five channels."""
-
-    drugs: "object"  # Vocabulary; duck-typed to avoid an import cycle in type checks
-    groups: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
-    years_by_prescriber: dict[int, tuple[int, ...]]
-    n_prescribers: int
-
-
-def compute_shares(claims: ClaimsTable) -> ShareTable:
-    """Group claims by (prescriber, year) and normalize each channel to shares."""
-    raw: dict[tuple[int, int], list[int]] = {}
-    for pos in range(claims.n_records):
-        key = (int(claims.npi_idx[pos]), int(claims.year[pos]))
-        raw.setdefault(key, []).append(pos)
-    groups: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-    years: dict[int, set[int]] = {}
-    for key, positions in raw.items():
-        rows = np.asarray(positions, dtype=np.int64)
-        drug_idx = claims.drug_idx[rows]
-        order = np.argsort(drug_idx, kind="stable")
-        drug_idx = drug_idx[order]
-        totals = claims.metrics[rows][order]
-        channel_sums = totals.sum(axis=0)
-        shares = np.zeros_like(totals)
-        nonzero = channel_sums > 0
-        shares[:, nonzero] = totals[:, nonzero] / channel_sums[nonzero]
-        groups[key] = (drug_idx, shares)
-        years.setdefault(key[0], set()).add(key[1])
-    return ShareTable(
-        drugs=claims.drugs,
-        groups=groups,
-        years_by_prescriber={i: tuple(sorted(ts)) for i, ts in years.items()},
-        n_prescribers=claims.prescribers.size,
-    )
-
-
-def _gather_shares(group: tuple[np.ndarray, np.ndarray], wanted: np.ndarray) -> np.ndarray:
-    """Share rows for the wanted drug indices; absent drugs give zero rows."""
-    drug_idx, shares = group
-    out = np.zeros((wanted.size, shares.shape[1]))
-    if drug_idx.size == 0:
-        return out
-    pos = np.searchsorted(drug_idx, wanted)
-    pos_clipped = np.minimum(pos, drug_idx.size - 1)
-    hit = drug_idx[pos_clipped] == wanted
-    out[hit] = shares[pos_clipped[hit]]
-    return out
-
-
-def aggregate_over_years(values: np.ndarray) -> np.ndarray:
-    """Stack (min, mean, max) along a new trailing axis; needs >= 1 year."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape[0] < 1:
-        raise ValidationError("aggregation needs at least one observed year")
-    return np.stack(
-        [values.min(axis=0), values.mean(axis=0), values.max(axis=0)], axis=-1
-    )
-
-
-@dataclass
 class FeatureMatrix:
     values: np.ndarray  # (N, width) float64
     columns: tuple[str, ...]
@@ -106,52 +45,60 @@ class FeatureMatrix:
         return int(self.values.shape[1])
 
 
-def feature_columns(n_rules: int, channels: str = "full") -> tuple[str, ...]:
-    if channels == "full":
-        return tuple(
-            f"rule{j + 1}_{ch}_{stat}"
-            for j in range(n_rules)
-            for ch in CHANNELS
-            for stat in STATS
-        )
-    if channels == "mean-claims-only":
-        return tuple(f"rule{j + 1}_clm_mean" for j in range(n_rules))
-    raise ValidationError(f"unknown channels mode {channels!r}")
+def feature_columns(n_rules: int) -> tuple[str, ...]:
+    return tuple(
+        f"rule{j + 1}_{ch}_{stat}" for j in range(n_rules) for ch in CHANNELS for stat in STATS
+    )
 
 
-def build_feature_matrix(
-    claims: ClaimsTable, ruleset: RuleSet, channels: str = "full"
-) -> FeatureMatrix:
+def build_feature_matrix(claims: ClaimsTable, ruleset: RuleSet) -> FeatureMatrix:
     """Rule-contrast features for every prescriber in the claims table.
 
-    channels="full" gives the 15R layout; "mean-claims-only" keeps one column
-    per rule (mean over years of the claim-count contrast) for width R.
+    One pass over the claim rows: each (prescriber, year) cell's channel
+    totals are summed in drug order, the rows of drugs the rules name are
+    divided into a (cell, drug, channel) share grid, and the per-cell rule
+    contrasts are folded into each prescriber's min, mean and max in year
+    order. The mean is a sum from zero divided by the count of observed
+    years. A claims table holds at most one row per (prescriber, year, drug).
     """
     if ruleset.vocab != claims.drugs:
         raise ValidationError("rule set is bound to a different drug vocabulary")
-    columns = feature_columns(len(ruleset), channels)
-    shares = compute_shares(claims)
-    n = claims.prescribers.size
-    r = len(ruleset)
-    unary = ruleset.q_idx < 0
-    values = np.zeros((n, len(columns)))
-    for i in range(n):
-        observed = shares.years_by_prescriber.get(i)
-        if observed is None:
-            continue  # cannot happen for vocabularies built from the same table
-        per_year = np.empty((len(observed), r, len(CHANNELS)))
-        for row, year in enumerate(observed):
-            group = shares.groups[(i, year)]
-            contrast = _gather_shares(group, ruleset.p_idx)
-            q_shares = _gather_shares(group, np.where(unary, 0, ruleset.q_idx))
-            q_shares[unary] = 0.0
-            per_year[row] = contrast - q_shares
-        if channels == "full":
-            stats = aggregate_over_years(per_year)  # (r, 5, 3)
-            values[i] = stats.reshape(-1)
-        else:
-            values[i] = per_year[:, :, 0].mean(axis=0)
-    return FeatureMatrix(values=values, columns=columns, npis=claims.prescribers.names)
+    n, r = claims.prescribers.size, len(ruleset)
+    years, year_rank = np.unique(claims.year, return_inverse=True)
+    cell_keys, cell = np.unique(claims.npi_idx * years.size + year_rank, return_inverse=True)
+    cell_npi = cell_keys // years.size  # cells ascend by (prescriber, year)
+    order = np.lexsort((claims.drug_idx, cell))
+    totals = np.zeros((cell_keys.size, len(CHANNELS)))
+    np.add.at(totals, cell[order], claims.metrics[order])
+    # slot[d] is drug d's column in the share grid; slot[-1] (a unary rule's
+    # q index) is an extra column that stays zero
+    named = np.unique(np.concatenate([ruleset.p_idx, ruleset.q_idx[ruleset.q_idx >= 0]]))
+    slot = np.full(claims.drugs.size + 1, named.size)
+    slot[named] = np.arange(named.size)
+    rows = np.flatnonzero(np.isin(claims.drug_idx, named))
+    denom = totals[cell[rows]]
+    shares = np.zeros((cell_keys.size, named.size + 1, len(CHANNELS)))
+    shares[cell[rows], slot[claims.drug_idx[rows]]] = np.divide(
+        claims.metrics[rows], denom, out=np.zeros_like(denom), where=denom > 0
+    )
+    contrast = shares[:, slot[ruleset.p_idx]] - shares[:, slot[ruleset.q_idx]]  # (cells, r, 5)
+    del shares
+    values = np.empty((n, r, len(CHANNELS), len(STATS)))
+    lo, total, hi = values[..., 0], values[..., 1], values[..., 2]
+    lo.fill(np.inf)
+    total.fill(0.0)
+    hi.fill(-np.inf)
+    np.minimum.at(lo, cell_npi, contrast)
+    np.add.at(total, cell_npi, contrast)
+    np.maximum.at(hi, cell_npi, contrast)
+    n_years = np.bincount(cell_npi, minlength=n)
+    total /= np.maximum(n_years, 1)[:, None, None]
+    values[n_years == 0] = 0.0  # a prescriber without rows keeps zeros
+    return FeatureMatrix(
+        values=values.reshape(n, r * BLOCK),
+        columns=feature_columns(r),
+        npis=claims.prescribers.names,
+    )
 
 
 def write_features_csv(features: FeatureMatrix, path) -> None:

@@ -209,9 +209,8 @@ class LabelTable:
         return y, mask
 
     def restrict(self, keep_idx: np.ndarray) -> "LabelTable":
-        """Labels restricted to the given prescriber indices."""
-        keep_set = set(int(i) for i in np.asarray(keep_idx).ravel())
-        chosen = np.array([int(i) in keep_set for i in self.idx], dtype=bool)
+        """Labels restricted to the given prescriber indices, in table order."""
+        chosen = np.isin(self.idx, keep_idx)
         return LabelTable(self.idx[chosen], self.labels[chosen], self.n_skipped)
 
 

@@ -1,9 +1,11 @@
 """Reference implementations that the tests check the library against.
 
 None of these run in the pipeline: finite-difference gradient checks, the
-scalar triplet loss, per-prescriber-year rule contrasts, the plain
-supervised trainer that hybrid_train must reproduce bitwise at lambda = 0,
-and the record-at-a-time claims parser that the columnar one must match.
+scalar triplet loss, the per-prescriber-year share groups and the
+prescriber-by-prescriber feature loop that the vectorized feature pass must
+match bitwise, the plain supervised trainer that hybrid_train must reproduce
+bitwise at lambda = 0, and the record-at-a-time claims parser that the
+columnar one must match.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ from clevercatch.detector import (
     init_detector,
 )
 from clevercatch.errors import ParseError, ShapeError, ValidationError
-from clevercatch.features import ShareTable, _gather_shares
+from clevercatch.features import FeatureMatrix, feature_columns
 from clevercatch.ingest import CHANNELS, CLAIMS_HEADER, ClaimsTable, LabelTable
 from clevercatch.nn import make_rng
-from clevercatch.rules import Rule
+from clevercatch.rules import Rule, RuleSet
 from clevercatch.vocab import Vocabulary
 
 logger = logging.getLogger("clevercatch.ingest")  # where the library parser warns, so tests compare both
@@ -127,16 +129,99 @@ def triplet_loss(
     return weight * max(0.0, d_pos - d_neg + margin)
 
 
+@dataclass
+class ShareTable:
+    """Per (prescriber, year) drug shares for all five channels."""
+
+    drugs: Vocabulary
+    groups: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
+    years_by_prescriber: dict[int, tuple[int, ...]]
+    n_prescribers: int
+
+
+def compute_shares(claims: ClaimsTable) -> ShareTable:
+    """Group claims by (prescriber, year) and normalize each channel to shares."""
+    raw: dict[tuple[int, int], list[int]] = {}
+    for pos in range(claims.n_records):
+        key = (int(claims.npi_idx[pos]), int(claims.year[pos]))
+        raw.setdefault(key, []).append(pos)
+    groups: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+    years: dict[int, set[int]] = {}
+    for key, positions in raw.items():
+        rows = np.asarray(positions, dtype=np.int64)
+        drug_idx = claims.drug_idx[rows]
+        order = np.argsort(drug_idx, kind="stable")
+        drug_idx = drug_idx[order]
+        totals = claims.metrics[rows][order]
+        channel_sums = totals.sum(axis=0)
+        shares = np.zeros_like(totals)
+        nonzero = channel_sums > 0
+        shares[:, nonzero] = totals[:, nonzero] / channel_sums[nonzero]
+        groups[key] = (drug_idx, shares)
+        years.setdefault(key[0], set()).add(key[1])
+    return ShareTable(
+        drugs=claims.drugs,
+        groups=groups,
+        years_by_prescriber={i: tuple(sorted(ts)) for i, ts in years.items()},
+        n_prescribers=claims.prescribers.size,
+    )
+
+
+def gather_shares(group: tuple[np.ndarray, np.ndarray], wanted: np.ndarray) -> np.ndarray:
+    """Share rows for the wanted drug indices; absent drugs give zero rows."""
+    drug_idx, shares = group
+    out = np.zeros((wanted.size, shares.shape[1]))
+    if drug_idx.size == 0:
+        return out
+    pos = np.searchsorted(drug_idx, wanted)
+    pos_clipped = np.minimum(pos, drug_idx.size - 1)
+    hit = drug_idx[pos_clipped] == wanted
+    out[hit] = shares[pos_clipped[hit]]
+    return out
+
+
+def aggregate_over_years(values: np.ndarray) -> np.ndarray:
+    """Stack (min, mean, max) along a new trailing axis; needs >= 1 year."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape[0] < 1:
+        raise ValidationError("aggregation needs at least one observed year")
+    return np.stack(
+        [values.min(axis=0), values.mean(axis=0), values.max(axis=0)], axis=-1
+    )
+
+
+def feature_matrix(claims: ClaimsTable, ruleset: RuleSet) -> FeatureMatrix:
+    """Rule-contrast features built one prescriber and one year at a time."""
+    shares = compute_shares(claims)
+    n = claims.prescribers.size
+    r = len(ruleset)
+    unary = ruleset.q_idx < 0
+    values = np.zeros((n, r * 3 * len(CHANNELS)))
+    for i in range(n):
+        observed = shares.years_by_prescriber.get(i)
+        if observed is None:
+            continue
+        per_year = np.empty((len(observed), r, len(CHANNELS)))
+        for row, year in enumerate(observed):
+            group = shares.groups[(i, year)]
+            contrast = gather_shares(group, ruleset.p_idx)
+            q_shares = gather_shares(group, np.where(unary, 0, ruleset.q_idx))
+            q_shares[unary] = 0.0
+            per_year[row] = contrast - q_shares
+        values[i] = aggregate_over_years(per_year).reshape(-1)
+    return FeatureMatrix(values=values, columns=feature_columns(r), npis=claims.prescribers.names)
+
+
 def rule_contrast(shares: ShareTable, rule: Rule, prescriber: int, year: int) -> np.ndarray:
     """Five-channel contrast for one rule at one prescriber-year."""
     p = shares.drugs.index(rule.p)
     group = shares.groups.get((prescriber, year))
     if group is None:
         return np.zeros(len(CHANNELS))
-    contrast = _gather_shares(group, np.array([p], dtype=np.int64))[0].copy()
+    contrast = gather_shares(group, np.array([p], dtype=np.int64))[0].copy()
     if rule.q is not None:
         q = shares.drugs.index(rule.q)
-        contrast -= _gather_shares(group, np.array([q], dtype=np.int64))[0]
+        contrast -= gather_shares(group, np.array([q], dtype=np.int64))[0]
     return contrast
 
 

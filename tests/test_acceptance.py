@@ -107,6 +107,7 @@ class Corpus:
                 EXPERIMENT_PRETRAIN.latent_dim,
                 EXPERIMENT_PRETRAIN.index_dim,
                 b.ruleset.fingerprint(),
+                b.ruleset.vocab,
             )
             self._encoders[root] = (model, stats[-1].holdout_separation)
         return self._encoders[root][0]

@@ -85,6 +85,24 @@ def test_sinkhorn_matches_oracle_on_random_problems():
         assert np.max(np.abs(plan.matrix - oracle)) < 1e-6, f"trial {trial}"
 
 
+@settings(deadline=None, max_examples=150)
+@given(
+    seed=st.integers(0, 10_000),
+    n_rows=st.integers(1, 2_000),
+    n_cols=st.integers(1, 11),
+    weighted=st.booleans(),
+    scale=st.sampled_from([0.01, 0.05, 0.2, 1.0]),
+)
+def test_sinkhorn_plans_keep_column_marginal(seed, n_rows, n_cols, weighted, scale):
+    # only the row marginal is checked; every sweep ends with the g update,
+    # which leaves the column sums on b up to rounding
+    rng = nn.make_rng(seed)
+    cost = cost_matrix(rng.normal(size=(n_rows, 4)), rng.normal(size=(n_cols, 4)))
+    b = random_marginal(rng, n_cols) if weighted else None
+    plan = sinkhorn(cost, batch_epsilon(cost, scale), b=b)
+    assert np.abs(plan.matrix.sum(axis=0) - plan.col_marginal).max() <= 1e-12
+
+
 def test_sinkhorn_constant_shift_invariance():
     rng = nn.make_rng(3)
     cost = rng.uniform(0.0, 4.0, (12, 7))

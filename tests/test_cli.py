@@ -5,10 +5,13 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from clevercatch.cli import THREAD_ENV_VARS, apply_thread_cap, main
 from clevercatch.errors import ConfigError
+from clevercatch.ingest import parse_claims_csv
+from clevercatch.vocab import Vocabulary
 
 # Small problem sizes so the eight-command pipeline runs in seconds.
 SPEED = [
@@ -196,6 +199,43 @@ class TestErrorContract:
             ["--seed", "3", "--out-dir", str(out), *SPEED, "train"],
             "FingerprintMismatch",
         )
+
+
+class TestEncoderBinding:
+    """pseudolabel and train bind rules to the encoders' drug names, not to claims.csv."""
+
+    def test_claims_row_order_does_not_move_outputs(self, tmp_path):
+        out = tmp_path / "run"
+        for command in ("simulate", "featurize", "pretrain", "pseudolabel", "train"):
+            run_ok(command, out)
+        before = {name: (out / name).read_bytes() for name in ("pseudo_labels.csv", "detector.json")}
+        claims = out / "claims.csv"
+        header, *rows = claims.read_text(encoding="utf-8").splitlines(keepends=True)
+        permuted = [rows[i] for i in np.random.default_rng(0).permutation(len(rows))]
+        claims.write_text(header + "".join(permuted), encoding="utf-8")
+        # the permuted file meets the drugs in another order, which once
+        # reassigned every embedding row to another drug
+        trained_on = json.loads((out / "encoders.json").read_text())["drugs"]
+        assert parse_claims_csv(claims).drugs != Vocabulary(trained_on)
+        for command in ("pseudolabel", "train"):
+            run_ok(command, out)
+        claims.unlink()  # neither command reads claims at all
+        for command in ("pseudolabel", "train"):
+            run_ok(command, out)
+            doc = json.loads((out / f"{command}_manifest.json").read_text())
+            assert "claims" not in doc["inputs"]
+        for name, data in before.items():
+            assert (out / name).read_bytes() == data, name
+
+    def test_rule_on_a_drug_without_embedding(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        for command in ("simulate", "featurize", "pretrain"):
+            run_ok(command, out)
+        rules = out / "rules.csv"
+        rules.write_text(rules.read_text() + "unary,NotADrug,,0.5\n")
+        assert main(["--seed", "3", "--out-dir", str(out), *SPEED, "pseudolabel"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParseError: ") and "unknown drug name 'NotADrug'" in err
 
 
 class TestThreadCap:

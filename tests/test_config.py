@@ -25,7 +25,6 @@ class TestDefaults:
         assert cfg.detector.lam == 0.5
         assert cfg.evaluate.ks == (10, 20, 50, 100)
         assert cfg.ablation.groups == ("cost_preference", "opioid")
-        assert cfg.channels == "full"
         assert cfg.paths == {}
 
     def test_path_accessors(self):
@@ -51,9 +50,6 @@ class TestIniParsing:
             [simulator]
             n_providers = 500
             fraud_rate = 0.1
-
-            [features]
-            channels = mean-claims-only
 
             [pretrain]
             latent_dim = 16
@@ -82,7 +78,6 @@ class TestIniParsing:
         assert cfg.simulator.n_providers == 500
         assert cfg.simulator.fraud_rate == 0.1
         assert cfg.simulator.n_drugs == 24  # untouched default
-        assert cfg.channels == "mean-claims-only"
         assert cfg.pretrain.latent_dim == 16
         assert cfg.pretrain.margin == 2.5
         assert cfg.alignment.epsilon_scale == 0.1
@@ -102,16 +97,15 @@ class TestIniParsing:
             load_config(write_ini(tmp_path, "[simulator]\nbogus = 1\n"))
         with pytest.raises(ConfigError, match="unknown key paths.bogus"):
             load_config(write_ini(tmp_path, "[paths]\nbogus = x\n"))
-        with pytest.raises(ConfigError, match="unknown key features.mode"):
-            load_config(write_ini(tmp_path, "[features]\nmode = full\n"))
+        # features.channels is gone: the 15R layout is the only one
+        with pytest.raises(ConfigError, match=r"unknown config section \[features\]"):
+            load_config(write_ini(tmp_path, "[features]\nchannels = full\n"))
 
     def test_bad_values_name_section_and_key(self, tmp_path):
         with pytest.raises(ConfigError, match="simulator.n_providers"):
             load_config(write_ini(tmp_path, "[simulator]\nn_providers = many\n"))
         with pytest.raises(ConfigError, match="alignment.weighted_marginals"):
             load_config(write_ini(tmp_path, "[alignment]\nweighted_marginals = maybe\n"))
-        with pytest.raises(ConfigError, match="features.channels must be one of"):
-            load_config(write_ini(tmp_path, "[features]\nchannels = everything\n"))
 
     def test_stage_validation_errors_become_config_errors(self, tmp_path):
         with pytest.raises(ConfigError, match=r"\[simulator\]"):
@@ -137,12 +131,11 @@ class TestOverrides:
         assert cfg.simulator.n_providers == 250
         assert cfg.simulator.seed == 1
 
-    def test_override_paths_and_channels(self):
-        cfg = load_config(
-            overrides=["paths.scores=/tmp/s.csv", "features.channels=mean-claims-only"]
-        )
+    def test_override_paths(self):
+        cfg = load_config(overrides=["paths.scores=/tmp/s.csv"])
         assert cfg.paths["scores"] == "/tmp/s.csv"
-        assert cfg.channels == "mean-claims-only"
+        with pytest.raises(ConfigError, match=r"unknown config section \[features\]"):
+            load_config(overrides=["features.channels=full"])
 
     def test_value_may_contain_equals_sign(self):
         cfg = load_config(overrides=["paths.out_dir=/tmp/a=b"])

@@ -57,6 +57,7 @@ def toy_encoders(ruleset, seed=0, epochs=2):
         latent_dim=cfg.latent_dim,
         index_dim=cfg.index_dim,
         ruleset_fingerprint=ruleset.fingerprint(),
+        drugs=ruleset.vocab,
     )
 
 
@@ -200,6 +201,22 @@ def test_binding_checks():
     )
     with pytest.raises(FingerprintMismatch):
         hybrid_train(features, labels, cfg, 0, encoders=encoders, ruleset=reweighted)
+
+
+def test_binding_rejects_rules_over_another_drug_order():
+    # same rules, same fingerprint, but the drugs sit at other positions: the
+    # encoders' embedding rows would silently rebind to other drugs
+    rng = nn.make_rng(0)
+    features, labels, ruleset = toy_problem(rng)
+    encoders = toy_encoders(ruleset)
+    reordered = RuleSet(ruleset.rules, Vocabulary(["B", "A", "C"]))
+    assert reordered.fingerprint() == encoders.ruleset_fingerprint
+    with pytest.raises(FingerprintMismatch, match="drug list"):
+        pseudo_label_classifier(features, encoders, reordered)
+    with pytest.raises(FingerprintMismatch, match="drug list"):
+        hybrid_train(
+            features, labels, DetectorConfig(lam=0.5, epochs=1), 0, encoders=encoders, ruleset=reordered
+        )
 
 
 def test_score_ranks_and_tie_break():

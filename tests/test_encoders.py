@@ -219,9 +219,10 @@ def test_encoder_round_trip(tmp_path, toy_ruleset):
     cfg = small_cfg(epochs=2)
     re, se, _ = pretrain(toy_ruleset, cfg, seed=3)
     path = tmp_path / "encoders.json"
-    save_encoders(path, re, se, toy_ruleset.fingerprint())
+    save_encoders(path, re, se, toy_ruleset.fingerprint(), toy_ruleset.vocab)
     model = load_encoders(path)
     assert model.ruleset_fingerprint == toy_ruleset.fingerprint()
+    assert model.drugs == toy_ruleset.vocab
     assert model.latent_dim == cfg.latent_dim
     assert model.index_dim == cfg.index_dim
     assert model.feature_dim == BLOCK * len(toy_ruleset)
@@ -242,7 +243,7 @@ def test_load_encoders_rejects_malformed(tmp_path, toy_ruleset):
     cfg = small_cfg(epochs=1)
     re, se, _ = pretrain(toy_ruleset, cfg, seed=0)
     path = tmp_path / "encoders.json"
-    save_encoders(path, re, se, toy_ruleset.fingerprint())
+    save_encoders(path, re, se, toy_ruleset.fingerprint(), toy_ruleset.vocab)
     not_json = tmp_path / "broken.json"
     not_json.write_text(path.read_text(encoding="utf-8")[:-40], encoding="utf-8")
     with pytest.raises(ParseError):
@@ -267,6 +268,35 @@ def test_load_encoders_rejects_malformed(tmp_path, toy_ruleset):
     nan_weights.write_text(json.dumps(doc3), encoding="utf-8")
     with pytest.raises(ParseError):
         load_encoders(nan_weights)
+
+
+def test_encoders_bind_embedding_rows_to_drug_names(tmp_path, toy_ruleset):
+    import json
+
+    re, se, _ = pretrain(toy_ruleset, small_cfg(epochs=1), seed=0)
+    path = tmp_path / "encoders.json"
+    save_encoders(path, re, se, toy_ruleset.fingerprint(), toy_ruleset.vocab)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert doc["format_version"] == 2
+    assert doc["drugs"] == list(toy_ruleset.vocab.names)
+    cases = {
+        "duplicated": ["DrugA", "DrugB", "DrugA", "DrugD"],
+        "too short": ["DrugA", "DrugB", "DrugC"],
+        "too long": ["DrugA", "DrugB", "DrugC", "DrugD", "DrugE"],
+        "not names": ["DrugA", "DrugB", 3, "DrugD"],
+    }
+    for name, drugs in cases.items():
+        bad = tmp_path / f"{name}.json"
+        bad.write_text(json.dumps({**doc, "drugs": drugs}), encoding="utf-8")
+        with pytest.raises(ParseError, match="drug|duplicate"):
+            load_encoders(bad)
+    # a version-1 file has no drug list and is refused by its version
+    v1 = {k: v for k, v in doc.items() if k != "drugs"}
+    v1["format_version"] = 1
+    old = tmp_path / "v1.json"
+    old.write_text(json.dumps(v1), encoding="utf-8")
+    with pytest.raises(ParseError, match="unsupported format version 1"):
+        load_encoders(old)
 
 
 def test_pretrain_config_validation():

@@ -116,6 +116,12 @@ def test_label_table_dense_and_restrict():
     sub = table.restrict(np.array([2, 4]))
     assert np.array_equal(sub.idx, [2, 4])
     assert np.array_equal(sub.labels, [0, 1])
+    # the table's order wins over the order of the kept indices
+    unordered = LabelTable(np.array([5, 1, 3, 8]), np.array([1, 0, 0, 1]), n_skipped=2)
+    sub = unordered.restrict(np.array([8, 3, 7, 5]))
+    assert sub.idx.tolist() == [5, 3, 8]
+    assert sub.labels.tolist() == [1, 0, 1]
+    assert sub.n_skipped == 2
     with pytest.raises(ValidationError):
         LabelTable(np.array([0, 1]), np.array([1]))
 
