@@ -5,7 +5,8 @@ pseudolabel, train, score, evaluate, and ablate. Every command reads its
 settings from one INI configuration (optionally patched with repeated
 --set section.key=value overrides), derives its stage seed from the root
 --seed, and writes a <command>_manifest.json beside its outputs recording
-input and output hashes, the configuration snapshot, and stage timings.
+input and output hashes, the configuration snapshot, and the command's wall
+time from the entry of main to the manifest write.
 
 Input files resolve from [paths] in the configuration when present and
 otherwise from the output directory under conventional names, so the
@@ -26,12 +27,10 @@ configuration) exit with status 1 and a single line on stderr of the form
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import os
 import sys
+import time
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__, nn
 from .config import ConfigError, RunConfig, load_config
@@ -62,6 +61,8 @@ from .rules import parse_rules
 from .simulator import write_sim_data
 from .vocab import Vocabulary
 
+# Keys outside config.PATH_KEYS cannot be configured and always land in the
+# output directory.
 DEFAULT_NAMES = {
     "claims": "claims.csv",
     "rules": "rules.csv",
@@ -70,121 +71,93 @@ DEFAULT_NAMES = {
     "encoders": "encoders.json",
     "detector": "detector.json",
     "scores": "scores.csv",
+    "pseudo_labels": "pseudo_labels.csv",
+    "report": "report.csv",
+    "pr_curve": "pr_curve.csv",
+    "ablation_report": "ablation_report.csv",
 }
 
-THREAD_ENV_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-)
 
+@dataclass
+class Run:
+    """One command invocation: its settings, the files it names, and its manifest.
 
-def apply_thread_cap() -> None:
-    """Export CLEVERCATCH_THREADS to the common numeric thread variables.
-
-    Libraries that size their pools lazily pick the cap up from here; pools
-    that were already started keep their size, so an externally exported
-    OMP_NUM_THREADS remains the hard limit.
+    Handlers ask for files by key. An input is hashed into the manifest when
+    it is asked for; an output is recorded, and main hashes it once the
+    handler has written it.
     """
-    cap = os.environ.get("CLEVERCATCH_THREADS")
-    if cap is None:
-        return
-    if not cap.isdigit() or int(cap) < 1:
-        raise ConfigError(f"CLEVERCATCH_THREADS must be a positive integer, got {cap!r}")
-    for var in THREAD_ENV_VARS:
-        os.environ.setdefault(var, cap)
 
+    cfg: RunConfig
+    seed: int
+    out_dir: Path
+    manifest: RunManifest
+    outputs: dict[str, Path] = field(default_factory=dict)
 
-def _input_path(cfg: RunConfig, key: str, out_dir: Path) -> Path:
-    """Resolve an input artifact: explicit [paths] entry, else the out dir."""
-    if cfg.has_path(key):
-        return cfg.path(key)
-    candidate = out_dir / DEFAULT_NAMES[key]
-    if not candidate.exists():
-        raise ConfigError(
-            f"no paths.{key} configured and {candidate} does not exist"
-        )
-    return candidate
+    def path(self, key: str) -> Path:
+        """The [paths] entry for key, else its conventional name in the out dir."""
+        if self.cfg.has_path(key):
+            return self.cfg.path(key)
+        return self.out_dir / DEFAULT_NAMES[key]
 
-
-def _output_path(cfg: RunConfig, key: str, out_dir: Path) -> Path:
-    if cfg.has_path(key):
-        path = cfg.path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
+    def input(self, key: str) -> Path:
+        path = self.path(key)
+        if not self.cfg.has_path(key) and not path.exists():
+            raise ConfigError(f"no paths.{key} configured and {path} does not exist")
+        self.manifest.add_input(key, path)
         return path
-    return out_dir / DEFAULT_NAMES[key]
+
+    def output(self, key: str) -> Path:
+        path = self.path(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        self.outputs[key] = path
+        return path
 
 
-def _load_claims_and_rules(cfg, out_dir, manifest):
-    claims_path = _input_path(cfg, "claims", out_dir)
-    rules_path = _input_path(cfg, "rules", out_dir)
-    manifest.add_input("claims", claims_path)
-    manifest.add_input("rules", rules_path)
+def _load_claims_and_rules(run: Run):
+    claims_path, rules_path = run.input("claims"), run.input("rules")
     claims = parse_claims_csv(claims_path)
-    ruleset = parse_rules(rules_path, claims.drugs)
-    return claims, ruleset
+    return claims, parse_rules(rules_path, claims.drugs)
 
 
-def _load_features(cfg, out_dir, manifest):
-    path = _input_path(cfg, "features", out_dir)
-    manifest.add_input("features", path)
-    return read_features_csv(path)
-
-
-def _load_encoder_bundle(cfg, out_dir, manifest):
+def _load_encoder_bundle(run: Run):
     """Encoders plus the rule set, bound to the encoders' drug names.
 
     A rule naming a drug the encoders have no embedding for fails to parse;
     claims.csv is not read.
     """
-    encoders_path = _input_path(cfg, "encoders", out_dir)
-    rules_path = _input_path(cfg, "rules", out_dir)
-    manifest.add_input("encoders", encoders_path)
-    manifest.add_input("rules", rules_path)
+    encoders_path, rules_path = run.input("encoders"), run.input("rules")
     encoders = load_encoders(encoders_path)
     return encoders, parse_rules(rules_path, encoders.drugs)
 
 
-def cmd_simulate(cfg: RunConfig, root_seed: int, out_dir: Path, manifest: RunManifest):
-    sim_cfg = dataclasses.replace(
-        cfg.simulator, seed=nn.derive_seed(root_seed, "simulate")
-    )
-    manifest.start("simulate")
-    data, paths = write_sim_data(sim_cfg, out_dir)
-    manifest.stop("simulate")
-    for name, path in paths.items():
-        manifest.add_output(name, path)
+def cmd_simulate(run: Run):
+    sim_cfg = replace(run.cfg.simulator, seed=nn.derive_seed(run.seed, "simulate"))
+    data, paths = write_sim_data(sim_cfg, run.out_dir)
+    run.outputs.update(paths)
     n_fraud = int(data.truth.labels.sum())
     print(
         f"simulate: {len(data.rows)} claim rows, "
         f"{len(data.truth.npis)} prescribers ({n_fraud} fraudulent), "
-        f"{len(data.truth.rules)} rules -> {out_dir}"
+        f"{len(data.truth.rules)} rules -> {run.out_dir}"
     )
 
 
-def cmd_featurize(cfg: RunConfig, root_seed: int, out_dir: Path, manifest: RunManifest):
-    claims, ruleset = _load_claims_and_rules(cfg, out_dir, manifest)
-    manifest.start("featurize")
+def cmd_featurize(run: Run):
+    claims, ruleset = _load_claims_and_rules(run)
     features = build_feature_matrix(claims, ruleset)
-    manifest.stop("featurize")
-    path = _output_path(cfg, "features", out_dir)
+    path = run.output("features")
     write_features_csv(features, path)
-    manifest.add_output("features", path)
     n, width = features.values.shape
     print(f"featurize: {n} prescribers x {width} features -> {path}")
 
 
-def cmd_pretrain(cfg: RunConfig, root_seed: int, out_dir: Path, manifest: RunManifest):
-    ruleset = _load_claims_and_rules(cfg, out_dir, manifest)[1]  # the claims table is not kept
-    seed = nn.derive_seed(root_seed, "pretrain")
-    manifest.start("pretrain")
-    re_params, se_params, stats = pretrain(ruleset, cfg.pretrain, seed)
-    manifest.stop("pretrain")
-    path = _output_path(cfg, "encoders", out_dir)
+def cmd_pretrain(run: Run):
+    ruleset = _load_claims_and_rules(run)[1]  # the claims table is not kept
+    re_params, se_params, stats = pretrain(
+        ruleset, run.cfg.pretrain, nn.derive_seed(run.seed, "pretrain")
+    )
+    path = run.output("encoders")
     save_encoders(path, re_params, se_params, ruleset.fingerprint(), ruleset.vocab)
-    manifest.add_output("encoders", path)
     last = stats[-1]
     print(
         f"pretrain: {len(stats)} epochs, final loss {last.mean_loss:.6f}, "
@@ -192,17 +165,15 @@ def cmd_pretrain(cfg: RunConfig, root_seed: int, out_dir: Path, manifest: RunMan
     )
 
 
-def cmd_pseudolabel(cfg: RunConfig, root_seed: int, out_dir: Path, manifest: RunManifest):
-    features = _load_features(cfg, out_dir, manifest)
-    encoders, ruleset = _load_encoder_bundle(cfg, out_dir, manifest)
-    manifest.start("pseudolabel")
+def cmd_pseudolabel(run: Run):
+    cfg = run.cfg
+    features = read_features_csv(run.input("features"))
+    encoders, ruleset = _load_encoder_bundle(run)
     report = pseudo_label_classifier(
         features.values, encoders, ruleset, cfg.alignment, cfg.evaluate.threshold
     )
-    manifest.stop("pseudolabel")
-    path = out_dir / "pseudo_labels.csv"
+    path = run.output("pseudo_labels")
     write_pseudo_labels_csv(path, features.npis, report)
-    manifest.add_output("pseudo_labels", path)
     flagged = int(report.predictions.sum())
     print(
         f"pseudolabel: {report.labels.size} prescribers, "
@@ -210,23 +181,24 @@ def cmd_pseudolabel(cfg: RunConfig, root_seed: int, out_dir: Path, manifest: Run
     )
 
 
-def cmd_train(cfg: RunConfig, root_seed: int, out_dir: Path, manifest: RunManifest):
-    features = _load_features(cfg, out_dir, manifest)
-    labels_path = _input_path(cfg, "labels", out_dir)
-    manifest.add_input("labels", labels_path)
-    labels = parse_labels(labels_path, Vocabulary(features.npis))
+def cmd_train(run: Run):
+    cfg = run.cfg
+    features = read_features_csv(run.input("features"))
+    labels = parse_labels(run.input("labels"), Vocabulary(features.npis))
     encoders = ruleset = None
     if cfg.detector.lam > 0.0:
-        encoders, ruleset = _load_encoder_bundle(cfg, out_dir, manifest)
-    seed = nn.derive_seed(root_seed, "detector")
-    manifest.start("train")
+        encoders, ruleset = _load_encoder_bundle(run)
     model, stats = hybrid_train(
-        features.values, labels, cfg.detector, seed, encoders, ruleset, cfg.alignment
+        features.values,
+        labels,
+        cfg.detector,
+        nn.derive_seed(run.seed, "detector"),
+        encoders,
+        ruleset,
+        cfg.alignment,
     )
-    manifest.stop("train")
-    path = _output_path(cfg, "detector", out_dir)
+    path = run.output("detector")
     save_detector(path, model)
-    manifest.add_output("detector", path)
     last = stats[-1]
     print(
         f"train: {labels.n_labeled} labeled of {features.values.shape[0]} prescribers, "
@@ -236,17 +208,11 @@ def cmd_train(cfg: RunConfig, root_seed: int, out_dir: Path, manifest: RunManife
     )
 
 
-def cmd_score(cfg: RunConfig, root_seed: int, out_dir: Path, manifest: RunManifest):
-    features = _load_features(cfg, out_dir, manifest)
-    detector_path = _input_path(cfg, "detector", out_dir)
-    manifest.add_input("detector", detector_path)
-    model = load_detector(detector_path)
-    manifest.start("score")
-    report = score(model, features.values)
-    manifest.stop("score")
-    path = _output_path(cfg, "scores", out_dir)
+def cmd_score(run: Run):
+    features = read_features_csv(run.input("features"))
+    report = score(load_detector(run.input("detector")), features.values)
+    path = run.output("scores")
     write_scores_csv(path, list(features.npis), report.scores, report.ranks)
-    manifest.add_output("scores", path)
     top = report.order[0]
     print(
         f"score: {report.scores.size} prescribers, top {features.npis[top]} "
@@ -254,32 +220,26 @@ def cmd_score(cfg: RunConfig, root_seed: int, out_dir: Path, manifest: RunManife
     )
 
 
-def _scores_for_evaluation(cfg, out_dir, manifest):
+def _scores_for_evaluation(run: Run):
     """Scores plus the prescriber order they are reported in.
 
     A configured or previously written scores file wins; otherwise the
     detector is applied to the features in process.
     """
-    scores_path = cfg.path("scores") if cfg.has_path("scores") else out_dir / DEFAULT_NAMES["scores"]
-    if scores_path.exists():
-        manifest.add_input("scores", scores_path)
-        npis, scores = read_scores_csv(scores_path)
+    if run.path("scores").exists():
+        npis, scores = read_scores_csv(run.input("scores"))
         return tuple(npis), scores
-    features = _load_features(cfg, out_dir, manifest)
-    detector_path = _input_path(cfg, "detector", out_dir)
-    manifest.add_input("detector", detector_path)
-    model = load_detector(detector_path)
+    features = read_features_csv(run.input("features"))
+    model = load_detector(run.input("detector"))
     return features.npis, score(model, features.values).scores
 
 
-def cmd_evaluate(cfg: RunConfig, root_seed: int, out_dir: Path, manifest: RunManifest):
-    npis, scores = _scores_for_evaluation(cfg, out_dir, manifest)
-    labels_path = _input_path(cfg, "labels", out_dir)
-    manifest.add_input("labels", labels_path)
-    labels = parse_labels(labels_path, Vocabulary(npis))
+def cmd_evaluate(run: Run):
+    cfg = run.cfg
+    npis, scores = _scores_for_evaluation(run)
+    labels = parse_labels(run.input("labels"), Vocabulary(npis))
     y = labels.labels
     s = scores[labels.idx]
-    manifest.start("evaluate")
     ks = tuple(k for k in cfg.evaluate.ks if k <= y.size)
     if not ks:
         raise CleverCatchError(
@@ -287,13 +247,9 @@ def cmd_evaluate(cfg: RunConfig, root_seed: int, out_dir: Path, manifest: RunMan
         )
     result = evaluate_scores(y, s, ks, cfg.evaluate.threshold)
     curve = pr_curve(y, s)
-    manifest.stop("evaluate")
-    report_path = out_dir / "report.csv"
-    curve_path = out_dir / "pr_curve.csv"
-    write_report_csv(report_path, [MetricsRow("run", root_seed, result)], ks)
-    write_pr_curve_csv(curve_path, curve)
-    manifest.add_output("report", report_path)
-    manifest.add_output("pr_curve", curve_path)
+    report_path = run.output("report")
+    write_report_csv(report_path, [MetricsRow("run", run.seed, result)], ks)
+    write_pr_curve_csv(run.output("pr_curve"), curve)
     r_str = " ".join(f"r@{k} {result.r_at_k[k]:.4f}" for k in ks)
     print(
         f"evaluate: {y.size} labeled, pr_auc {result.pr_auc:.6f}, {r_str}, "
@@ -301,13 +257,10 @@ def cmd_evaluate(cfg: RunConfig, root_seed: int, out_dir: Path, manifest: RunMan
     )
 
 
-def cmd_ablate(cfg: RunConfig, root_seed: int, out_dir: Path, manifest: RunManifest):
-    claims, ruleset = _load_claims_and_rules(cfg, out_dir, manifest)
-    labels_path = _input_path(cfg, "labels", out_dir)
-    manifest.add_input("labels", labels_path)
-    labels = parse_labels(labels_path, claims.prescribers)
-    seeds = cfg.ablation.seeds if cfg.ablation.seeds else (root_seed,)
-    manifest.start("ablate")
+def cmd_ablate(run: Run):
+    cfg = run.cfg
+    claims, ruleset = _load_claims_and_rules(run)
+    labels = parse_labels(run.input("labels"), claims.prescribers)
     report = ablation_run(
         claims,
         labels,
@@ -315,16 +268,14 @@ def cmd_ablate(cfg: RunConfig, root_seed: int, out_dir: Path, manifest: RunManif
         pretrain_cfg=cfg.pretrain,
         align_cfg=cfg.alignment,
         detector_cfg=cfg.detector,
-        seeds=seeds,
+        seeds=cfg.ablation.seeds or (run.seed,),
         ks=cfg.evaluate.ks,
         threshold=cfg.evaluate.threshold,
         eval_fraction=cfg.ablation.eval_fraction,
         groups=cfg.ablation.groups,
     )
-    manifest.stop("ablate")
-    path = out_dir / "ablation_report.csv"
+    path = run.output("ablation_report")
     write_report_csv(path, report.rows, report.ks, report.deltas)
-    manifest.add_output("ablation_report", path)
     for row in report.rows:
         k_max = report.ks[-1]
         print(
@@ -393,9 +344,9 @@ def _single_line(text: str) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
+    started = time.monotonic()
     args = build_parser().parse_args(argv)
     try:
-        apply_thread_cap()
         cfg = load_config(
             getattr(args, "config", None), list(getattr(args, "overrides", []))
         )
@@ -406,9 +357,12 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         handler, _ = COMMANDS[args.command]
-        manifest = RunManifest(args.command, root_seed, cfg)
-        handler(cfg, root_seed, out_dir, manifest)
-        manifest.write(out_dir / f"{args.command}_manifest.json")
+        run = Run(cfg, root_seed, out_dir, RunManifest(args.command, root_seed, cfg))
+        handler(run)
+        for key, path in run.outputs.items():
+            run.manifest.add_output(key, path)
+        run.manifest.timings[args.command] = time.monotonic() - started
+        run.manifest.write(out_dir / f"{args.command}_manifest.json")
     except (CleverCatchError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {_single_line(str(exc))}", file=sys.stderr)
         return 1

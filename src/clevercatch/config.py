@@ -143,13 +143,18 @@ _SECTION_SPECS: dict[str, tuple[object, dict[str, str]]] = {
 }
 
 
+# The simulate command derives the simulator seed from --seed, so the
+# field is not a setting.
+_NOT_SETTINGS = {("simulator", "seed")}
+
+
 def _build_section(section: str, raw: dict[str, str]):
     cls, aliases = _SECTION_SPECS[section]
     kinds = _dataclass_kinds(cls)
     kwargs: dict[str, object] = {}
     for key, text in raw.items():
         name = aliases.get(key, key)
-        if name not in kinds:
+        if name not in kinds or (section, name) in _NOT_SETTINGS:
             raise ConfigError(f"unknown key {section}.{key}")
         kwargs[name] = _convert(section, key, text, kinds[name])
     try:

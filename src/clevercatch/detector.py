@@ -12,7 +12,6 @@ skipped entirely and training reduces exactly to the supervised-only loop.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,8 +37,6 @@ from .errors import (
 from .ingest import LabelTable
 from .io_utils import atomic_write_text, dumps_canonical, fmt_float
 from .rules import RuleSet
-
-logger = logging.getLogger(__name__)
 
 SCORE_CLAMP = 1e-7
 

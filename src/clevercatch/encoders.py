@@ -12,8 +12,7 @@ alternating epochs between the two encoders.
 from __future__ import annotations
 
 import json
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +23,6 @@ from .features import BLOCK
 from .io_utils import atomic_write_text, dumps_canonical
 from .rules import RuleSet
 from .vocab import Vocabulary
-
-logger = logging.getLogger(__name__)
-
 
 ENCODER_FORMAT_VERSION = 2
 

@@ -1,15 +1,14 @@
 """Run manifests: a JSON record of what a command read, wrote, and took.
 
-Manifests capture the effective config, input and output file hashes, stage
-timings, and library versions, and are written atomically when the command
-finishes. Timings vary between runs, so manifests are not part of the
+Manifests capture the effective config, input and output file hashes, the
+command's wall time, and library versions, and are written atomically when the
+command finishes. Timings vary between runs, so manifests are not part of the
 byte-identical determinism contract that model files and CSVs obey.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,7 +40,6 @@ class RunManifest:
     inputs: dict[str, dict] = field(default_factory=dict)
     outputs: dict[str, dict] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)
-    _stage_starts: dict[str, float] = field(default_factory=dict, repr=False)
 
     def add_input(self, name: str, path) -> None:
         path = Path(path)
@@ -50,12 +48,6 @@ class RunManifest:
     def add_output(self, name: str, path) -> None:
         path = Path(path)
         self.outputs[name] = {"path": str(path), "sha256": sha256_file(path)}
-
-    def start(self, stage: str) -> None:
-        self._stage_starts[stage] = time.monotonic()
-
-    def stop(self, stage: str) -> None:
-        self.timings[stage] = time.monotonic() - self._stage_starts.pop(stage)
 
     def write(self, path) -> None:
         doc = {

@@ -11,9 +11,9 @@ price gaps, and unary rules from an opioid annotation file.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -130,10 +130,12 @@ def parse_rules(path, vocab: Vocabulary) -> RuleSet:
 
 
 def write_rules_csv(rules: Iterable[Rule], path) -> None:
-    lines = [",".join(RULES_HEADER)]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(RULES_HEADER)
     for rule in rules:
-        lines.append(",".join([rule.kind, rule.p, rule.q or "", fmt_float(rule.weight)]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        writer.writerow([rule.kind, rule.p, rule.q or "", fmt_float(rule.weight)])
+    atomic_write_text(path, buffer.getvalue())
 
 
 def jaccard(a: Iterable[str], b: Iterable[str]) -> float:

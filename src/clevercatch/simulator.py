@@ -13,7 +13,7 @@ without being identical. Everything is a pure function of the seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -299,24 +299,7 @@ def write_sim_data(cfg: SimConfig, out_dir) -> tuple[SimData, dict[str, Path]]:
     write_labels_csv(paths["labels"], data.truth.npis, data.truth.labels)
     write_rules_csv(data.truth.rules, paths["rules"])
     manifest = {
-        "config": {
-            "n_providers": cfg.n_providers,
-            "n_drugs": cfg.n_drugs,
-            "n_years": cfg.n_years,
-            "fraud_rate": cfg.fraud_rate,
-            "scenario_mix": cfg.scenario_mix,
-            "boost": cfg.boost,
-            "seed": cfg.seed,
-            "dirichlet_alpha": cfg.dirichlet_alpha,
-            "base_year": cfg.base_year,
-            "pair_floor": cfg.pair_floor,
-            "price_median": cfg.price_median,
-            "price_sigma": cfg.price_sigma,
-            "volume_median": cfg.volume_median,
-            "volume_sigma": cfg.volume_sigma,
-            "min_volume": cfg.min_volume,
-            "opioid_rule_weight": cfg.opioid_rule_weight,
-        },
+        "config": asdict(cfg),
         "planted_rules": [
             {"kind": r.kind, "p": r.p, "q": r.q, "weight": r.weight}
             for r in data.truth.rules

@@ -342,6 +342,9 @@ def parse_claims_csv(path) -> ClaimsTable:
             else:
                 metrics[at] = metrics[at] + values
                 n_duplicates += 1
+    for npi in prescribers.build().names:
+        if any(c in npi for c in ',"\r\n'):
+            raise ParseError(f"{path}: npi {npi!r} holds a comma, a double quote or a line break")
     if n_duplicates:
         logger.warning("%s: summed %d duplicate (npi, year, drug) rows", path, n_duplicates)
     return ClaimsTable(

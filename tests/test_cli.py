@@ -3,13 +3,14 @@
 import hashlib
 import json
 import shutil
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from clevercatch.cli import THREAD_ENV_VARS, apply_thread_cap, main
-from clevercatch.errors import ConfigError
+from clevercatch.cli import main
+from clevercatch.features import read_features_csv
 from clevercatch.ingest import parse_claims_csv
 from clevercatch.vocab import Vocabulary
 
@@ -122,6 +123,35 @@ class TestPipeline:
         assert doc["config"]["simulator"]["n_providers"] == 60
         assert "featurize" in doc["timings_seconds"]
         assert "numpy" in doc["versions"]
+
+    def test_manifests_list_inputs_and_outputs_in_order(self, pipeline_dirs):
+        out = pipeline_dirs / "a"
+        expected = {
+            "pseudolabel": (["features", "encoders", "rules"], ["pseudo_labels"]),
+            "evaluate": (["scores", "labels"], ["report", "pr_curve"]),
+        }
+        for command, (inputs, outputs) in expected.items():
+            doc = json.loads((out / f"{command}_manifest.json").read_text())
+            assert list(doc["inputs"]) == inputs
+            assert list(doc["outputs"]) == outputs
+            for entry in [*doc["inputs"].values(), *doc["outputs"].values()]:
+                path = Path(entry["path"])
+                assert path.parent == out
+                assert entry["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_manifest_timing_covers_file_reads(self, pipeline_dirs, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dirs / "a", out)
+
+        def slow_read(path):
+            time.sleep(0.3)
+            return read_features_csv(path)
+
+        monkeypatch.setattr("clevercatch.cli.read_features_csv", slow_read)
+        run_ok("pseudolabel", out)
+        timings = json.loads((out / "pseudolabel_manifest.json").read_text())["timings_seconds"]
+        assert list(timings) == ["pseudolabel"]
+        assert timings["pseudolabel"] >= 0.3
 
 
 class TestFlagsAndOutput:
@@ -236,34 +266,3 @@ class TestEncoderBinding:
         assert main(["--seed", "3", "--out-dir", str(out), *SPEED, "pseudolabel"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ParseError: ") and "unknown drug name 'NotADrug'" in err
-
-
-class TestThreadCap:
-    def test_exported_to_numeric_libraries(self, monkeypatch):
-        for var in THREAD_ENV_VARS:
-            monkeypatch.delenv(var, raising=False)
-        monkeypatch.setenv("CLEVERCATCH_THREADS", "2")
-        apply_thread_cap()
-        import os
-
-        for var in THREAD_ENV_VARS:
-            assert os.environ[var] == "2"
-
-    def test_existing_settings_win(self, monkeypatch):
-        monkeypatch.setenv("OMP_NUM_THREADS", "7")
-        monkeypatch.setenv("CLEVERCATCH_THREADS", "2")
-        apply_thread_cap()
-        import os
-
-        assert os.environ["OMP_NUM_THREADS"] == "7"
-
-    def test_invalid_value_rejected(self, monkeypatch):
-        for bad in ("0", "-1", "lots"):
-            monkeypatch.setenv("CLEVERCATCH_THREADS", bad)
-            with pytest.raises(ConfigError):
-                apply_thread_cap()
-
-    def test_invalid_value_via_main(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("CLEVERCATCH_THREADS", "zero")
-        assert main(["--out-dir", str(tmp_path), "simulate"]) == 1
-        assert capsys.readouterr().err.startswith("error: ConfigError: ")

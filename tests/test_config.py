@@ -121,15 +121,22 @@ class TestIniParsing:
 
 class TestOverrides:
     def test_overrides_apply_without_a_file(self):
-        cfg = load_config(overrides=["simulator.seed=9", "detector.lambda=0"])
-        assert cfg.simulator.seed == 9
+        cfg = load_config(overrides=["simulator.n_years=4", "detector.lambda=0"])
+        assert cfg.simulator.n_years == 4
         assert cfg.detector.lam == 0.0
 
     def test_overrides_beat_file_values(self, tmp_path):
-        path = write_ini(tmp_path, "[simulator]\nn_providers = 500\nseed = 1\n")
+        path = write_ini(tmp_path, "[simulator]\nn_providers = 500\nn_years = 2\n")
         cfg = load_config(path, overrides=["simulator.n_providers=250"])
         assert cfg.simulator.n_providers == 250
-        assert cfg.simulator.seed == 1
+        assert cfg.simulator.n_years == 2
+
+    def test_simulator_seed_is_not_a_setting(self, tmp_path):
+        # simulate derives its seed from --seed; a configured one was ignored
+        with pytest.raises(ConfigError, match="unknown key simulator.seed"):
+            load_config(overrides=["simulator.seed=123"])
+        with pytest.raises(ConfigError, match="unknown key simulator.seed"):
+            load_config(write_ini(tmp_path, "[simulator]\nseed = 1\n"))
 
     def test_override_paths(self):
         cfg = load_config(overrides=["paths.scores=/tmp/s.csv"])

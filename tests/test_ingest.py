@@ -276,6 +276,8 @@ def test_columnar_parser_reports_the_oracles_first_error(tmp_path_factory, text)
          "line 4: total_claims must be"),
         (["100,2019,gp,DrugA,1,-2,x,4,5"], "total_30day_fills must be"),
         (["100,2019,gp,DrugA,1,x,-3,4,5"], "malformed number 'x'"),
+        # an npi needing CSV quoting is checked after every record's fields
+        (['"10,1",2019,gp,DrugA,1,2,3,4,5', "100,2019,gp,DrugA,-1,2,3,4,5"], "line 3: total_claims must be"),
     ],
 )
 def test_parse_errors_match_the_oracle(tmp_path, rows, message):
@@ -284,6 +286,20 @@ def test_parse_errors_match_the_oracle(tmp_path, rows, message):
     (new, _), (old, _) = parse_both(path)
     assert isinstance(old, str) and message in old
     assert new == old
+
+
+@pytest.mark.parametrize("npi", ["10,1", 'N"7', "10\n1", "10\r1"])
+def test_npi_that_needs_csv_quoting_is_rejected(tmp_path, npi):
+    # features.csv and scores.csv write npis bare, so such an npi would split
+    # their records and break the commands that read them
+    path = tmp_path / "claims.csv"
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        writer.writerow(oracles.CLAIMS_HEADER)
+        writer.writerow(["100", "2019", "gp", "DrugA", 1, 2, 3, 4, 5])
+        writer.writerow([npi, "2019", "gp", "DrugA", 1, 2, 3, 4, 5])
+    (new, _), (old, _) = parse_both(path)
+    assert new == old == f"{path}: npi {npi!r} holds a comma, a double quote or a line break"
 
 
 def test_parse_header_error_matches_the_oracle(tmp_path):

@@ -60,6 +60,22 @@ def test_parse_rules_round_trip(tmp_path, toy_vocab, toy_ruleset):
     assert path2.read_bytes() == path.read_bytes()
 
 
+def test_rules_csv_round_trips_names_that_need_quoting(tmp_path):
+    vocab = Vocabulary(["Drug, extended release", 'Drug "X"', "DrugY"])
+    rules = [
+        Rule("binary", "Drug, extended release", 'Drug "X"', 0.8),
+        Rule("unary", "Drug, extended release", None, 0.5),
+        Rule("binary", "DrugY", 'Drug "X"', 0.25),
+    ]
+    path = tmp_path / "rules.csv"
+    write_rules_csv(rules, path)
+    assert list(parse_rules(path, vocab).rules) == rules
+    plain = [Rule("binary", "DrugY", "DrugZ", 0.25), Rule("unary", "DrugZ", None, 1.0)]
+    write_rules_csv(plain, path)
+    expected = "kind,drug_p,drug_q,weight\nbinary,DrugY,DrugZ,0.25\nunary,DrugZ,,1\n"
+    assert path.read_text(encoding="utf-8") == expected
+
+
 def test_parse_rules_single_lines(tmp_path):
     vocab = Vocabulary(["DrugX", "DrugY", "OpioidZ"])
     path = tmp_path / "rules.csv"
