@@ -132,6 +132,7 @@ def _load_encoder_bundle(run: Run):
 
 def cmd_simulate(run: Run):
     sim_cfg = replace(run.cfg.simulator, seed=nn.derive_seed(run.seed, "simulate"))
+    run.manifest.config = replace(run.cfg, simulator=sim_cfg)  # the seed the data came from
     data, paths = write_sim_data(sim_cfg, run.out_dir)
     run.outputs.update(paths)
     n_fraud = int(data.truth.labels.sum())
@@ -159,9 +160,11 @@ def cmd_pretrain(run: Run):
     path = run.output("encoders")
     save_encoders(path, re_params, se_params, ruleset.fingerprint(), ruleset.vocab)
     last = stats[-1]
+    skipped = sum(s.zero_grad_batches for s in stats)
     print(
         f"pretrain: {len(stats)} epochs, final loss {last.mean_loss:.6f}, "
-        f"holdout separation {last.holdout_separation:.3f} -> {path}"
+        f"holdout separation {last.holdout_separation:.3f}, backward skipped on "
+        f"{skipped} of {sum(s.batches for s in stats)} batches -> {path}"
     )
 
 

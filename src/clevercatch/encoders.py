@@ -131,9 +131,7 @@ def rule_encode(re: RuleEncoderParams, ruleset: RuleSet) -> np.ndarray:
 
 
 def _rule_encode_fwd(re: RuleEncoderParams, p_idx: np.ndarray, q_idx: np.ndarray):
-    x = _rule_inputs(re, p_idx, q_idx)
-    out, cache = nn.mlp_forward(re.mlp, x)
-    return out, cache
+    return nn.mlp_forward(re.mlp, _rule_inputs(re, p_idx, q_idx))
 
 
 def _rule_encode_bwd(
@@ -248,9 +246,11 @@ def separation_rate(
     """Fraction of triplets whose satisfying side is strictly closer to its rule."""
     if len(batch) == 0:
         raise ValidationError("cannot measure separation on an empty batch")
-    e_rule = rule_encode(re, ruleset)[batch.rule_idx]
-    e_pos = sample_encode(se, batch.pos)
-    e_neg = sample_encode(se, batch.neg)
+    e_pos, e_neg = sample_encode(se, batch.pos), sample_encode(se, batch.neg)
+    return _separation(rule_encode(re, ruleset)[batch.rule_idx], e_pos, e_neg)
+
+
+def _separation(e_rule: np.ndarray, e_pos: np.ndarray, e_neg: np.ndarray) -> float:
     d_pos = ((e_pos - e_rule) ** 2).sum(axis=1)
     d_neg = ((e_neg - e_rule) ** 2).sum(axis=1)
     return float((d_pos < d_neg).mean())
@@ -262,6 +262,8 @@ class EpochStats:
     updated: str  # "se" or "re"
     mean_loss: float
     holdout_separation: float
+    batches: int
+    zero_grad_batches: int  # output gradient exactly zero, so backward skipped
 
 
 def pretrain(
@@ -284,15 +286,18 @@ def pretrain(
     del triplets  # train and holdout are copies; the unsplit draw is dead
     if len(train) == 0:
         raise ValidationError("holdout fraction leaves no training triplets")
-    re_opt = nn.adam(cfg.learning_rate)
-    se_opt = nn.adam(cfg.learning_rate)
-    re_names = re.parameter_names()
-    se_names = se.parameter_names()
+    re_opt, se_opt = nn.adam(cfg.learning_rate), nn.adam(cfg.learning_rate)
+    re_names, se_names = re.parameter_names(), se.parameter_names()
+    # a zero output gradient backpropagates to +/-0 only, and Adam's first moment
+    # (from +0) takes the same bits from +0 as from -0, so these stand in for it
+    re_zero = [np.zeros_like(p) for p in re.parameters()]
+    se_zero = [np.zeros_like(p) for p in se.parameters()]
     history: list[EpochStats] = []
     for epoch in range(cfg.epochs):
         phase = "se" if epoch % 2 == 0 else "re"
         order = rng.permutation(len(train))
         losses: list[float] = []
+        n_zero = 0
         for start in range(0, len(train), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             rule_ids = train.rule_idx[idx]
@@ -305,18 +310,26 @@ def pretrain(
             if not np.isfinite(loss):
                 raise NumericError(f"triplet loss diverged at epoch {epoch}")
             losses.append(loss)
+            zero = not (d_rule.any() or d_pos.any() or d_neg.any())
+            n_zero += zero
             if phase == "se":
-                grads_pos, _ = nn.mlp_backward(se.mlp, pos_cache, d_pos)
-                grads_neg, _ = nn.mlp_backward(se.mlp, neg_cache, d_neg)
-                grads = [gp + gn for gp, gn in zip(grads_pos, grads_neg)]
+                if zero:
+                    grads = se_zero
+                else:
+                    grads_pos, _ = nn.mlp_backward(se.mlp, pos_cache, d_pos)
+                    grads_neg, _ = nn.mlp_backward(se.mlp, neg_cache, d_neg)
+                    grads = [gp + gn for gp, gn in zip(grads_pos, grads_neg)]
                 nn.optimizer_step(se_opt, se.parameters(), grads, se_names)
             else:
-                grads = _rule_encode_bwd(
+                grads = re_zero if zero else _rule_encode_bwd(
                     re, ruleset.p_idx[rule_ids], ruleset.q_idx[rule_ids], re_cache, d_rule
                 )
                 nn.optimizer_step(re_opt, re.parameters(), grads, re_names)
-        sep = separation_rate(re, se, ruleset, holdout) if len(holdout) else float("nan")
-        history.append(EpochStats(epoch, phase, float(np.mean(losses)), sep))
+        if phase == "se":  # an "re" epoch leaves the sample encoder as it was
+            hold_pos, hold_neg = sample_encode(se, holdout.pos), sample_encode(se, holdout.neg)
+        e_hold = rule_encode(re, ruleset)[holdout.rule_idx]
+        sep = _separation(e_hold, hold_pos, hold_neg) if len(holdout) else float("nan")
+        history.append(EpochStats(epoch, phase, float(np.mean(losses)), sep, len(losses), n_zero))
     return re, se, history
 
 

@@ -62,8 +62,8 @@ def parse_claims_csv(path) -> ClaimsTable:
     drug indices in first-appearance order, the year, and the five metrics.
     The metrics are checked in one step after the pass, and duplicates are
     summed in file order. A file with several faults reports the one a
-    record-by-record check meets first; an npi that would need CSV quoting is
-    rejected only after every record passes.
+    record-by-record check meets first; an npi that would need CSV quoting, or
+    a drug name holding a line break, is rejected only after every record passes.
     """
     prescribers: dict[str, int] = {}
     drugs: dict[str, int] = {}
@@ -100,10 +100,14 @@ def parse_claims_csv(path) -> ClaimsTable:
     error = _metric_error(path, metrics)
     if error is not None:
         raise error
-    # features.csv, scores.csv and pseudo_labels.csv write npis without quoting
+    # features.csv, scores.csv and pseudo_labels.csv write npis without quoting,
+    # and csv.writer leaves a bare \r in a drug name unquoted in rules.csv
     for npi in prescribers:
         if any(c in npi for c in ',"\r\n'):
             raise ParseError(f"{path}: npi {npi!r} holds a comma, a double quote or a line break")
+    for drug in drugs:
+        if "\r" in drug or "\n" in drug:
+            raise ParseError(f"{path}: drug name {drug!r} holds a line break")
     years = np.unique(year)
     # one int64 key per (npi, year, drug); the bound keeps the packing exact
     n_cells = len(prescribers) * years.size * len(drugs)

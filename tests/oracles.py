@@ -4,8 +4,9 @@ None of these run in the pipeline: finite-difference gradient checks, the
 scalar triplet loss, the per-prescriber-year share groups and the
 prescriber-by-prescriber feature loop that the vectorized feature pass must
 match bitwise, the plain supervised trainer that hybrid_train must reproduce
-bitwise at lambda = 0, and the record-at-a-time claims parser that the
-columnar one must match.
+bitwise at lambda = 0, the record-at-a-time claims parser that the
+columnar one must match, and the pretraining loop that runs every backward
+pass, which encoders.pretrain must match bitwise.
 """
 
 from __future__ import annotations
@@ -25,8 +26,20 @@ from clevercatch.detector import (
     bce_with_grad,
     init_detector,
 )
-from clevercatch.errors import ParseError, ShapeError, ValidationError
-from clevercatch.features import FeatureMatrix, feature_columns
+from clevercatch.encoders import (
+    EpochStats,
+    PretrainConfig,
+    RuleEncoderParams,
+    SampleEncoderParams,
+    _rule_encode_bwd,
+    _rule_encode_fwd,
+    _triplet_batch_loss,
+    gen_synthetic_triplets,
+    init_encoders,
+    separation_rate,
+)
+from clevercatch.errors import NumericError, ParseError, ShapeError, ValidationError
+from clevercatch.features import BLOCK, FeatureMatrix, feature_columns
 from clevercatch.ingest import CHANNELS, CLAIMS_HEADER, ClaimsTable, LabelTable
 from clevercatch.nn import make_rng
 from clevercatch.rules import Rule, RuleSet
@@ -127,6 +140,68 @@ def triplet_loss(
     d_pos = float(((e_pos - e_rule) ** 2).sum())
     d_neg = float(((e_neg - e_rule) ** 2).sum())
     return weight * max(0.0, d_pos - d_neg + margin)
+
+
+def pretrain(
+    ruleset: RuleSet, cfg: PretrainConfig, seed: int
+) -> tuple[RuleEncoderParams, SampleEncoderParams, list[EpochStats]]:
+    """Alternating triplet pretraining with a full backward pass on every batch.
+
+    The loop encoders.pretrain ran before it skipped the backward passes of
+    batches whose output gradient is exactly zero. A batch counts in
+    zero_grad_batches here when every gradient its full backward pass yields
+    for the updated encoder is +/-0.
+    """
+    rng = nn.make_rng(seed)
+    re, se = init_encoders(ruleset.vocab.size, BLOCK * len(ruleset), cfg, rng)
+    triplets = gen_synthetic_triplets(
+        ruleset, cfg.triplet_count, cfg.noise_sigma, (cfg.band_lo, cfg.band_hi), rng,
+        weight_floor=cfg.weight_floor,
+    )
+    perm = rng.permutation(len(triplets))
+    n_hold = int(round(cfg.holdout_fraction * len(triplets)))
+    holdout = triplets.take(perm[:n_hold])
+    train = triplets.take(perm[n_hold:])
+    del triplets
+    if len(train) == 0:
+        raise ValidationError("holdout fraction leaves no training triplets")
+    re_opt = nn.adam(cfg.learning_rate)
+    se_opt = nn.adam(cfg.learning_rate)
+    re_names = re.parameter_names()
+    se_names = se.parameter_names()
+    history: list[EpochStats] = []
+    for epoch in range(cfg.epochs):
+        phase = "se" if epoch % 2 == 0 else "re"
+        order = rng.permutation(len(train))
+        losses: list[float] = []
+        n_zero = 0
+        for start in range(0, len(train), cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            rule_ids = train.rule_idx[idx]
+            e_rule, re_cache = _rule_encode_fwd(re, ruleset.p_idx[rule_ids], ruleset.q_idx[rule_ids])
+            e_pos, pos_cache = nn.mlp_forward(se.mlp, train.pos[idx])
+            e_neg, neg_cache = nn.mlp_forward(se.mlp, train.neg[idx])
+            loss, d_rule, d_pos, d_neg = _triplet_batch_loss(
+                e_rule, e_pos, e_neg, ruleset.weights[rule_ids], cfg.margin
+            )
+            if not np.isfinite(loss):
+                raise NumericError(f"triplet loss diverged at epoch {epoch}")
+            losses.append(loss)
+            if phase == "se":
+                grads_pos, _ = nn.mlp_backward(se.mlp, pos_cache, d_pos)
+                grads_neg, _ = nn.mlp_backward(se.mlp, neg_cache, d_neg)
+                grads = [gp + gn for gp, gn in zip(grads_pos, grads_neg)]
+                n_zero += not any(g.any() for g in grads)
+                nn.optimizer_step(se_opt, se.parameters(), grads, se_names)
+            else:
+                grads = _rule_encode_bwd(
+                    re, ruleset.p_idx[rule_ids], ruleset.q_idx[rule_ids], re_cache, d_rule
+                )
+                n_zero += not any(g.any() for g in grads)
+                nn.optimizer_step(re_opt, re.parameters(), grads, re_names)
+        sep = separation_rate(re, se, ruleset, holdout) if len(holdout) else float("nan")
+        history.append(EpochStats(epoch, phase, float(np.mean(losses)), sep, len(losses), n_zero))
+    return re, se, history
 
 
 @dataclass
@@ -345,6 +420,9 @@ def parse_claims_csv(path) -> ClaimsTable:
     for npi in prescribers.build().names:
         if any(c in npi for c in ',"\r\n'):
             raise ParseError(f"{path}: npi {npi!r} holds a comma, a double quote or a line break")
+    for drug in drugs.build().names:
+        if "\r" in drug or "\n" in drug:
+            raise ParseError(f"{path}: drug name {drug!r} holds a line break")
     if n_duplicates:
         logger.warning("%s: summed %d duplicate (npi, year, drug) rows", path, n_duplicates)
     return ClaimsTable(

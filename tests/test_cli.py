@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import shutil
 import time
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 from clevercatch.cli import main
 from clevercatch.features import read_features_csv
 from clevercatch.ingest import parse_claims_csv
+from clevercatch.nn import derive_seed
 from clevercatch.vocab import Vocabulary
 
 # Small problem sizes so the eight-command pipeline runs in seconds.
@@ -123,6 +125,23 @@ class TestPipeline:
         assert doc["config"]["simulator"]["n_providers"] == 60
         assert "featurize" in doc["timings_seconds"]
         assert "numpy" in doc["versions"]
+
+    def test_simulate_manifest_records_the_seed_it_used(self, pipeline_dirs):
+        out = pipeline_dirs / "a"
+        manifest = json.loads((out / "simulate_manifest.json").read_text())
+        truth = json.loads((out / "ground_truth.json").read_text())
+        used = manifest["config"]["simulator"]["seed"]
+        assert used == truth["config"]["seed"] == derive_seed(3, "simulate")
+        assert manifest["config"]["simulator"]["n_providers"] == 60
+
+    def test_pretrain_reports_its_skipped_backward_passes(self, pipeline_dirs, tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dirs / "a", out)
+        run_ok("pretrain", out)
+        # 4 epochs of 360 training triplets in batches of 256: 2 batches each
+        found = re.search(r"backward skipped on (\d+) of (\d+) batches", capsys.readouterr().out)
+        assert found is not None and int(found[1]) <= int(found[2]) == 8
+        assert (out / "encoders.json").read_bytes() == (pipeline_dirs / "a" / "encoders.json").read_bytes()
 
     def test_manifests_list_inputs_and_outputs_in_order(self, pipeline_dirs):
         out = pipeline_dirs / "a"

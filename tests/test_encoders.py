@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from clevercatch import nn
 from clevercatch.encoders import (
@@ -315,3 +315,68 @@ def test_pretrain_on_random_mixed_ruleset():
     cfg = small_cfg(epochs=6, triplet_count=600)
     _, _, history = pretrain(ruleset, cfg, seed=1)
     assert history[-1].holdout_separation >= 0.85
+
+
+def assert_pretrain_matches_oracle(ruleset, cfg, seed):
+    """Run pretrain and the full-backward oracle loop; demand bitwise equality."""
+    re, se, history = pretrain(ruleset, cfg, seed)
+    old_re, old_se, old_history = oracles.pretrain(ruleset, cfg, seed)
+    for a, b in zip(re.parameters() + se.parameters(), old_re.parameters() + old_se.parameters()):
+        assert a.tobytes() == b.tobytes()
+    assert len(history) == len(old_history) == cfg.epochs
+    for new, old in zip(history, old_history):
+        assert (new.epoch, new.updated, new.batches) == (old.epoch, old.updated, old.batches)
+        assert new.zero_grad_batches == old.zero_grad_batches
+        floats = np.array([new.mean_loss, new.holdout_separation])
+        assert floats.tobytes() == np.array([old.mean_loss, old.holdout_separation]).tobytes()
+    return history
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32),
+    n_rules=st.integers(1, 4),
+    margin=st.sampled_from([0.0, 0.5, 1.0, 100.0]),
+    learning_rate=st.sampled_from([1e-3, 3e-2]),
+    batch_size=st.integers(1, 12),
+    extra=st.integers(0, 40),
+    holdout_fraction=st.sampled_from([0.0, 0.2]),
+    epochs=st.integers(1, 6),
+)
+@example(seed=5, n_rules=3, margin=1.0, learning_rate=3e-2, batch_size=8, extra=38,
+         holdout_fraction=0.0, epochs=4)  # 41 training rows: the last batch holds one
+def test_pretrain_matches_the_full_backward_loop(
+    seed, n_rules, margin, learning_rate, batch_size, extra, holdout_fraction, epochs
+):
+    vocab = Vocabulary([f"D{i}" for i in range(6)])
+    ruleset = random_ruleset(nn.make_rng(seed), vocab, n_rules)
+    cfg = small_cfg(
+        latent_dim=4, index_dim=3, re_hidden=(8,), se_hidden=(8,), epochs=epochs,
+        triplet_count=len(ruleset) + extra, batch_size=batch_size, margin=margin,
+        learning_rate=learning_rate, holdout_fraction=holdout_fraction,
+    )
+    assert_pretrain_matches_oracle(ruleset, cfg, seed)
+
+
+@pytest.mark.parametrize(
+    "margin, learning_rate, kinds",
+    [
+        (1.0, 3e-2, {"mixed", "all"}),  # a mixed first epoch, then none active
+        (0.0, 1e-3, {"none", "mixed"}),
+        (100.0, 1e-3, {"none"}),  # a wide margin keeps every hinge active here
+    ],
+)
+def test_pretrain_skips_exactly_the_zero_gradient_batches(margin, learning_rate, kinds):
+    vocab = Vocabulary([f"D{i}" for i in range(6)])
+    ruleset = random_ruleset(nn.make_rng(3), vocab, 3)
+    cfg = small_cfg(
+        latent_dim=4, index_dim=3, re_hidden=(8,), se_hidden=(8,), epochs=6,
+        triplet_count=51, batch_size=8, margin=margin, learning_rate=learning_rate,
+    )
+    history = assert_pretrain_matches_oracle(ruleset, cfg, seed=5)
+    assert {h.batches for h in history} == {6}  # 46 training rows: the last batch holds 6
+    seen = {
+        "none" if h.zero_grad_batches == 0 else "all" if h.zero_grad_batches == h.batches else "mixed"
+        for h in history
+    }
+    assert seen == kinds

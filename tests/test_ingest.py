@@ -302,6 +302,20 @@ def test_npi_that_needs_csv_quoting_is_rejected(tmp_path, npi):
     assert new == old == f"{path}: npi {npi!r} holds a comma, a double quote or a line break"
 
 
+@pytest.mark.parametrize("char", ["\n", "\r"])
+def test_drug_name_holding_a_line_break_is_rejected(tmp_path, char):
+    # csv.writer leaves a bare \r unquoted, so rules.csv would split such a name
+    path = tmp_path / "claims.csv"
+    drug = f"Drug{char}A"
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        writer.writerow(oracles.CLAIMS_HEADER)
+        writer.writerow(["100", "2019", "gp", "DrugA", 1, 2, 3, 4, 5])
+        writer.writerow(["100", "2019", "gp", drug, 1, 2, 3, 4, 5])
+    (new, _), (old, _) = parse_both(path)
+    assert new == old == f"{path}: drug name {drug!r} holds a line break"
+
+
 def test_parse_header_error_matches_the_oracle(tmp_path):
     for text in ("", "npi,year\n", "npi,year,specialty,drug\n1,2,3,4\n"):
         path = tmp_path / "claims.csv"

@@ -129,6 +129,31 @@ def test_adam_first_step_is_signed_learning_rate():
     assert np.allclose(step, -1e-3 * np.sign(g), rtol=1e-3)
 
 
+@pytest.mark.parametrize("warm_steps", [0, 3])
+def test_adam_takes_the_same_bits_from_positive_zeros_as_from_a_zero_backward(warm_steps):
+    # pretraining hands Adam +0 arrays in place of the backward of a zero
+    # output gradient, whose entries are zeros of either sign
+    rng = nn.make_rng(11)
+    mlp = nn.init_mlp([5, 8, 3], ["relu", "identity"], rng)
+    _, cache = nn.mlp_forward(mlp, rng.normal(size=(9, 5)))
+    backward, _ = nn.mlp_backward(mlp, cache, np.full((9, 3), -0.0))
+    assert not any(g.any() for g in backward)
+    negative = [np.full_like(g, -0.0) for g in backward]
+    warm = [
+        nn.mlp_backward(mlp, cache, rng.normal(size=(9, 3)))[0] for _ in range(warm_steps)
+    ]
+    runs = []
+    for zeros in (backward, negative, [np.zeros_like(g) for g in backward]):
+        params = [p.copy() for p in mlp.parameters()]
+        state = nn.adam(learning_rate=1e-2)
+        for grads in warm:
+            nn.optimizer_step(state, params, grads)
+        for _ in range(3):
+            nn.optimizer_step(state, params, zeros)
+        runs.append([a.tobytes() for a in params + state.moments1 + state.moments2])
+    assert runs[0] == runs[1] == runs[2]
+
+
 def test_adam_rejects_non_finite_gradient():
     p = np.array([1.0])
     state = nn.adam()
