@@ -54,9 +54,7 @@ def cost_matrix(samples: np.ndarray, rules: np.ndarray) -> np.ndarray:
 @dataclass
 class TransportPlan:
     matrix: np.ndarray  # (B, R) strictly positive entries
-    row_marginal: np.ndarray  # (B,)
     col_marginal: np.ndarray  # (R,)
-    epsilon: float
     converged: bool
     iterations: int
 
@@ -129,8 +127,8 @@ def sinkhorn(
         g = log_b - _logsumexp(log_kernel + f[:, None], axis=0)
         plan = np.exp(f[:, None] + g[None, :] + log_kernel)
         if np.abs(plan.sum(axis=1) - a).max() < tol:
-            return TransportPlan(plan, a, b, float(epsilon), True, iteration)
-    return TransportPlan(plan, a, b, float(epsilon), False, max_iters)
+            return TransportPlan(plan, b, True, iteration)
+    return TransportPlan(plan, b, False, max_iters)
 
 
 def transport_cost(plan: TransportPlan | np.ndarray, cost: np.ndarray) -> np.ndarray:

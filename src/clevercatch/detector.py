@@ -79,26 +79,6 @@ def bce_with_grad(scores: np.ndarray, targets: np.ndarray) -> tuple[float, np.nd
     return loss, grad
 
 
-def supervised_loss(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Mean BCE over the labeled subset; labels must be binary."""
-    labels = np.asarray(labels)
-    if labels.size == 0:
-        raise ValidationError("supervised loss is undefined without labeled samples")
-    if not np.isin(labels, (0, 1)).all():
-        raise ValidationError("supervised labels must be 0 or 1")
-    loss, _ = bce_with_grad(np.asarray(scores, dtype=np.float64), labels.astype(np.float64))
-    return loss
-
-
-def alignment_loss(scores: np.ndarray, targets: np.ndarray) -> float:
-    """Mean BCE against soft pseudo-label targets in [0, 1]."""
-    targets = np.asarray(targets, dtype=np.float64)
-    if targets.size and (targets.min() < 0.0 or targets.max() > 1.0):
-        raise ValidationError("pseudo-label targets must lie in [0, 1]")
-    loss, _ = bce_with_grad(np.asarray(scores, dtype=np.float64), targets)
-    return loss
-
-
 def init_detector(input_dim: int, hidden: tuple[int, ...], rng: np.random.Generator) -> nn.Mlp:
     dims = [input_dim, *hidden, 1]
     activations = ["relu"] * len(hidden) + ["sigmoid"]

@@ -13,6 +13,9 @@ import csv
 import dataclasses
 import logging
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -320,7 +323,9 @@ def ablation_run(
     subset slices its rules' blocks from it. A subset that would leave no
     rules is skipped with a note. With eval_fraction > 0 the labeled set is
     split and metrics are computed on the held-out part only; otherwise on
-    all labeled prescribers.
+    all labeled prescribers. The (seed, configuration) jobs run in spawned
+    worker processes, at most one per usable CPU; their results are taken in
+    submission order, so the report equals that of a serial run.
     """
     config_names = configs_for_groups(tuple(groups))
     pretrain_cfg = pretrain_cfg if pretrain_cfg is not None else PretrainConfig()
@@ -329,8 +334,7 @@ def ablation_run(
     if labels.n_labeled == 0:
         raise ValidationError("ablation needs labeled prescribers")
     features = build_feature_matrix(claims, ruleset).values
-    rows: list[MetricsRow] = []
-    deltas: list[DeltaRow] = []
+    jobs: list[tuple] = []  # _run_configuration's arguments, seed by seed
     notes: list[str] = []
     for seed in seeds:
         if eval_fraction > 0.0:
@@ -339,7 +343,6 @@ def ablation_run(
             )
         else:
             train_labels, eval_labels = labels, labels
-        full_result: EvalResult | None = None
         for name in config_names:
             subset = ablation_subset(name, ruleset, features)
             if subset is None:
@@ -348,33 +351,31 @@ def ablation_run(
                 logger.warning(note)
                 continue
             sub_rules, sub_features = subset
-            result = _run_configuration(
-                name,
-                sub_features,
-                sub_rules,
-                train_labels,
-                eval_labels,
-                pretrain_cfg,
-                align_cfg,
-                detector_cfg,
-                int(seed),
-                ks,
-                threshold,
-            )
-            rows.append(MetricsRow(config=name, seed=int(seed), result=result))
-            if name == "full":
-                full_result = result
-            elif full_result is not None:
-                deltas.append(
-                    DeltaRow(
-                        config=name,
-                        seed=int(seed),
-                        d_pr_auc=full_result.pr_auc - result.pr_auc,
-                        d_r_at_k={
-                            k: full_result.r_at_k[k] - result.r_at_k[k] for k in ks
-                        },
-                    )
+            jobs.append((
+                name, sub_features, sub_rules, train_labels, eval_labels,
+                pretrain_cfg, align_cfg, detector_cfg, int(seed), ks, threshold,
+            ))
+    # spawn, not fork: a forked worker inherits the parent's BLAS thread pool
+    workers = max(1, min(len(jobs), len(os.sched_getaffinity(0))))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        results = list(pool.map(_run_configuration, *zip(*jobs)))  # in submission order
+    rows: list[MetricsRow] = []
+    deltas: list[DeltaRow] = []
+    full_results: dict[int, EvalResult] = {}
+    for (name, *_, seed, _ks, _threshold), result in zip(jobs, results):
+        rows.append(MetricsRow(config=name, seed=seed, result=result))
+        if name == "full":
+            full_results[seed] = result
+        elif seed in full_results:
+            full = full_results[seed]
+            deltas.append(
+                DeltaRow(
+                    config=name,
+                    seed=seed,
+                    d_pr_auc=full.pr_auc - result.pr_auc,
+                    d_r_at_k={k: full.r_at_k[k] - result.r_at_k[k] for k in ks},
                 )
+            )
     return AblationReport(rows=rows, deltas=deltas, notes=notes, ks=ks)
 
 

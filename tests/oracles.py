@@ -5,8 +5,10 @@ scalar triplet loss, the per-prescriber-year share groups and the
 prescriber-by-prescriber feature loop that the vectorized feature pass must
 match bitwise, the plain supervised trainer that hybrid_train must reproduce
 bitwise at lambda = 0, the record-at-a-time claims parser that the
-columnar one must match, and the pretraining loop that runs every backward
-pass, which encoders.pretrain must match bitwise.
+columnar one must match, the pretraining loop that runs every backward
+pass, which encoders.pretrain must match bitwise, the scalar supervised and
+alignment losses, and the serial ablation loop that the pooled one must
+match bitwise.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from clevercatch import nn
+from clevercatch.alignment import AlignmentConfig
 from clevercatch.detector import (
     DetectorConfig,
     DetectorModel,
@@ -39,13 +42,26 @@ from clevercatch.encoders import (
     separation_rate,
 )
 from clevercatch.errors import NumericError, ParseError, ShapeError, ValidationError
-from clevercatch.features import BLOCK, FeatureMatrix, feature_columns
+from clevercatch.evaluation import (
+    ABLATION_GROUPS,
+    DEFAULT_KS,
+    AblationReport,
+    DeltaRow,
+    EvalResult,
+    MetricsRow,
+    _run_configuration,
+    ablation_subset,
+    configs_for_groups,
+    split_labels,
+)
+from clevercatch.features import BLOCK, FeatureMatrix, build_feature_matrix, feature_columns
 from clevercatch.ingest import CHANNELS, CLAIMS_HEADER, ClaimsTable, LabelTable
 from clevercatch.nn import make_rng
 from clevercatch.rules import Rule, RuleSet
 from clevercatch.vocab import Vocabulary
 
 logger = logging.getLogger("clevercatch.ingest")  # where the library parser warns, so tests compare both
+_evaluation_logger = logging.getLogger("clevercatch.evaluation")
 
 
 @dataclass
@@ -434,3 +450,107 @@ def parse_claims_csv(path) -> ClaimsTable:
         prescribers=prescribers.build(),
         years=tuple(sorted(set(years))),
     )
+
+
+def supervised_loss(scores: np.ndarray, labels: np.ndarray) -> float:
+    """Mean BCE over the labeled subset; labels must be binary."""
+    labels = np.asarray(labels)
+    if labels.size == 0:
+        raise ValidationError("supervised loss is undefined without labeled samples")
+    if not np.isin(labels, (0, 1)).all():
+        raise ValidationError("supervised labels must be 0 or 1")
+    loss, _ = bce_with_grad(np.asarray(scores, dtype=np.float64), labels.astype(np.float64))
+    return loss
+
+
+def alignment_loss(scores: np.ndarray, targets: np.ndarray) -> float:
+    """Mean BCE against soft pseudo-label targets in [0, 1]."""
+    targets = np.asarray(targets, dtype=np.float64)
+    if targets.size and (targets.min() < 0.0 or targets.max() > 1.0):
+        raise ValidationError("pseudo-label targets must lie in [0, 1]")
+    loss, _ = bce_with_grad(np.asarray(scores, dtype=np.float64), targets)
+    return loss
+
+
+def ablation_run(
+    claims: ClaimsTable,
+    labels: LabelTable,
+    ruleset: RuleSet,
+    pretrain_cfg: PretrainConfig | None = None,
+    align_cfg: AlignmentConfig | None = None,
+    detector_cfg: DetectorConfig | None = None,
+    seeds: tuple[int, ...] = (0,),
+    ks: tuple[int, ...] = DEFAULT_KS,
+    threshold: float = 0.5,
+    eval_fraction: float = 0.0,
+    groups: tuple[str, ...] = tuple(ABLATION_GROUPS),
+) -> AblationReport:
+    """Retrain encoders and detector per rule subset and report metric drops.
+
+    The serial configuration loop, one configuration after another in this
+    process, that the pooled evaluation.ablation_run must match bitwise.
+
+    Configurations: full rule set, one minus-configuration per selected group
+    (cost-preference pairs, opioid single-drug rules), and lambda = 0
+    (alignment off, full features). Every configuration reuses the same
+    derived stage seeds per run seed, so differences come from the rules
+    alone. The feature matrix is built once for the full rule set and each
+    subset slices its rules' blocks from it. A subset that would leave no
+    rules is skipped with a note. With eval_fraction > 0 the labeled set is
+    split and metrics are computed on the held-out part only; otherwise on
+    all labeled prescribers.
+    """
+    config_names = configs_for_groups(tuple(groups))
+    pretrain_cfg = pretrain_cfg if pretrain_cfg is not None else PretrainConfig()
+    align_cfg = align_cfg if align_cfg is not None else AlignmentConfig()
+    detector_cfg = detector_cfg if detector_cfg is not None else DetectorConfig()
+    if labels.n_labeled == 0:
+        raise ValidationError("ablation needs labeled prescribers")
+    features = build_feature_matrix(claims, ruleset).values
+    rows: list[MetricsRow] = []
+    deltas: list[DeltaRow] = []
+    notes: list[str] = []
+    for seed in seeds:
+        if eval_fraction > 0.0:
+            train_labels, eval_labels = split_labels(
+                labels, eval_fraction, nn.derive_seed(seed, "split")
+            )
+        else:
+            train_labels, eval_labels = labels, labels
+        full_result: EvalResult | None = None
+        for name in config_names:
+            subset = ablation_subset(name, ruleset, features)
+            if subset is None:
+                note = f"{name} seed {seed}: skipped, no rules remain"
+                notes.append(note)
+                _evaluation_logger.warning(note)
+                continue
+            sub_rules, sub_features = subset
+            result = _run_configuration(
+                name,
+                sub_features,
+                sub_rules,
+                train_labels,
+                eval_labels,
+                pretrain_cfg,
+                align_cfg,
+                detector_cfg,
+                int(seed),
+                ks,
+                threshold,
+            )
+            rows.append(MetricsRow(config=name, seed=int(seed), result=result))
+            if name == "full":
+                full_result = result
+            elif full_result is not None:
+                deltas.append(
+                    DeltaRow(
+                        config=name,
+                        seed=int(seed),
+                        d_pr_auc=full_result.pr_auc - result.pr_auc,
+                        d_r_at_k={
+                            k: full_result.r_at_k[k] - result.r_at_k[k] for k in ks
+                        },
+                    )
+                )
+    return AblationReport(rows=rows, deltas=deltas, notes=notes, ks=ks)

@@ -2,14 +2,19 @@
 
 import hashlib
 import json
+import multiprocessing
+import os
 import re
 import shutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import clevercatch
 from clevercatch.cli import main
 from clevercatch.features import read_features_csv
 from clevercatch.ingest import parse_claims_csv
@@ -248,6 +253,36 @@ class TestErrorContract:
             ["--seed", "3", "--out-dir", str(out), *SPEED, "train"],
             "FingerprintMismatch",
         )
+
+    def test_error_in_an_ablation_worker(self, tmp_path, capsys):
+        run_ok("simulate", tmp_path)
+        assert len((tmp_path / "rules.csv").read_text().splitlines()) == 1 + 7
+        # two triplets cannot cover seven rules: raised while pretraining in a worker process
+        self.check_error(
+            capsys,
+            ["--seed", "3", "--out-dir", str(tmp_path), *SPEED,
+             "--set", "pretrain.triplet_count=2", "ablate"],
+            "ValidationError",
+            "need at least 7 triplets to cover 7 rules, got 2",
+        )
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "ablation_report.csv").exists()
+
+
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+def test_import_defaults_blas_threads_to_one(preset, expected):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(clevercatch.__file__).parents[1])
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    probe = f"import json, os, clevercatch; print(json.dumps([os.environ[v] for v in {BLAS_THREAD_VARS!r}]))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(result.stdout) == ["1", expected, "1"]
 
 
 class TestEncoderBinding:

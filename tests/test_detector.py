@@ -9,7 +9,6 @@ from clevercatch import nn
 from clevercatch.detector import (
     DetectorConfig,
     DetectorModel,
-    alignment_loss,
     bce_with_grad,
     hybrid_train,
     init_detector,
@@ -17,7 +16,6 @@ from clevercatch.detector import (
     pseudo_label_classifier,
     save_detector,
     score,
-    supervised_loss,
     write_pseudo_labels_csv,
 )
 from clevercatch.encoders import (
@@ -37,7 +35,7 @@ from clevercatch.rules import Rule, RuleSet
 from clevercatch.vocab import Vocabulary
 
 import oracles
-from oracles import supervised_train
+from oracles import alignment_loss, supervised_loss, supervised_train
 
 
 def toy_encoders(ruleset, seed=0, epochs=2):

@@ -1,4 +1,4 @@
-"""Ranking metrics, PR curves, label splitting, and report/score CSV I/O."""
+"""Ranking metrics, PR curves, label splitting, the ablation, and report/score CSV I/O."""
 
 import itertools
 import math
@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clevercatch import nn
+from clevercatch.detector import DetectorConfig
+from clevercatch.encoders import PretrainConfig
 from clevercatch.errors import (
     ParseError,
     ShapeError,
@@ -22,6 +24,7 @@ from clevercatch.evaluation import (
     MetricsRow,
     PrCurve,
     R_AT_K_NOTE,
+    ablation_run,
     ablation_subset,
     configs_for_groups,
     evaluate_scores,
@@ -40,6 +43,7 @@ from clevercatch.ingest import LabelTable
 from clevercatch.rules import Rule, RuleSet
 from clevercatch.vocab import Vocabulary
 
+import oracles
 from conftest import random_claims, random_ruleset
 
 
@@ -374,6 +378,50 @@ class TestAblationSubset:
         sub_rules, sub_values = ablation_subset("minus-cost", ruleset, features)
         assert sub_rules is ruleset and sub_values is features
         assert ablation_subset("minus-opioid", ruleset, features) is None
+
+
+class TestAblationRun:
+    PRETRAIN = PretrainConfig(
+        latent_dim=4, index_dim=4, re_hidden=(8,), se_hidden=(8,),
+        epochs=2, batch_size=32, triplet_count=60,
+    )
+    DETECTOR = DetectorConfig(hidden=(8,), epochs=2, batch_size=16)
+
+    @pytest.mark.parametrize(
+        "eval_fraction, groups, kinds",
+        [
+            (0.0, (), "mixed"),
+            (0.5, ("opioid",), "mixed"),
+            (0.5, ("cost_preference", "opioid"), "mixed"),
+            # no unary rule: minus-cost leaves no rules and is skipped with a note
+            (0.0, ("cost_preference", "opioid"), "binary"),
+        ],
+        ids=["no-groups", "opioid-split", "both-split", "binary-only-skip"],
+    )
+    def test_pooled_run_equals_the_serial_loop_bitwise(self, eval_fraction, groups, kinds):
+        rng = nn.make_rng(5)
+        claims = random_claims(rng, 30, 5, 2)
+        if kinds == "mixed":
+            ruleset = random_ruleset(rng, claims.drugs, 5)
+            assert {rule.kind for rule in ruleset.rules} == {"binary", "unary"}
+        else:
+            ruleset = RuleSet(
+                [Rule("binary", "D0", "D1", 0.7), Rule("binary", "D2", "D3", 0.4)], claims.drugs
+            )
+        labels = LabelTable(np.arange(30, dtype=np.int64), (np.arange(30) % 4 == 0).astype(np.int64))
+        kwargs = dict(
+            pretrain_cfg=self.PRETRAIN, detector_cfg=self.DETECTOR, seeds=(2, 9), ks=(3, 5),
+            eval_fraction=eval_fraction, groups=groups,
+        )
+        pooled = ablation_run(claims, labels, ruleset, **kwargs)
+        serial = oracles.ablation_run(claims, labels, ruleset, **kwargs)
+        assert [(row.config, row.seed) for row in pooled.rows] == [
+            (name, seed) for seed in (2, 9) for name in configs_for_groups(groups)
+            if (name, kinds) != ("minus-cost", "binary")
+        ]
+        assert bool(pooled.notes) == (kinds == "binary")
+        assert pooled == serial
+        assert repr(pooled) == repr(serial)  # repr keeps every float bit, and -0.0
 
 
 def result_fixture() -> EvalResult:
