@@ -68,8 +68,6 @@ def run(seed: int, providers: int, out_dir: Path) -> None:
     encoders = EncoderModel(
         re=re_params,
         se=se_params,
-        latent_dim=PRETRAIN.latent_dim,
-        index_dim=PRETRAIN.index_dim,
         ruleset_fingerprint=ruleset.fingerprint(),
         drugs=ruleset.vocab,
     )

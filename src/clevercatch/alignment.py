@@ -131,9 +131,9 @@ def sinkhorn(
     return TransportPlan(plan, b, False, max_iters)
 
 
-def transport_cost(plan: TransportPlan | np.ndarray, cost: np.ndarray) -> np.ndarray:
+def transport_cost(plan: TransportPlan, cost: np.ndarray) -> np.ndarray:
     """Per-sample plan-weighted mean cost: sum_j T_ij C_ij / sum_j T_ij."""
-    matrix = plan.matrix if isinstance(plan, TransportPlan) else np.asarray(plan, dtype=np.float64)
+    matrix = plan.matrix
     cost = np.asarray(cost, dtype=np.float64)
     if matrix.shape != cost.shape:
         raise ShapeError(f"plan shape {matrix.shape} does not match cost shape {cost.shape}")

@@ -208,11 +208,10 @@ class ScoreReport:
     order: np.ndarray  # (N,) row indices sorted by descending score, ties by index
 
 
-def score(model: DetectorModel | nn.Mlp, features: np.ndarray) -> ScoreReport:
+def score(model: DetectorModel, features: np.ndarray) -> ScoreReport:
     """Score every row and rank descending; ties break on ascending row index."""
-    mlp = model.mlp if isinstance(model, DetectorModel) else model
     features = np.asarray(features, dtype=np.float64)
-    out, _ = nn.mlp_forward(mlp, features)
+    out, _ = nn.mlp_forward(model.mlp, features)
     scores = out[:, 0]
     n = scores.size
     order = np.lexsort((np.arange(n), -scores))

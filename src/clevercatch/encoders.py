@@ -20,7 +20,7 @@ import numpy as np
 from . import nn
 from .errors import NumericError, ParseError, ValidationError
 from .features import BLOCK
-from .io_utils import atomic_write_text, dumps_canonical
+from .io_utils import atomic_write_text, dumps_canonical, sha256_file
 from .rules import RuleSet
 from .vocab import Vocabulary
 
@@ -240,16 +240,6 @@ def _triplet_batch_loss(
     return loss, d_e_rule, d_e_pos, d_e_neg
 
 
-def separation_rate(
-    re: RuleEncoderParams, se: SampleEncoderParams, ruleset: RuleSet, batch: TripletBatch
-) -> float:
-    """Fraction of triplets whose satisfying side is strictly closer to its rule."""
-    if len(batch) == 0:
-        raise ValidationError("cannot measure separation on an empty batch")
-    e_pos, e_neg = sample_encode(se, batch.pos), sample_encode(se, batch.neg)
-    return _separation(rule_encode(re, ruleset)[batch.rule_idx], e_pos, e_neg)
-
-
 def _separation(e_rule: np.ndarray, e_pos: np.ndarray, e_neg: np.ndarray) -> float:
     d_pos = ((e_pos - e_rule) ** 2).sum(axis=1)
     d_neg = ((e_neg - e_rule) ** 2).sum(axis=1)
@@ -339,8 +329,6 @@ class EncoderModel:
 
     re: RuleEncoderParams
     se: SampleEncoderParams
-    latent_dim: int
-    index_dim: int
     ruleset_fingerprint: str
     drugs: Vocabulary  # the drug each embedding row belongs to
     file_sha256: str = ""
@@ -376,8 +364,6 @@ def save_encoders(
 
 
 def load_encoders(path) -> EncoderModel:
-    from .io_utils import sha256_file
-
     text = Path(path).read_text(encoding="utf-8")
     try:
         doc = json.loads(text)
@@ -420,8 +406,6 @@ def load_encoders(path) -> EncoderModel:
     return EncoderModel(
         re=re,
         se=se,
-        latent_dim=int(doc["L"]),
-        index_dim=int(doc["d"]),
         ruleset_fingerprint=str(doc["ruleset_fingerprint"]),
         drugs=drugs,
         file_sha256=sha256_file(path),

@@ -29,7 +29,6 @@ from .features import BLOCK, build_feature_matrix
 from .ingest import ClaimsTable, LabelTable
 from .io_utils import atomic_write_text, fmt_float
 from .rules import RuleSet
-from .vocab import Vocabulary
 
 logger = logging.getLogger(__name__)
 
@@ -280,8 +279,6 @@ def _run_configuration(
         encoders = EncoderModel(
             re=re,
             se=se,
-            latent_dim=pretrain_cfg.latent_dim,
-            index_dim=pretrain_cfg.index_dim,
             ruleset_fingerprint=ruleset.fingerprint(),
             drugs=ruleset.vocab,
         )
@@ -419,11 +416,10 @@ def write_scores_csv(path, npis: list[str], scores: np.ndarray, ranks: np.ndarra
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def read_scores_csv(path, prescribers: Vocabulary | None = None) -> tuple[list[str], np.ndarray]:
+def read_scores_csv(path) -> tuple[list[str], np.ndarray]:
     """Read npi,score rows (a trailing rank column is accepted and ignored).
 
-    Returns the npis in file order with their scores; when a vocabulary is
-    given, every npi must belong to it.
+    Returns the npis in file order with their scores.
     """
     npis: list[str] = []
     scores: list[float] = []
@@ -450,8 +446,6 @@ def read_scores_csv(path, prescribers: Vocabulary | None = None) -> tuple[list[s
                 ) from None
             if not math.isfinite(value):
                 raise ParseError(f"{path}: line {lineno}: score must be finite")
-            if prescribers is not None:
-                prescribers.index(npi)
             npis.append(npi)
             scores.append(value)
     if not npis:

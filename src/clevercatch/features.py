@@ -40,10 +40,6 @@ class FeatureMatrix:
                 f"{len(self.npis)} npis x {len(self.columns)} columns"
             )
 
-    @property
-    def width(self) -> int:
-        return int(self.values.shape[1])
-
 
 def feature_columns(n_rules: int) -> tuple[str, ...]:
     return tuple(
@@ -128,8 +124,11 @@ def read_features_csv(path) -> FeatureMatrix:
                 )
             npis.append(parts[0])
             try:
-                rows.append(np.array([float(v) for v in parts[1:]]))
+                row = np.array([float(v) for v in parts[1:]])
             except ValueError:
                 raise ParseError(f"{path}: line {lineno}: malformed feature value") from None
+            if not np.isfinite(row).all():
+                raise ParseError(f"{path}: line {lineno}: feature values must be finite")
+            rows.append(row)
     values = np.vstack(rows) if rows else np.empty((0, len(columns)))
     return FeatureMatrix(values=values, columns=columns, npis=tuple(npis))

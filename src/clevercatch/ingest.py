@@ -48,7 +48,6 @@ class ClaimsTable:
     metrics: np.ndarray  # (n, 5) float64, CHANNELS order
     drugs: Vocabulary
     prescribers: Vocabulary
-    years: tuple[int, ...]  # distinct years, ascending
 
     @property
     def n_records(self) -> int:
@@ -137,7 +136,6 @@ def parse_claims_csv(path) -> ClaimsTable:
         metrics=metrics,
         drugs=Vocabulary(drugs),
         prescribers=Vocabulary(prescribers),
-        years=tuple(int(y) for y in years),
     )
 
 
@@ -223,10 +221,8 @@ class LabelTable:
         return LabelTable(self.idx[chosen], self.labels[chosen], self.n_skipped)
 
 
-def parse_labels(path, prescribers: Vocabulary, on_unknown: str = "warn") -> LabelTable:
-    """Parse npi,label rows; unknown npis warn and skip (or error if asked)."""
-    if on_unknown not in ("warn", "error"):
-        raise ValidationError(f"on_unknown must be warn or error, got {on_unknown!r}")
+def parse_labels(path, prescribers: Vocabulary) -> LabelTable:
+    """Parse npi,label rows; labels for npis outside the vocabulary warn and are skipped."""
     idx: list[int] = []
     labels: list[int] = []
     seen: set[str] = set()
@@ -250,8 +246,6 @@ def parse_labels(path, prescribers: Vocabulary, on_unknown: str = "warn") -> Lab
                 raise ParseError(f"{path}: line {lineno}: duplicate label for npi {npi!r}")
             seen.add(npi)
             if npi not in prescribers:
-                if on_unknown == "error":
-                    raise ParseError(f"{path}: line {lineno}: unknown npi {npi!r}")
                 n_skipped += 1
                 continue
             idx.append(prescribers.index(npi))

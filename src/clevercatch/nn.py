@@ -222,14 +222,10 @@ class OptimizerState:
     moments2: list[np.ndarray] | None = field(default=None, repr=False)
 
 
-def adam(
-    learning_rate: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8
-) -> OptimizerState:
+def adam(learning_rate: float = 1e-3) -> OptimizerState:
     if learning_rate <= 0:
         raise ValidationError("learning rate must be positive")
-    if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-        raise ValidationError("adam betas must lie in [0, 1)")
-    return OptimizerState(learning_rate=learning_rate, beta1=beta1, beta2=beta2, eps=eps)
+    return OptimizerState(learning_rate=learning_rate)
 
 
 def optimizer_step(

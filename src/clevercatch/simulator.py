@@ -22,11 +22,13 @@ from . import nn
 from .errors import ValidationError
 from .ingest import CLAIMS_HEADER, LABELS_HEADER
 from .io_utils import atomic_write_text, dumps_canonical
-from .rules import GapThresholds, Rule, write_rules_csv
+from .rules import Rule, write_rules_csv
 
 SPECIALTY = "general_practice"
 
 PAIR_GAP_CYCLE = (0.6, 1.2, 2.5)
+# the relative price gap at which a pair's rule reaches full weight
+GAP_FULL_WEIGHT = 2.0
 
 FILLS_PER_CLAIM = 1.2
 DAYS_PER_FILL = 30
@@ -240,14 +242,8 @@ def generate(cfg: SimConfig) -> SimData:
             )
         )
 
-    thresholds = GapThresholds()
     rules = [
-        Rule(
-            kind="binary",
-            p=drugs[p],
-            q=drugs[q],
-            weight=min(1.0, gap / thresholds.extreme),
-        )
+        Rule(kind="binary", p=drugs[p], q=drugs[q], weight=min(1.0, gap / GAP_FULL_WEIGHT))
         for p, q, gap in pairs
     ]
     rules += [

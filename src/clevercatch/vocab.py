@@ -42,6 +42,3 @@ class Vocabulary:
         except KeyError:
             raise ValidationError(f"unknown vocabulary entry {name!r}") from None
 
-    def name(self, index: int) -> str:
-        return self.names[index]
-

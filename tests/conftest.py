@@ -1,5 +1,8 @@
 """Shared builders for the test suite."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,7 +28,6 @@ def make_claims(records, drugs=None, prescribers=None):
         metrics=metrics,
         drugs=drugs,
         prescribers=prescribers,
-        years=tuple(sorted(set(int(y) for y in years))),
     )
 
 
@@ -84,3 +86,12 @@ def toy_ruleset(toy_vocab):
         ],
         toy_vocab,
     )
+
+
+@pytest.fixture(scope="session")
+def library_use_block():
+    """The Python block under the README's "Library use" heading."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    match = re.search(r"^## Library use\n.*?^```python\n(.*?)^```", readme, re.M | re.S)
+    assert match, "README.md has no python block under '## Library use'"
+    return match.group(1)

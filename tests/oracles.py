@@ -1,14 +1,14 @@
 """Reference implementations that the tests check the library against.
 
 None of these run in the pipeline: finite-difference gradient checks, the
-scalar triplet loss, the per-prescriber-year share groups and the
-prescriber-by-prescriber feature loop that the vectorized feature pass must
-match bitwise, the plain supervised trainer that hybrid_train must reproduce
-bitwise at lambda = 0, the record-at-a-time claims parser that the
-columnar one must match, the pretraining loop that runs every backward
-pass, which encoders.pretrain must match bitwise, the scalar supervised and
-alignment losses, and the serial ablation loop that the pooled one must
-match bitwise.
+scalar triplet loss, the separation rate of a triplet batch, the
+per-prescriber-year share groups and the prescriber-by-prescriber feature
+loop that the vectorized feature pass must match bitwise, the plain
+supervised trainer that hybrid_train must reproduce bitwise at lambda = 0,
+the record-at-a-time claims parser that the columnar one must match, the
+pretraining loop that runs every backward pass, which encoders.pretrain must
+match bitwise, the scalar supervised and alignment losses, and the serial
+ablation loop that the pooled one must match bitwise.
 """
 
 from __future__ import annotations
@@ -34,12 +34,15 @@ from clevercatch.encoders import (
     PretrainConfig,
     RuleEncoderParams,
     SampleEncoderParams,
+    TripletBatch,
     _rule_encode_bwd,
     _rule_encode_fwd,
+    _separation,
     _triplet_batch_loss,
     gen_synthetic_triplets,
     init_encoders,
-    separation_rate,
+    rule_encode,
+    sample_encode,
 )
 from clevercatch.errors import NumericError, ParseError, ShapeError, ValidationError
 from clevercatch.evaluation import (
@@ -156,6 +159,16 @@ def triplet_loss(
     d_pos = float(((e_pos - e_rule) ** 2).sum())
     d_neg = float(((e_neg - e_rule) ** 2).sum())
     return weight * max(0.0, d_pos - d_neg + margin)
+
+
+def separation_rate(
+    re: RuleEncoderParams, se: SampleEncoderParams, ruleset: RuleSet, batch: TripletBatch
+) -> float:
+    """Fraction of triplets whose satisfying side is strictly closer to its rule."""
+    if len(batch) == 0:
+        raise ValidationError("cannot measure separation on an empty batch")
+    e_pos, e_neg = sample_encode(se, batch.pos), sample_encode(se, batch.neg)
+    return _separation(rule_encode(re, ruleset)[batch.rule_idx], e_pos, e_neg)
 
 
 def pretrain(
@@ -448,7 +461,6 @@ def parse_claims_csv(path) -> ClaimsTable:
         metrics=np.vstack(metrics) if metrics else np.empty((0, 5)),
         drugs=drugs.build(),
         prescribers=prescribers.build(),
-        years=tuple(sorted(set(years))),
     )
 
 

@@ -104,8 +104,6 @@ class Corpus:
             model = EncoderModel(
                 re,
                 se,
-                EXPERIMENT_PRETRAIN.latent_dim,
-                EXPERIMENT_PRETRAIN.index_dim,
                 b.ruleset.fingerprint(),
                 b.ruleset.vocab,
             )
@@ -321,11 +319,11 @@ def test_c04_pretraining_separates_synthetic_triplets(capsys):
         order = rng.permutation(vocab.size)
         w = rng.uniform(0.2, 1.0, 20)
         rules = [
-            Rule("binary", vocab.name(order[2 * j]), vocab.name(order[2 * j + 1]), w[j])
+            Rule("binary", vocab.names[order[2 * j]], vocab.names[order[2 * j + 1]], w[j])
             for j in range(12)
         ]
         rules += [
-            Rule("unary", vocab.name(order[j]), None, w[12 + j]) for j in range(8)
+            Rule("unary", vocab.names[order[j]], None, w[12 + j]) for j in range(8)
         ]
         ruleset = RuleSet(rules, vocab)
         _, _, stats = pretrain(

@@ -10,6 +10,7 @@ from clevercatch.alignment import (
     AlignmentConfig,
     _logsumexp,
     CalibrationState,
+    TransportPlan,
     align_batch,
     batch_epsilon,
     cost_matrix,
@@ -137,7 +138,7 @@ def test_sinkhorn_validation():
 
 
 def test_transport_cost_weighted_mean():
-    plan = np.array([[0.25, 0.25]])
+    plan = TransportPlan(np.array([[0.25, 0.25]]), np.array([0.5, 0.5]), converged=True, iterations=1)
     cost = np.array([[1.0, 3.0]])
     assert transport_cost(plan, cost)[0] == pytest.approx(2.0)
 

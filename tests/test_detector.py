@@ -52,8 +52,6 @@ def toy_encoders(ruleset, seed=0, epochs=2):
     return EncoderModel(
         re=re,
         se=se,
-        latent_dim=cfg.latent_dim,
-        index_dim=cfg.index_dim,
         ruleset_fingerprint=ruleset.fingerprint(),
         drugs=ruleset.vocab,
     )
@@ -219,12 +217,14 @@ def test_binding_rejects_rules_over_another_drug_order():
 
 def test_score_ranks_and_tie_break():
     w = np.zeros((3, 1))
-    mlp = nn.Mlp([nn.Layer(w, np.array([0.0]), "sigmoid")])
-    report = score(mlp, np.eye(3))
+    flat = DetectorModel(nn.Mlp([nn.Layer(w, np.array([0.0]), "sigmoid")]), lam=0.0, seed=0)
+    report = score(flat, np.eye(3))
     assert np.all(report.scores == 0.5)
     assert report.ranks.tolist() == [1, 2, 3]  # ties keep row order
     assert report.order.tolist() == [0, 1, 2]
-    steer = nn.Mlp([nn.Layer(np.array([[1.0], [2.0], [3.0]]), np.array([0.0]), "sigmoid")])
+    steer = DetectorModel(
+        nn.Mlp([nn.Layer(np.array([[1.0], [2.0], [3.0]]), np.array([0.0]), "sigmoid")]), lam=0.0, seed=0
+    )
     ranked = score(steer, np.eye(3))
     assert ranked.order.tolist() == [2, 1, 0]
     assert ranked.ranks.tolist() == [3, 2, 1]

@@ -15,7 +15,6 @@ from clevercatch.encoders import (
     rule_encode,
     sample_encode,
     save_encoders,
-    separation_rate,
     _triplet_batch_loss,
 )
 from clevercatch.errors import ParseError, ValidationError
@@ -24,7 +23,7 @@ from clevercatch.vocab import Vocabulary
 
 import oracles
 from conftest import random_ruleset
-from oracles import triplet_loss
+from oracles import separation_rate, triplet_loss
 
 
 def small_cfg(**overrides):
@@ -223,8 +222,8 @@ def test_encoder_round_trip(tmp_path, toy_ruleset):
     model = load_encoders(path)
     assert model.ruleset_fingerprint == toy_ruleset.fingerprint()
     assert model.drugs == toy_ruleset.vocab
-    assert model.latent_dim == cfg.latent_dim
-    assert model.index_dim == cfg.index_dim
+    assert model.re.latent_dim == model.se.latent_dim == cfg.latent_dim
+    assert model.re.index_dim == cfg.index_dim
     assert model.feature_dim == BLOCK * len(toy_ruleset)
     assert np.array_equal(model.re.embedding, re.embedding)
     assert np.array_equal(model.re.e_null, re.e_null)

@@ -478,15 +478,6 @@ class TestScoresCsv:
         assert npis == ["A", "B"]
         np.testing.assert_array_equal(scores, [0.5, 0.25])
 
-    def test_vocabulary_check(self, tmp_path):
-        path = tmp_path / "scores.csv"
-        write_scores_csv(path, ["A", "B"], np.array([0.1, 0.2]), np.array([2, 1]))
-        vocab = Vocabulary(("A", "B", "C"))
-        npis, _ = read_scores_csv(path, prescribers=vocab)
-        assert npis == ["A", "B"]
-        with pytest.raises(ValidationError):
-            read_scores_csv(path, prescribers=Vocabulary(("A",)))
-
     def test_malformed_files(self, tmp_path):
         cases = {
             "bad_header.csv": "prescriber,score\nA,0.5\n",

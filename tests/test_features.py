@@ -255,7 +255,6 @@ def shuffled_claims_and_rules(draw):
         metrics=claims.metrics[perm],
         drugs=claims.drugs,
         prescribers=claims.prescribers,
-        years=claims.years,
     )
     rules = []
     for p, q in draw(
@@ -298,7 +297,6 @@ def test_build_feature_matrix_peak_memory_per_row():
         metrics=rng.integers(0, 500, size=(npi_idx.size, N_CHANNELS)).astype(float),
         drugs=Vocabulary(f"D{d}" for d in range(n_drugs)),
         prescribers=Vocabulary(f"N{i}" for i in range(n_prescribers)),
-        years=tuple(range(2019, 2019 + n_years)),
     )
     ruleset = random_ruleset(nn.make_rng(3), claims.drugs, 7)
     tracemalloc.start()
@@ -326,6 +324,14 @@ def test_feature_csv_round_trip(tmp_path):
     bad.write_text("wrong,header\n", encoding="utf-8")
     with pytest.raises(ParseError):
         read_features_csv(bad)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_read_features_csv_rejects_non_finite_values(tmp_path, value):
+    path = tmp_path / "features.csv"
+    path.write_text(f"npi,f1,f2\nA,0.5,-0.25\n\nB,0.125,{value}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="line 4: feature values must be finite"):
+        read_features_csv(path)
 
 
 def test_write_features_csv_leaves_earlier_file_on_failure(tmp_path, monkeypatch):

@@ -1,22 +1,9 @@
-"""Rule schema, serialization, and the two rule-derivation helpers."""
+"""Rule schema, rule sets and rules.csv serialization."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from clevercatch.errors import ParseError, ValidationError
-from clevercatch.rules import (
-    GapThresholds,
-    PriceStats,
-    Rule,
-    RuleSet,
-    derive_cost_preference_rules,
-    derive_opioid_rules,
-    jaccard,
-    load_drug_targets,
-    load_opioid_annotations,
-    parse_rules,
-    write_rules_csv,
-)
+from clevercatch.rules import Rule, RuleSet, parse_rules, write_rules_csv
 from clevercatch.vocab import Vocabulary
 
 
@@ -116,111 +103,3 @@ def test_subset(toy_ruleset):
     assert len(unary_only) == 1
     assert unary_only.rules[0].kind == "unary"
     assert toy_ruleset.subset(lambda r: False) is None
-
-
-def test_jaccard_values():
-    assert jaccard({"t1"}, {"t1"}) == 1.0
-    assert jaccard({"t1"}, {"t2"}) == 0.0
-    assert jaccard({"t1", "t2"}, {"t2", "t3"}) == pytest.approx(1 / 3)
-    with pytest.raises(ValidationError):
-        jaccard(set(), {"t1"})
-
-
-@given(
-    a=st.sets(st.integers(0, 8), min_size=1, max_size=6),
-    b=st.sets(st.integers(0, 8), min_size=1, max_size=6),
-)
-def test_jaccard_properties(a, b):
-    a = {str(x) for x in a}
-    b = {str(x) for x in b}
-    j = jaccard(a, b)
-    assert 0.0 <= j <= 1.0
-    assert j == jaccard(b, a)
-    assert (j == 1.0) == (a == b)
-
-
-def test_derive_cost_preference_rules():
-    targets = {
-        "Brand": frozenset({"t1", "t2"}),
-        "Generic": frozenset({"t1", "t2"}),
-        "Other": frozenset({"t9"}),
-    }
-    stats = {
-        "Brand": PriceStats(total_cost=3000.0, total_claims=10.0),
-        "Generic": PriceStats(total_cost=1000.0, total_claims=10.0),
-        "Other": PriceStats(total_cost=100.0, total_claims=1.0),
-    }
-    candidates = derive_cost_preference_rules(targets, stats)
-    assert len(candidates) == 1
-    cand = candidates[0]
-    # cost/claim 300 vs 100: gap (300-100)/100 = 2.0, the extreme tier
-    assert cand.rule.p == "Brand" and cand.rule.q == "Generic"
-    assert cand.gap == pytest.approx(2.0)
-    assert cand.tier == "extreme"
-    assert cand.rule.weight == pytest.approx(1.0)
-
-
-def test_derive_cost_preference_skips():
-    targets = {
-        "A": frozenset({"t"}),
-        "B": frozenset({"t"}),
-        "C": frozenset({"u", "v"}),
-        "D": frozenset({"u"}),
-    }
-    equal_price = {
-        "A": PriceStats(100.0, 1.0),
-        "B": PriceStats(100.0, 1.0),
-        "C": PriceStats(500.0, 1.0),
-        "D": PriceStats(100.0, 1.0),
-    }
-    # equal prices emit nothing; jaccard 0.5 pair excluded regardless of gap
-    assert derive_cost_preference_rules(targets, equal_price) == []
-    below_moderate = {
-        "A": PriceStats(120.0, 1.0),
-        "B": PriceStats(100.0, 1.0),
-        "C": PriceStats(500.0, 1.0),
-        "D": PriceStats(100.0, 1.0),
-    }
-    assert derive_cost_preference_rules(targets, below_moderate) == []
-    missing = dict(below_moderate)
-    del missing["B"]
-    assert derive_cost_preference_rules(targets, missing) == []
-
-
-def test_gap_thresholds():
-    t = GapThresholds()
-    assert t.tier(0.4) is None
-    assert t.tier(0.5) == "moderate"
-    assert t.tier(1.0) == "high"
-    assert t.tier(2.0) == "extreme"
-    with pytest.raises(ValidationError):
-        GapThresholds(moderate=2.0, high=1.0, extreme=3.0)
-
-
-def test_derive_opioid_rules(tmp_path):
-    path = tmp_path / "opioids.csv"
-    lines = ["drug,likelihood,weight"]
-    lines += [f"Op{i},high," for i in range(37)]
-    lines += ["Benign,low,", "Special,high,0.9"]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    annotations = load_opioid_annotations(path)
-    rules = derive_opioid_rules(annotations)
-    assert len(rules) == 38  # 37 defaults plus the explicit-weight drug
-    assert all(r.kind == "unary" and r.q is None for r in rules)
-    assert sum(1 for r in rules if r.weight == 0.5) == 37
-    assert rules[-1].p == "Special" and rules[-1].weight == 0.9
-    assert derive_opioid_rules([("X", "low", None)]) == []
-
-
-def test_load_opioid_annotations_errors(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("drug,likelihood\nOpA,maybe\n", encoding="utf-8")
-    with pytest.raises(ParseError, match="low or high"):
-        load_opioid_annotations(path)
-
-
-def test_load_drug_targets(tmp_path):
-    path = tmp_path / "targets.csv"
-    path.write_text("drug,target\nA,t1\nA,t2\nB,t1\n", encoding="utf-8")
-    targets = load_drug_targets(path)
-    assert targets == {"A": frozenset({"t1", "t2"}), "B": frozenset({"t1"})}

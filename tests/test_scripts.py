@@ -1,8 +1,10 @@
-"""The walkthroughs in scripts/ run and write their artifacts."""
+"""The walkthroughs in scripts/ and the README's "Library use" block run."""
 
 import subprocess
 import sys
 from pathlib import Path
+
+from clevercatch.simulator import SimConfig, write_sim_data
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -40,3 +42,11 @@ def test_run_ablation_script_smoke(tmp_path):
         assert f"seed 0 {config:>13}: pr_auc " in result.stdout
     assert "# delta vs full: config=minus-cost seed=0" in report
     assert (tmp_path / "seed0" / "claims.csv").stat().st_size > 0
+
+
+def test_readme_library_use_block_runs(tmp_path, monkeypatch, library_use_block):
+    write_sim_data(SimConfig(n_providers=300, seed=0), tmp_path)
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(library_use_block, "README.md", "exec"), namespace)
+    assert namespace["ranked"].scores.shape == (300,)

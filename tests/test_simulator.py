@@ -144,7 +144,7 @@ class TestPlantedSignal:
         data, claims, ruleset, features, labels = pipeline
         assert claims.prescribers.size == 150
         assert len(ruleset) == len(data.truth.rules)
-        assert features.width == 15 * len(ruleset)
+        assert features.values.shape[1] == 15 * len(ruleset)
         assert labels.n_labeled == 150
         np.testing.assert_array_equal(
             labels.labels, data.truth.labels[labels.idx]

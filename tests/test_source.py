@@ -1,11 +1,13 @@
 """Source hygiene of the package, checked with the standard library's ast."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import clevercatch
 
 PACKAGE = Path(clevercatch.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -46,3 +48,82 @@ def test_package_has_no_unused_module_level_imports():
         if (unused := _unused_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def _public_definitions(tree: ast.Module):
+    """(name, statement) for each top-level def, class or assignment of a public name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from ((name, node) for name in names if not name.startswith("_"))
+
+
+def _names_read(node: ast.AST) -> Counter:
+    """How often a subtree reads each identifier, as a bare name or an attribute."""
+    read = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            read[sub.id] += 1
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            read[sub.attr] += 1
+    return read
+
+
+def _unreached(modules: dict[str, str], callers: list[str], target_strings=()) -> list[str]:
+    """Public names of the modules that nothing reads outside their own definition.
+
+    A name counts as reached when it is read by another statement of any module,
+    by a caller's source, or names the last part of a "module.name" target string.
+    """
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    read = Counter()
+    for tree in [*trees.values(), *map(ast.parse, callers)]:
+        read.update(_names_read(tree))
+    read.update(target.rsplit(".", 1)[-1] for target in target_strings)
+    return [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name, statement in _public_definitions(tree)
+        if read[name] - _names_read(statement)[name] == 0
+    ]
+
+
+def test_unreached_name_detector_on_examples():
+    modules = {
+        "a": (
+            "LIMIT = 3\n"
+            "SCALE: float = 2.0\n"
+            "_private = 1\n"
+            "def used(): return LIMIT\n"
+            "def recursive(n): return recursive(n - 1)\n"
+            "class Shape:\n"
+            "    def grow(self): return Shape()\n"
+            "def by_target(): pass\n"
+        ),
+        "b": "from .a import used\nclass Other: pass\nvalue = used()\n",
+    }
+    callers = ["import a\nprint(a.SCALE, b.value)\n"]
+    assert _unreached(modules, callers, ["a.by_target"]) == [
+        "a.recursive", "a.Shape", "b.Other",
+    ]
+
+
+def test_every_public_name_is_reached_outside_tests(library_use_block):
+    tracer = (ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8")
+    (targets,) = [
+        node.value for node in ast.parse(tracer).body
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", "") == "TARGETS"
+    ]
+    callers = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "scripts").glob("*.py"))]
+    callers += [tracer, library_use_block]
+    modules = {
+        path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))
+    }
+    unreached = _unreached(modules, callers, [key.value for key in targets.keys])
+    assert not unreached, f"nothing outside tests/ reads {', '.join(unreached)}"
