@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
+from . import nn
 from .errors import ContractError, NumericError, ShapeError, ValidationError
 
 
@@ -186,7 +186,7 @@ def pseudo_labels(
     if tau <= 0 or eps <= 0:
         raise ValidationError("tau and eps must be positive")
     costs = np.asarray(costs, dtype=np.float64)
-    return expit((state.mean - costs) / (tau * state.std + eps))
+    return nn.sigmoid((state.mean - costs) / (tau * state.std + eps))
 
 
 def rule_marginal(weights: np.ndarray, weighted: bool, weight_floor: float) -> np.ndarray | None:

@@ -226,10 +226,10 @@ def cmd_score(run: Run):
 def _scores_for_evaluation(run: Run):
     """Scores plus the prescriber order they are reported in.
 
-    A configured or previously written scores file wins; otherwise the
-    detector is applied to the features in process.
+    A configured scores file must exist; an unconfigured one is read if present.
+    Without one, the detector is applied to the features in process.
     """
-    if run.path("scores").exists():
+    if run.cfg.has_path("scores") or run.path("scores").exists():
         npis, scores = read_scores_csv(run.input("scores"))
         return tuple(npis), scores
     features = read_features_csv(run.input("features"))
@@ -255,7 +255,8 @@ def cmd_evaluate(run: Run):
     write_pr_curve_csv(run.output("pr_curve"), curve)
     r_str = " ".join(f"r@{k} {result.r_at_k[k]:.4f}" for k in ks)
     print(
-        f"evaluate: {y.size} labeled, pr_auc {result.pr_auc:.6f}, {r_str}, "
+        f"evaluate: {y.size} labeled, {labels.n_skipped} skipped as unscored, "
+        f"pr_auc {result.pr_auc:.6f}, {r_str}, "
         f"f1 {result.f1:.4f} -> {report_path}"
     )
 

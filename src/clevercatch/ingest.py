@@ -251,7 +251,8 @@ def parse_labels(path, prescribers: Vocabulary) -> LabelTable:
             idx.append(prescribers.index(npi))
             labels.append(int(label_text))
     if n_skipped:
-        logger.warning("%s: skipped %d labels for npis absent from the claims table", path, n_skipped)
+        msg = "%s: skipped %d labels for npis not among the %d prescribers being labeled"
+        logger.warning(msg, path, n_skipped, len(prescribers))
     return LabelTable(
         idx=np.asarray(idx, dtype=np.int64),
         labels=np.asarray(labels, dtype=np.int64),

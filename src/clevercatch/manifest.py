@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .io_utils import atomic_write_text, dumps_canonical, sha256_file
@@ -56,7 +55,6 @@ class RunManifest:
             "versions": {
                 "clevercatch": __version__,
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
             },
             "config": _config_snapshot(self.config),
             "inputs": self.inputs,

@@ -9,11 +9,11 @@ seeds give bitwise-identical runs.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ContractError, NumericError, ParseError, ShapeError, ValidationError
 
@@ -142,30 +142,42 @@ def init_mlp(dims: Sequence[int], activations: Sequence[str], rng: np.random.Gen
     return Mlp(layers)
 
 
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) per element, 0.0 where exp(-x) overflows; bitwise scipy expit.
+
+    It loops over Python floats for libm's exp: numpy's differs in the last bit.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    out: list[float] = []
+    for v in x.ravel().tolist():
+        try:
+            out.append(1.0 / (1.0 + math.exp(-v)))
+        except OverflowError:
+            out.append(0.0)
+    return np.array(out, dtype=np.float64).reshape(x.shape)
+
+
 def _activate(z: np.ndarray, activation: str) -> np.ndarray:
     if activation == "relu":
         return np.maximum(z, 0.0)
     if activation == "identity":
         return z
-    return expit(z)
+    return sigmoid(z)
 
 
-def _activation_grad(z: np.ndarray, activation: str) -> np.ndarray:
-    # relu picks the zero subgradient exactly at the kink.
+def _activation_grad(a: np.ndarray, activation: str) -> np.ndarray:
+    # From the output a. relu picks the zero subgradient at the kink: a > 0 iff z > 0.
     if activation == "relu":
-        return (z > 0.0).astype(np.float64)
+        return (a > 0.0).astype(np.float64)
     if activation == "identity":
-        return np.ones_like(z)
-    s = expit(z)
-    return s * (1.0 - s)
+        return np.ones_like(a)
+    return a * (1.0 - a)
 
 
 @dataclass
 class ForwardCache:
     mlp: Mlp
-    inputs: list[np.ndarray]
-    preacts: list[np.ndarray]
-    output: np.ndarray
+    activations: list[np.ndarray]  # the input, then each layer's output
 
 
 def mlp_forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
@@ -174,15 +186,10 @@ def mlp_forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
         raise ShapeError(f"forward input must be 2-D (batch, features), got shape {x.shape}")
     if x.shape[1] != mlp.input_dim:
         raise ShapeError(f"input width {x.shape[1]} does not match network width {mlp.input_dim}")
-    inputs: list[np.ndarray] = []
-    preacts: list[np.ndarray] = []
-    h = x
+    activations = [x]
     for layer in mlp.layers:
-        inputs.append(h)
-        z = h @ layer.weight + layer.bias
-        preacts.append(z)
-        h = _activate(z, layer.activation)
-    return h, ForwardCache(mlp, inputs, preacts, h)
+        activations.append(_activate(activations[-1] @ layer.weight + layer.bias, layer.activation))
+    return activations[-1], ForwardCache(mlp, activations)
 
 
 def mlp_backward(
@@ -195,15 +202,16 @@ def mlp_backward(
     if cache.mlp is not mlp:
         raise ContractError("forward cache belongs to a different network")
     g = np.asarray(output_grad, dtype=np.float64)
-    if g.shape != cache.output.shape:
+    out = cache.activations[-1]
+    if g.shape != out.shape:
         raise ContractError(
-            f"output gradient shape {g.shape} does not match forward output {cache.output.shape}"
+            f"output gradient shape {g.shape} does not match forward output {out.shape}"
         )
     grads: list[np.ndarray] = [np.empty(0)] * (2 * len(mlp.layers))
     for i in range(len(mlp.layers) - 1, -1, -1):
         layer = mlp.layers[i]
-        dz = g * _activation_grad(cache.preacts[i], layer.activation)
-        grads[2 * i] = cache.inputs[i].T @ dz
+        dz = g * _activation_grad(cache.activations[i + 1], layer.activation)
+        grads[2 * i] = cache.activations[i].T @ dz
         grads[2 * i + 1] = dz.sum(axis=0)
         g = dz @ layer.weight.T
     return grads, g

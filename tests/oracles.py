@@ -8,7 +8,9 @@ supervised trainer that hybrid_train must reproduce bitwise at lambda = 0,
 the record-at-a-time claims parser that the columnar one must match, the
 pretraining loop that runs every backward pass, which encoders.pretrain must
 match bitwise, the scalar supervised and alignment losses, and the serial
-ablation loop that the pooled one must match bitwise.
+ablation loop that the pooled one must match bitwise, and the MLP forward
+and backward that keep each layer's pre-activation and take the derivative
+from it, which nn's activation-based backward must match bitwise.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.special import expit
 
 from clevercatch import nn
 from clevercatch.alignment import AlignmentConfig
@@ -44,7 +47,7 @@ from clevercatch.encoders import (
     rule_encode,
     sample_encode,
 )
-from clevercatch.errors import NumericError, ParseError, ShapeError, ValidationError
+from clevercatch.errors import ContractError, NumericError, ParseError, ShapeError, ValidationError
 from clevercatch.evaluation import (
     ABLATION_GROUPS,
     DEFAULT_KS,
@@ -566,3 +569,70 @@ def ablation_run(
                     )
                 )
     return AblationReport(rows=rows, deltas=deltas, notes=notes, ks=ks)
+
+
+def _activate(z: np.ndarray, activation: str) -> np.ndarray:
+    if activation == "relu":
+        return np.maximum(z, 0.0)
+    if activation == "identity":
+        return z
+    return expit(z)
+
+
+def _activation_grad(z: np.ndarray, activation: str) -> np.ndarray:
+    # relu picks the zero subgradient exactly at the kink.
+    if activation == "relu":
+        return (z > 0.0).astype(np.float64)
+    if activation == "identity":
+        return np.ones_like(z)
+    s = expit(z)
+    return s * (1.0 - s)
+
+
+@dataclass
+class ForwardCache:
+    mlp: nn.Mlp
+    inputs: list[np.ndarray]
+    preacts: list[np.ndarray]
+    output: np.ndarray
+
+
+def mlp_forward(mlp: nn.Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ShapeError(f"forward input must be 2-D (batch, features), got shape {x.shape}")
+    if x.shape[1] != mlp.input_dim:
+        raise ShapeError(f"input width {x.shape[1]} does not match network width {mlp.input_dim}")
+    inputs: list[np.ndarray] = []
+    preacts: list[np.ndarray] = []
+    h = x
+    for layer in mlp.layers:
+        inputs.append(h)
+        z = h @ layer.weight + layer.bias
+        preacts.append(z)
+        h = _activate(z, layer.activation)
+    return h, ForwardCache(mlp, inputs, preacts, h)
+
+
+def mlp_backward(
+    mlp: nn.Mlp, cache: ForwardCache, output_grad: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Exact reverse-mode gradients; returns (param grads, input grad).
+
+    Parameter gradients are aligned with mlp.parameters() order.
+    """
+    if cache.mlp is not mlp:
+        raise ContractError("forward cache belongs to a different network")
+    g = np.asarray(output_grad, dtype=np.float64)
+    if g.shape != cache.output.shape:
+        raise ContractError(
+            f"output gradient shape {g.shape} does not match forward output {cache.output.shape}"
+        )
+    grads: list[np.ndarray] = [np.empty(0)] * (2 * len(mlp.layers))
+    for i in range(len(mlp.layers) - 1, -1, -1):
+        layer = mlp.layers[i]
+        dz = g * _activation_grad(cache.preacts[i], layer.activation)
+        grads[2 * i] = cache.inputs[i].T @ dz
+        grads[2 * i + 1] = dz.sum(axis=0)
+        g = dz @ layer.weight.T
+    return grads, g

@@ -112,6 +112,21 @@ class TestPipeline:
         for name in ("report.csv", "pr_curve.csv"):
             assert (dst / name).read_bytes() == (src / name).read_bytes()
 
+    def test_evaluate_on_partial_scores_reports_the_skipped_labels(
+        self, pipeline_dirs, tmp_path, capsys, caplog
+    ):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dirs / "a", out)
+        header, *rows = (out / "scores.csv").read_text().splitlines(keepends=True)
+        (out / "scores.csv").write_text(header + "".join(rows[:20]))
+        n_labels = len((out / "labels.csv").read_text().splitlines()) - 1
+        with caplog.at_level("WARNING"):
+            run_ok("evaluate", out)
+        summary = capsys.readouterr().out
+        assert f"evaluate: 20 labeled, {n_labels - 20} skipped as unscored, " in summary
+        warning = f"skipped {n_labels - 20} labels for npis not among the 20 prescribers"
+        assert warning in caplog.text and "claims" not in caplog.text
+
     def test_ablation_report_has_deltas(self, pipeline_dirs):
         text = (pipeline_dirs / "a" / "ablation_report.csv").read_text()
         for config in ("full", "minus-cost", "minus-opioid", "lambda0"):
@@ -129,7 +144,7 @@ class TestPipeline:
         assert doc["inputs"]["claims"]["sha256"] == claims_sha
         assert doc["config"]["simulator"]["n_providers"] == 60
         assert "featurize" in doc["timings_seconds"]
-        assert "numpy" in doc["versions"]
+        assert set(doc["versions"]) == {"clevercatch", "numpy"}
 
     def test_simulate_manifest_records_the_seed_it_used(self, pipeline_dirs):
         out = pipeline_dirs / "a"
@@ -254,6 +269,20 @@ class TestErrorContract:
             "FingerprintMismatch",
         )
 
+    def test_configured_scores_file_must_exist(self, pipeline_dirs, tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dirs / "a", out)
+        missing = tmp_path / "missing_scores.csv"
+        self.check_error(
+            capsys,
+            ["--seed", "3", "--out-dir", str(out), *SPEED,
+             "--set", f"paths.scores={missing}", "evaluate"],
+            "FileNotFoundError",
+            str(missing),
+        )
+        before = (pipeline_dirs / "a" / "evaluate_manifest.json").read_bytes()
+        assert (out / "evaluate_manifest.json").read_bytes() == before  # no fallback run
+
     def test_error_in_an_ablation_worker(self, tmp_path, capsys):
         run_ok("simulate", tmp_path)
         assert len((tmp_path / "rules.csv").read_text().splitlines()) == 1 + 7
@@ -283,6 +312,16 @@ def test_import_defaults_blas_threads_to_one(preset, expected):
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert json.loads(result.stdout) == ["1", expected, "1"]
+
+
+def test_commands_and_ablation_workers_do_not_import_scipy():
+    env = dict(os.environ, PYTHONPATH=str(Path(clevercatch.__file__).parents[1]))
+    # a spawned ablate worker imports clevercatch.evaluation after the entry point
+    probe = "import sys, clevercatch.cli, clevercatch.evaluation; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestEncoderBinding:

@@ -55,6 +55,39 @@ def test_identity_and_sigmoid_activations():
     assert out_s[0, 0] == pytest.approx(expit(6.5), abs=1e-15)
 
 
+@pytest.mark.parametrize("shape", [(4096,), (2048, 1), (0,), (0, 1)])
+def test_sigmoid_is_bitwise_scipy_expit(shape):
+    rng = nn.make_rng(11)
+    x = np.concatenate([
+        [np.nan, np.inf, -np.inf, -0.0, 0.0, -760.0, 760.0, -746.0, -745.1, -710.0, 710.0],
+        rng.uniform(-746.0, -700.0, 1024),  # where exp(-x) overflows or nearly does
+        rng.normal(0.0, 4.0, 2048),
+        rng.uniform(-800.0, 800.0, 1024),
+    ])[: int(np.prod(shape))].reshape(shape)
+    ours = nn.sigmoid(x)
+    assert ours.shape == shape and ours.dtype == np.float64
+    assert ours.tobytes() == expit(x).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("scale", [1.0, 40.0])  # 40 saturates the sigmoid head to 0 and 1
+def test_backward_is_bitwise_the_preactivation_oracle(seed, scale):
+    rng = nn.make_rng(seed)
+    mlp = nn.init_mlp([5, 8, 6, 3], ["relu", "identity", "sigmoid"], rng)
+    for p in mlp.parameters():
+        p *= scale
+    x = rng.normal(size=(17, 5))
+    x[0] = 0.0  # every relu unit sits on its kink when its bias is zero
+    out, cache = nn.mlp_forward(mlp, x)
+    ref_out, ref_cache = oracles.mlp_forward(mlp, x)
+    assert out.tobytes() == ref_out.tobytes()
+    output_grad = rng.normal(size=out.shape)
+    grads, dx = nn.mlp_backward(mlp, cache, output_grad)
+    ref_grads, ref_dx = oracles.mlp_backward(mlp, ref_cache, output_grad)
+    assert [g.tobytes() for g in grads] == [g.tobytes() for g in ref_grads]
+    assert dx.tobytes() == ref_dx.tobytes()
+
+
 def test_forward_shape_validation():
     mlp = nn.Mlp([nn.Layer(np.eye(3), np.zeros(3), "relu")])
     with pytest.raises(ShapeError):
