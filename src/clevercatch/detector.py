@@ -12,6 +12,7 @@ skipped entirely and training reduces exactly to the supervised-only loop.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,6 +39,8 @@ from .ingest import LabelTable
 from .io_utils import atomic_write_text, dumps_canonical, fmt_float
 from .rules import RuleSet
 
+logger = logging.getLogger(__name__)
+
 SCORE_CLAMP = 1e-7
 
 DETECTOR_FORMAT_VERSION = 2
@@ -54,8 +57,8 @@ class DetectorConfig:
     def __post_init__(self):
         if self.lam < 0:
             raise ValidationError("lambda must be non-negative")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValidationError("epochs must be >= 0 and batch size positive")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValidationError("epochs and batch size must be positive")
         if self.learning_rate <= 0:
             raise ValidationError("learning rate must be positive")
 
@@ -120,6 +123,14 @@ def _check_binding(features: np.ndarray, encoders: EncoderModel, ruleset: RuleSe
         )
 
 
+def _warn_unconverged(where: str, count: int, total: int, align_cfg: AlignmentConfig) -> None:
+    if count:
+        logger.warning(
+            "%s: %d of %d transport plans stopped at max_iters=%d before converging",
+            where, count, total, align_cfg.max_iters,
+        )
+
+
 def hybrid_train(
     features: np.ndarray,
     labels: LabelTable,
@@ -161,6 +172,7 @@ def hybrid_train(
     opt = nn.adam(cfg.learning_rate)
     names = mlp.parameter_names()
     history: list[TrainEpochStats] = []
+    unconverged = 0
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         sup_sum = 0.0
@@ -181,7 +193,8 @@ def hybrid_train(
                 sup_count += int(labeled.sum())
             if use_alignment:
                 embeds = sample_encode(encoders.se, batch)
-                costs, _, _ = align_batch(embeds, rule_embeds, align_cfg, col_marginal)
+                costs, plan, _ = align_batch(embeds, rule_embeds, align_cfg, col_marginal)
+                unconverged += not plan.converged
                 update_calibration(calibration, costs)
                 targets = pseudo_labels(costs, calibration, align_cfg.tau, align_cfg.eps)
                 align_loss_value, d_align = bce_with_grad(scores, targets)
@@ -195,6 +208,9 @@ def hybrid_train(
         if not (np.isfinite(epoch_sup) or sup_count == 0) or not np.isfinite(epoch_align):
             raise NumericError(f"detector training diverged at epoch {epoch}")
         history.append(TrainEpochStats(epoch, float(epoch_sup), float(epoch_align)))
+    if use_alignment:
+        plans = cfg.epochs * len(range(0, n, cfg.batch_size))
+        _warn_unconverged("hybrid_train", unconverged, plans, align_cfg)
     model = DetectorModel(
         mlp=mlp, lam=cfg.lam, seed=int(seed), encoder_fingerprint=encoder_fingerprint
     )
@@ -250,7 +266,8 @@ def pseudo_label_classifier(
         ruleset.weights, align_cfg.weighted_marginals, align_cfg.weight_floor
     )
     embeds = sample_encode(encoders.se, features)
-    costs, _, _ = align_batch(embeds, rule_embeds, align_cfg, col_marginal)
+    costs, plan, _ = align_batch(embeds, rule_embeds, align_cfg, col_marginal)
+    _warn_unconverged("pseudo_label_classifier", int(not plan.converged), 1, align_cfg)
     state = CalibrationState(momentum=align_cfg.momentum)
     update_calibration(state, costs)
     labels = pseudo_labels(costs, state, align_cfg.tau, align_cfg.eps)

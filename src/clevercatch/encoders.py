@@ -12,7 +12,7 @@ alternating epochs between the two encoders.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,8 +51,8 @@ class PretrainConfig:
             raise ValidationError("margin must be non-negative")
         if not 0.0 <= self.holdout_fraction < 1.0:
             raise ValidationError("holdout fraction must lie in [0, 1)")
-        if self.batch_size < 1 or self.epochs < 0 or self.triplet_count < 1:
-            raise ValidationError("batch size and triplet count must be positive, epochs >= 0")
+        if self.batch_size < 1 or self.epochs < 1 or self.triplet_count < 1:
+            raise ValidationError("batch size, epochs and triplet count must be positive")
         if not 0.0 < self.band_lo < self.band_hi <= 1.0:
             raise ValidationError(
                 f"band must satisfy 0 < lo < hi <= 1, got ({self.band_lo}, {self.band_hi})"
@@ -240,6 +240,17 @@ def _triplet_batch_loss(
     return loss, d_e_rule, d_e_pos, d_e_neg
 
 
+def _hinges_clear(
+    e_rule: np.ndarray, e_pos: np.ndarray, e_neg: np.ndarray, weights: np.ndarray, margin: float
+) -> bool:
+    """Whether every weighted hinge lies below zero by far more than the last-bit
+    differences that the same row's embeddings can show in another batch."""
+    d_pos = ((e_pos - e_rule) ** 2).sum(axis=1)
+    d_neg = ((e_neg - e_rule) ** 2).sum(axis=1)
+    clear = d_pos - d_neg + margin < -1e-9 * (d_pos + d_neg + abs(margin))
+    return bool(np.all(clear | (weights == 0)))
+
+
 def _separation(e_rule: np.ndarray, e_pos: np.ndarray, e_neg: np.ndarray) -> float:
     d_pos = ((e_pos - e_rule) ** 2).sum(axis=1)
     d_neg = ((e_neg - e_rule) ** 2).sum(axis=1)
@@ -262,6 +273,13 @@ def pretrain(
     """Alternating triplet pretraining: even epochs update the sample encoder,
     odd epochs the rule encoder (0-based). Triplets are drawn once per run and
     a holdout slice tracks separation.
+
+    The loop ends early, with the result of running all cfg.epochs, after two
+    consecutive still epochs: each had a zero gradient on every batch, kept
+    every weighted hinge clear of zero and left its encoder's bits unchanged.
+    A zero-gradient Adam update shrinks at every step, so no later step can
+    move a bit that a whole epoch of them did not, and frozen encoders keep
+    every hinge clear. The remaining epochs repeat the last one of their phase.
     """
     rng = nn.make_rng(seed)
     re, se = init_encoders(ruleset.vocab.size, BLOCK * len(ruleset), cfg, rng)
@@ -283,25 +301,32 @@ def pretrain(
     re_zero = [np.zeros_like(p) for p in re.parameters()]
     se_zero = [np.zeros_like(p) for p in se.parameters()]
     history: list[EpochStats] = []
+    still = 0  # consecutive still epochs
     for epoch in range(cfg.epochs):
         phase = "se" if epoch % 2 == 0 else "re"
+        if still == 2:  # both encoders are frozen: repeat the last epoch of this phase
+            history.append(replace(history[-2], epoch=epoch, zero_grad_batches=history[-2].batches))
+            continue
+        params = se.parameters() if phase == "se" else re.parameters()
+        start_bits = [p.tobytes() for p in params]
+        clear = True
         order = rng.permutation(len(train))
         losses: list[float] = []
         n_zero = 0
         for start in range(0, len(train), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             rule_ids = train.rule_idx[idx]
+            weights = ruleset.weights[rule_ids]
             e_rule, re_cache = _rule_encode_fwd(re, ruleset.p_idx[rule_ids], ruleset.q_idx[rule_ids])
             e_pos, pos_cache = nn.mlp_forward(se.mlp, train.pos[idx])
             e_neg, neg_cache = nn.mlp_forward(se.mlp, train.neg[idx])
-            loss, d_rule, d_pos, d_neg = _triplet_batch_loss(
-                e_rule, e_pos, e_neg, ruleset.weights[rule_ids], cfg.margin
-            )
+            loss, d_rule, d_pos, d_neg = _triplet_batch_loss(e_rule, e_pos, e_neg, weights, cfg.margin)
             if not np.isfinite(loss):
                 raise NumericError(f"triplet loss diverged at epoch {epoch}")
             losses.append(loss)
             zero = not (d_rule.any() or d_pos.any() or d_neg.any())
             n_zero += zero
+            clear = clear and zero and _hinges_clear(e_rule, e_pos, e_neg, weights, cfg.margin)
             if phase == "se":
                 if zero:
                     grads = se_zero
@@ -320,6 +345,8 @@ def pretrain(
         e_hold = rule_encode(re, ruleset)[holdout.rule_idx]
         sep = _separation(e_hold, hold_pos, hold_neg) if len(holdout) else float("nan")
         history.append(EpochStats(epoch, phase, float(np.mean(losses)), sep, len(losses), n_zero))
+        moved = any(p.tobytes() != bits for p, bits in zip(params, start_bits))
+        still = still + 1 if clear and not moved else 0
     return re, se, history
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import logging
 import multiprocessing
 import os
 import re
@@ -163,6 +164,21 @@ class TestPipeline:
         assert found is not None and int(found[1]) <= int(found[2]) == 8
         assert (out / "encoders.json").read_bytes() == (pipeline_dirs / "a" / "encoders.json").read_bytes()
 
+    def test_unconverged_transport_plans_are_counted(self, pipeline_dirs, tmp_path, caplog):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dirs / "a", out)
+        with caplog.at_level(logging.WARNING, logger="clevercatch.detector"):
+            for command in ("pseudolabel", "train"):
+                run_ok(command, out)
+            assert caplog.records == []
+            for command in ("pseudolabel", "train"):
+                run_ok(command, out, extra=["--set", "alignment.max_iters=1"])
+        # 60 prescribers in batches of 256 for 4 epochs: one plan per epoch
+        assert [r.getMessage() for r in caplog.records] == [
+            "pseudo_label_classifier: 1 of 1 transport plans stopped at max_iters=1 before converging",
+            "hybrid_train: 4 of 4 transport plans stopped at max_iters=1 before converging",
+        ]
+
     def test_manifests_list_inputs_and_outputs_in_order(self, pipeline_dirs):
         out = pipeline_dirs / "a"
         expected = {
@@ -282,6 +298,26 @@ class TestErrorContract:
         )
         before = (pipeline_dirs / "a" / "evaluate_manifest.json").read_bytes()
         assert (out / "evaluate_manifest.json").read_bytes() == before  # no fallback run
+
+    @pytest.mark.parametrize(
+        "command, key, artifact",
+        [("pretrain", "pretrain.epochs", "encoders.json"), ("train", "detector.epochs", "detector.json")],
+    )
+    def test_zero_epochs_fail_before_any_write(
+        self, pipeline_dirs, tmp_path, capsys, command, key, artifact
+    ):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dirs / "a", out)
+        (out / artifact).unlink()
+        (out / f"{command}_manifest.json").unlink()
+        self.check_error(
+            capsys,
+            ["--seed", "3", "--out-dir", str(out), *SPEED, "--set", f"{key}=0", command],
+            "ConfigError",
+            "epochs",
+        )
+        assert not (out / artifact).exists()
+        assert not (out / f"{command}_manifest.json").exists()
 
     def test_error_in_an_ablation_worker(self, tmp_path, capsys):
         run_ok("simulate", tmp_path)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from clevercatch import nn
+from clevercatch import encoders, nn
 from clevercatch.encoders import (
     BLOCK,
     PretrainConfig,
@@ -316,10 +316,25 @@ def test_pretrain_on_random_mixed_ruleset():
     assert history[-1].holdout_separation >= 0.85
 
 
+def run_counting_batches(module, run, *args):
+    """Call one pretraining loop; count its training batches as rule-encoder forwards."""
+    calls = []
+    forward = module._rule_encode_fwd
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "_rule_encode_fwd", lambda *a: calls.append(1) or forward(*a))
+        result = run(*args)
+    return result, len(calls)
+
+
 def assert_pretrain_matches_oracle(ruleset, cfg, seed):
-    """Run pretrain and the full-backward oracle loop; demand bitwise equality."""
-    re, se, history = pretrain(ruleset, cfg, seed)
-    old_re, old_se, old_history = oracles.pretrain(ruleset, cfg, seed)
+    """Run pretrain and the full-backward oracle loop; demand bitwise equality.
+
+    Returns pretrain's history and the training batches that each loop ran.
+    """
+    (re, se, history), ran = run_counting_batches(encoders, pretrain, ruleset, cfg, seed)
+    (old_re, old_se, old_history), full = run_counting_batches(
+        oracles, oracles.pretrain, ruleset, cfg, seed
+    )
     for a, b in zip(re.parameters() + se.parameters(), old_re.parameters() + old_se.parameters()):
         assert a.tobytes() == b.tobytes()
     assert len(history) == len(old_history) == cfg.epochs
@@ -328,7 +343,8 @@ def assert_pretrain_matches_oracle(ruleset, cfg, seed):
         assert new.zero_grad_batches == old.zero_grad_batches
         floats = np.array([new.mean_loss, new.holdout_separation])
         assert floats.tobytes() == np.array([old.mean_loss, old.holdout_separation]).tobytes()
-    return history
+    assert full == cfg.epochs * history[0].batches
+    return history, ran, full
 
 
 @settings(deadline=None, max_examples=60)
@@ -340,7 +356,7 @@ def assert_pretrain_matches_oracle(ruleset, cfg, seed):
     batch_size=st.integers(1, 12),
     extra=st.integers(0, 40),
     holdout_fraction=st.sampled_from([0.0, 0.2]),
-    epochs=st.integers(1, 6),
+    epochs=st.integers(1, 16),
 )
 @example(seed=5, n_rules=3, margin=1.0, learning_rate=3e-2, batch_size=8, extra=38,
          holdout_fraction=0.0, epochs=4)  # 41 training rows: the last batch holds one
@@ -372,10 +388,61 @@ def test_pretrain_skips_exactly_the_zero_gradient_batches(margin, learning_rate,
         latent_dim=4, index_dim=3, re_hidden=(8,), se_hidden=(8,), epochs=6,
         triplet_count=51, batch_size=8, margin=margin, learning_rate=learning_rate,
     )
-    history = assert_pretrain_matches_oracle(ruleset, cfg, seed=5)
+    history, _, _ = assert_pretrain_matches_oracle(ruleset, cfg, seed=5)
     assert {h.batches for h in history} == {6}  # 46 training rows: the last batch holds 6
     seen = {
         "none" if h.zero_grad_batches == 0 else "all" if h.zero_grad_batches == h.batches else "mixed"
         for h in history
     }
     assert seen == kinds
+
+
+def stop_cfg(**overrides):
+    # 41 training rows in batches of 2: the last batch holds one row
+    base = dict(latent_dim=4, index_dim=3, re_hidden=(8,), se_hidden=(8,), epochs=48,
+                triplet_count=46, batch_size=2)
+    return small_cfg(**{**base, **overrides})
+
+
+@pytest.mark.parametrize("margin", [1.0, 0.0])
+def test_pretrain_stops_once_no_later_epoch_can_change_a_bit(margin):
+    vocab = Vocabulary([f"D{i}" for i in range(6)])
+    ruleset = random_ruleset(nn.make_rng(3), vocab, 3)
+    cfg = stop_cfg(margin=margin)
+    history, ran, full = assert_pretrain_matches_oracle(ruleset, cfg, seed=5)
+    assert ran < full and ran % history[0].batches == 0
+
+
+def test_pretrain_stops_despite_an_active_zero_weight_hinge():
+    vocab = Vocabulary([f"D{i}" for i in range(6)])
+    ruleset = RuleSet(
+        [Rule("unary", "D0", None, 1.0), Rule("binary", "D1", "D2", 0.0),
+         Rule("binary", "D3", "D4", 0.6)],
+        vocab,
+    )
+    cfg = stop_cfg(weight_floor=0.5)
+    _, ran, full = assert_pretrain_matches_oracle(ruleset, cfg, seed=0)
+    assert ran < full
+    re, se, _ = pretrain(ruleset, cfg, seed=0)
+    batch = gen_synthetic_triplets(
+        ruleset, 300, cfg.noise_sigma, (cfg.band_lo, cfg.band_hi), nn.make_rng(9),
+        weight_floor=cfg.weight_floor,
+    )
+    e_rule = rule_encode(re, ruleset)[batch.rule_idx]
+    d_pos = ((sample_encode(se, batch.pos) - e_rule) ** 2).sum(axis=1)
+    d_neg = ((sample_encode(se, batch.neg) - e_rule) ** 2).sum(axis=1)
+    unweighted = ruleset.weights[batch.rule_idx] == 0
+    assert unweighted.any() and np.all(d_pos - d_neg + cfg.margin > 0, where=unweighted)
+
+
+def test_pretrain_runs_every_epoch_while_parameters_move():
+    vocab = Vocabulary([f"D{i}" for i in range(6)])
+    ruleset = random_ruleset(nn.make_rng(3), vocab, 3)
+    cfg = stop_cfg(epochs=8)
+    _, ran, full = assert_pretrain_matches_oracle(ruleset, cfg, seed=5)
+    assert ran == full
+    re, se, _ = oracles.pretrain(ruleset, cfg, seed=5)
+    before_re, before_se, _ = oracles.pretrain(ruleset, stop_cfg(epochs=7), seed=5)
+    last = [a.tobytes() for a in re.parameters()] + [a.tobytes() for a in se.parameters()]
+    before = [a.tobytes() for a in before_re.parameters() + before_se.parameters()]
+    assert last != before  # the last epoch moved a bit

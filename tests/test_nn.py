@@ -227,3 +227,14 @@ def test_grad_check_catches_wrong_gradient():
 
     report = oracles.grad_check(wrong, np.array([1.0, 2.0]))
     assert not report.passed
+
+
+def test_zero_gradient_adam_updates_shrink_at_every_step():
+    # encoders.pretrain stops early on this bound: with a zero gradient, step t + 1
+    # moves a parameter by at most this ratio times step t's move (eps only lowers it)
+    state = nn.adam()
+    b1, b2 = state.beta1, state.beta2
+    t = np.arange(1, 10**6 + 1, dtype=np.float64)
+    ratio = b1 * (1 - b1**t) / (1 - b1 ** (t + 1)) * np.sqrt((1 - b2 ** (t + 1)) / (b2 * (1 - b2**t)))
+    assert ratio.max() < 0.912
+    assert t[ratio.argmax()] == 28 and round(float(ratio.max()), 4) == 0.9111
