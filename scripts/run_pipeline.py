@@ -25,7 +25,7 @@ from clevercatch.detector import (
     score,
     write_pseudo_labels_csv,
 )
-from clevercatch.encoders import EncoderModel, PretrainConfig, pretrain
+from clevercatch.encoders import PretrainConfig, pretrain
 from clevercatch.evaluation import (
     MetricsRow,
     evaluate_scores,
@@ -62,22 +62,14 @@ def run(seed: int, providers: int, out_dir: Path) -> None:
     features = build_feature_matrix(claims, ruleset)
     print(f"features: {features.values.shape[0]} x {features.values.shape[1]}")
 
-    re_params, se_params, stats = pretrain(
-        ruleset, PRETRAIN, nn.derive_seed(seed, "pretrain")
-    )
-    encoders = EncoderModel(
-        re=re_params,
-        se=se_params,
-        ruleset_fingerprint=ruleset.fingerprint(),
-        drugs=ruleset.vocab,
-    )
+    encoders, stats = pretrain(ruleset, PRETRAIN, nn.derive_seed(seed, "pretrain"))
     print(
         f"pretrain: final loss {stats[-1].mean_loss:.4f}, "
         f"holdout separation {stats[-1].holdout_separation:.3f}"
     )
 
     align_cfg = AlignmentConfig()
-    report = pseudo_label_classifier(features.values, encoders, ruleset, align_cfg)
+    report = pseudo_label_classifier(features.values, encoders, align_cfg)
     write_pseudo_labels_csv(out_dir / "pseudo_labels.csv", features.npis, report)
     pseudo_ap = evaluate_scores(
         labels.labels, report.labels[labels.idx], ks=(100,)
@@ -96,7 +88,6 @@ def run(seed: int, providers: int, out_dir: Path) -> None:
             cfg,
             nn.derive_seed(seed, "detector"),
             encoders if lam > 0 else None,
-            ruleset if lam > 0 else None,
             align_cfg,
         )
         scores = score(model, features.values).scores

@@ -215,9 +215,9 @@ def align_batch(
     rule_embeds: np.ndarray,
     cfg: AlignmentConfig,
     col_marginal: np.ndarray | None = None,
-) -> tuple[np.ndarray, TransportPlan, np.ndarray]:
-    """Cost matrix, Sinkhorn plan, and per-sample transport cost for one batch."""
+) -> tuple[np.ndarray, TransportPlan]:
+    """Per-sample transport cost and the Sinkhorn plan for one batch."""
     cost = cost_matrix(sample_embeds, rule_embeds)
     epsilon = batch_epsilon(cost, cfg.epsilon_scale)
     plan = sinkhorn(cost, epsilon, b=col_marginal, max_iters=cfg.max_iters, tol=cfg.tol)
-    return transport_cost(plan, cost), plan, cost
+    return transport_cost(plan, cost), plan

@@ -119,17 +119,6 @@ def _load_claims_and_rules(run: Run):
     return claims, parse_rules(rules_path, claims.drugs)
 
 
-def _load_encoder_bundle(run: Run):
-    """Encoders plus the rule set, bound to the encoders' drug names.
-
-    A rule naming a drug the encoders have no embedding for fails to parse;
-    claims.csv is not read.
-    """
-    encoders_path, rules_path = run.input("encoders"), run.input("rules")
-    encoders = load_encoders(encoders_path)
-    return encoders, parse_rules(rules_path, encoders.drugs)
-
-
 def cmd_simulate(run: Run):
     sim_cfg = replace(run.cfg.simulator, seed=nn.derive_seed(run.seed, "simulate"))
     run.manifest.config = replace(run.cfg, simulator=sim_cfg)  # the seed the data came from
@@ -154,11 +143,9 @@ def cmd_featurize(run: Run):
 
 def cmd_pretrain(run: Run):
     ruleset = _load_claims_and_rules(run)[1]  # the claims table is not kept
-    re_params, se_params, stats = pretrain(
-        ruleset, run.cfg.pretrain, nn.derive_seed(run.seed, "pretrain")
-    )
+    encoders, stats = pretrain(ruleset, run.cfg.pretrain, nn.derive_seed(run.seed, "pretrain"))
     path = run.output("encoders")
-    save_encoders(path, re_params, se_params, ruleset.fingerprint(), ruleset.vocab)
+    save_encoders(path, encoders)
     last = stats[-1]
     skipped = sum(s.zero_grad_batches for s in stats)
     print(
@@ -171,9 +158,9 @@ def cmd_pretrain(run: Run):
 def cmd_pseudolabel(run: Run):
     cfg = run.cfg
     features = read_features_csv(run.input("features"))
-    encoders, ruleset = _load_encoder_bundle(run)
+    encoders = load_encoders(run.input("encoders"), run.input("rules"))
     report = pseudo_label_classifier(
-        features.values, encoders, ruleset, cfg.alignment, cfg.evaluate.threshold
+        features.values, encoders, cfg.alignment, cfg.evaluate.threshold
     )
     path = run.output("pseudo_labels")
     write_pseudo_labels_csv(path, features.npis, report)
@@ -188,17 +175,12 @@ def cmd_train(run: Run):
     cfg = run.cfg
     features = read_features_csv(run.input("features"))
     labels = parse_labels(run.input("labels"), Vocabulary(features.npis))
-    encoders = ruleset = None
+    encoders = None
     if cfg.detector.lam > 0.0:
-        encoders, ruleset = _load_encoder_bundle(run)
+        encoders = load_encoders(run.input("encoders"), run.input("rules"))
     model, stats = hybrid_train(
-        features.values,
-        labels,
-        cfg.detector,
-        nn.derive_seed(run.seed, "detector"),
-        encoders,
-        ruleset,
-        cfg.alignment,
+        features.values, labels, cfg.detector, nn.derive_seed(run.seed, "detector"),
+        encoders, cfg.alignment,
     )
     path = run.output("detector")
     save_detector(path, model)
@@ -223,23 +205,9 @@ def cmd_score(run: Run):
     )
 
 
-def _scores_for_evaluation(run: Run):
-    """Scores plus the prescriber order they are reported in.
-
-    A configured scores file must exist; an unconfigured one is read if present.
-    Without one, the detector is applied to the features in process.
-    """
-    if run.cfg.has_path("scores") or run.path("scores").exists():
-        npis, scores = read_scores_csv(run.input("scores"))
-        return tuple(npis), scores
-    features = read_features_csv(run.input("features"))
-    model = load_detector(run.input("detector"))
-    return features.npis, score(model, features.values).scores
-
-
 def cmd_evaluate(run: Run):
     cfg = run.cfg
-    npis, scores = _scores_for_evaluation(run)
+    npis, scores = read_scores_csv(run.input("scores"))
     labels = parse_labels(run.input("labels"), Vocabulary(npis))
     y = labels.labels
     s = scores[labels.idx]

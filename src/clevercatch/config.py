@@ -15,7 +15,7 @@ from .alignment import AlignmentConfig
 from .detector import DetectorConfig
 from .encoders import PretrainConfig
 from .errors import ConfigError, ValidationError
-from .evaluation import ABLATION_GROUPS
+from .evaluation import ABLATION_GROUPS, configs_for_groups
 from .simulator import SimConfig
 
 PATH_KEYS = (
@@ -46,9 +46,7 @@ class AblationConfig:
     eval_fraction: float = 0.0
 
     def __post_init__(self):
-        for g in self.groups:
-            if g not in ABLATION_GROUPS:
-                raise ValidationError(f"unknown ablation group {g!r}")
+        configs_for_groups(self.groups)
         if not 0.0 <= self.eval_fraction < 1.0:
             raise ValidationError("eval fraction must lie in [0, 1)")
 

@@ -11,10 +11,8 @@ skipped entirely and training reduces exactly to the supervised-only loop.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -28,16 +26,9 @@ from .alignment import (
     update_calibration,
 )
 from .encoders import EncoderModel, rule_encode, sample_encode
-from .errors import (
-    FingerprintMismatch,
-    NumericError,
-    ParseError,
-    ShapeError,
-    ValidationError,
-)
+from .errors import NumericError, ParseError, ShapeError, ValidationError
 from .ingest import LabelTable
-from .io_utils import atomic_write_text, dumps_canonical, fmt_float
-from .rules import RuleSet
+from .io_utils import atomic_write_text, dumps_canonical, fmt_float, read_json_document
 
 logger = logging.getLogger(__name__)
 
@@ -107,28 +98,44 @@ class TrainEpochStats:
     alignment_loss: float
 
 
-def _check_binding(features: np.ndarray, encoders: EncoderModel, ruleset: RuleSet) -> None:
-    if encoders.feature_dim != features.shape[1]:
+def _check_binding(features: np.ndarray, encoders: EncoderModel) -> None:
+    if encoders.se.input_dim != features.shape[1]:
         raise ShapeError(
             f"feature width {features.shape[1]} does not match encoder width "
-            f"{encoders.feature_dim}"
-        )
-    if ruleset.vocab != encoders.drugs:
-        raise FingerprintMismatch("rule set is bound to a different drug list than the encoders")
-    fp = ruleset.fingerprint()
-    if fp != encoders.ruleset_fingerprint:
-        raise FingerprintMismatch(
-            f"rule set fingerprint {fp} does not match encoder fingerprint "
-            f"{encoders.ruleset_fingerprint}"
+            f"{encoders.se.input_dim}"
         )
 
 
-def _warn_unconverged(where: str, count: int, total: int, align_cfg: AlignmentConfig) -> None:
-    if count:
-        logger.warning(
-            "%s: %d of %d transport plans stopped at max_iters=%d before converging",
-            where, count, total, align_cfg.max_iters,
-        )
+class _Aligner:
+    """Pseudo-labels for successive batches against the encoders' rules.
+
+    Calibration starts at the first batch and keeps running across the
+    batches in call order; plans and unconverged plans are counted.
+    """
+
+    def __init__(self, encoders: EncoderModel, cfg: AlignmentConfig):
+        ruleset = encoders.ruleset
+        self.se, self.cfg = encoders.se, cfg
+        self.rule_embeds = rule_encode(encoders.re, ruleset)
+        self.col_marginal = rule_marginal(ruleset.weights, cfg.weighted_marginals, cfg.weight_floor)
+        self.calibration = CalibrationState(momentum=cfg.momentum)
+        self.plans = self.unconverged = 0
+
+    def __call__(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Transport costs and calibrated pseudo-labels of one feature batch."""
+        embeds = sample_encode(self.se, batch)
+        costs, plan = align_batch(embeds, self.rule_embeds, self.cfg, self.col_marginal)
+        self.plans += 1
+        self.unconverged += not plan.converged
+        update_calibration(self.calibration, costs)
+        return costs, pseudo_labels(costs, self.calibration, self.cfg.tau, self.cfg.eps)
+
+    def warn_unconverged(self, where: str) -> None:
+        if self.unconverged:
+            logger.warning(
+                "%s: %d of %d transport plans stopped at max_iters=%d before converging",
+                where, self.unconverged, self.plans, self.cfg.max_iters,
+            )
 
 
 def hybrid_train(
@@ -137,7 +144,6 @@ def hybrid_train(
     cfg: DetectorConfig,
     seed: int,
     encoders: EncoderModel | None = None,
-    ruleset: RuleSet | None = None,
     align_cfg: AlignmentConfig | None = None,
 ) -> tuple[DetectorModel, list[TrainEpochStats]]:
     """Train the detector on labeled BCE plus lambda-weighted pseudo-label BCE.
@@ -154,25 +160,17 @@ def hybrid_train(
         raise ValidationError("training needs at least one labeled prescriber")
     n = features.shape[0]
     y, mask = labels.to_dense(n)
-    use_alignment = cfg.lam > 0.0
-    encoder_fingerprint = ""
-    if use_alignment:
-        if encoders is None or ruleset is None:
-            raise ValidationError("lambda > 0 needs encoders and the rule set they bind to")
-        align_cfg = align_cfg if align_cfg is not None else AlignmentConfig()
-        _check_binding(features, encoders, ruleset)
-        rule_embeds = rule_encode(encoders.re, ruleset)
-        col_marginal = rule_marginal(
-            ruleset.weights, align_cfg.weighted_marginals, align_cfg.weight_floor
-        )
-        calibration = CalibrationState(momentum=align_cfg.momentum)
-        encoder_fingerprint = encoders.file_sha256
+    aligner = None
+    if cfg.lam > 0.0:
+        if encoders is None:
+            raise ValidationError("lambda > 0 needs encoders")
+        _check_binding(features, encoders)
+        aligner = _Aligner(encoders, align_cfg if align_cfg is not None else AlignmentConfig())
     rng = nn.make_rng(seed)
     mlp = init_detector(features.shape[1], cfg.hidden, rng)
     opt = nn.adam(cfg.learning_rate)
     names = mlp.parameter_names()
     history: list[TrainEpochStats] = []
-    unconverged = 0
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         sup_sum = 0.0
@@ -191,12 +189,8 @@ def hybrid_train(
                 d_scores[labeled] = d_sup
                 sup_sum += sup_loss * int(labeled.sum())
                 sup_count += int(labeled.sum())
-            if use_alignment:
-                embeds = sample_encode(encoders.se, batch)
-                costs, plan, _ = align_batch(embeds, rule_embeds, align_cfg, col_marginal)
-                unconverged += not plan.converged
-                update_calibration(calibration, costs)
-                targets = pseudo_labels(costs, calibration, align_cfg.tau, align_cfg.eps)
+            if aligner is not None:
+                _, targets = aligner(batch)
                 align_loss_value, d_align = bce_with_grad(scores, targets)
                 d_scores += cfg.lam * d_align
                 align_sum += align_loss_value * idx.size
@@ -208,9 +202,10 @@ def hybrid_train(
         if not (np.isfinite(epoch_sup) or sup_count == 0) or not np.isfinite(epoch_align):
             raise NumericError(f"detector training diverged at epoch {epoch}")
         history.append(TrainEpochStats(epoch, float(epoch_sup), float(epoch_align)))
-    if use_alignment:
-        plans = cfg.epochs * len(range(0, n, cfg.batch_size))
-        _warn_unconverged("hybrid_train", unconverged, plans, align_cfg)
+    encoder_fingerprint = ""
+    if aligner is not None:
+        aligner.warn_unconverged("hybrid_train")
+        encoder_fingerprint = encoders.file_sha256
     model = DetectorModel(
         mlp=mlp, lam=cfg.lam, seed=int(seed), encoder_fingerprint=encoder_fingerprint
     )
@@ -246,7 +241,6 @@ class PseudoLabelReport:
 def pseudo_label_classifier(
     features: np.ndarray,
     encoders: EncoderModel,
-    ruleset: RuleSet,
     align_cfg: AlignmentConfig | None = None,
     threshold: float = 0.5,
 ) -> PseudoLabelReport:
@@ -260,17 +254,10 @@ def pseudo_label_classifier(
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] < 1:
         raise ShapeError("features must be a non-empty 2-D array")
-    _check_binding(features, encoders, ruleset)
-    rule_embeds = rule_encode(encoders.re, ruleset)
-    col_marginal = rule_marginal(
-        ruleset.weights, align_cfg.weighted_marginals, align_cfg.weight_floor
-    )
-    embeds = sample_encode(encoders.se, features)
-    costs, plan, _ = align_batch(embeds, rule_embeds, align_cfg, col_marginal)
-    _warn_unconverged("pseudo_label_classifier", int(not plan.converged), 1, align_cfg)
-    state = CalibrationState(momentum=align_cfg.momentum)
-    update_calibration(state, costs)
-    labels = pseudo_labels(costs, state, align_cfg.tau, align_cfg.eps)
+    _check_binding(features, encoders)
+    aligner = _Aligner(encoders, align_cfg)
+    costs, labels = aligner(features)
+    aligner.warn_unconverged("pseudo_label_classifier")
     return PseudoLabelReport(costs=costs, labels=labels, predictions=labels > threshold)
 
 
@@ -304,18 +291,8 @@ def save_detector(path, model: DetectorModel) -> None:
 
 
 def load_detector(path) -> DetectorModel:
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: expected a JSON object")
-    if doc.get("format_version") != DETECTOR_FORMAT_VERSION:
-        raise ParseError(f"{path}: unsupported format version {doc.get('format_version')!r}")
-    expected = ["format_version", "input_width", "weights", "lambda", "seed", "encoder_fingerprint"]
-    if list(doc.keys()) != expected:
-        raise ParseError(f"{path}: expected detector model keys {expected}")
+    keys = ["format_version", "input_width", "weights", "lambda", "seed", "encoder_fingerprint"]
+    doc = read_json_document(path, DETECTOR_FORMAT_VERSION, keys, "detector model")
     mlp = nn.mlp_from_json(doc["weights"], str(path))
     if mlp.input_dim != int(doc["input_width"]):
         raise ParseError(f"{path}: stored input width does not match the weights")

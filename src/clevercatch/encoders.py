@@ -6,22 +6,21 @@ missing side of unary rules) and passing them through an MLP. The sample
 encoder maps a 15R rule-contrast vector into the same latent space. Both are
 pretrained with a weighted triplet loss on synthetic contrast vectors whose
 rule block is strictly positive (satisfying) or strictly negative (violating),
-alternating epochs between the two encoders.
+alternating epochs between the two encoders. An EncoderModel holds the pair
+together with the rule set it was trained on.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from . import nn
-from .errors import NumericError, ParseError, ValidationError
+from .errors import FingerprintMismatch, NumericError, ParseError, ValidationError
 from .features import BLOCK
-from .io_utils import atomic_write_text, dumps_canonical, sha256_file
-from .rules import RuleSet
+from .io_utils import atomic_write_text, dumps_canonical, read_json_document, sha256_file
+from .rules import RuleSet, parse_rules
 from .vocab import Vocabulary
 
 ENCODER_FORMAT_VERSION = 2
@@ -85,27 +84,23 @@ class RuleEncoderParams:
 
 
 @dataclass
-class SampleEncoderParams:
-    mlp: nn.Mlp  # 15R -> ... -> L
+class EncoderModel:
+    """The encoder pair and the rule set it was trained on.
 
-    def parameters(self) -> list[np.ndarray]:
-        return self.mlp.parameters()
+    The rule set's fingerprint and drug list are what save_encoders stores
+    beside the weights; file_sha256 is the hash of the file the model was
+    loaded from, empty for a model trained in process.
+    """
 
-    def parameter_names(self) -> list[str]:
-        return [f"mlp.{n}" for n in self.mlp.parameter_names()]
-
-    @property
-    def feature_dim(self) -> int:
-        return self.mlp.input_dim
-
-    @property
-    def latent_dim(self) -> int:
-        return self.mlp.output_dim
+    re: RuleEncoderParams
+    se: nn.Mlp  # 15R -> ... -> L
+    ruleset: RuleSet
+    file_sha256: str = ""
 
 
 def init_encoders(
     n_drugs: int, feature_dim: int, cfg: PretrainConfig, rng: np.random.Generator
-) -> tuple[RuleEncoderParams, SampleEncoderParams]:
+) -> tuple[RuleEncoderParams, nn.Mlp]:
     """Fresh encoder parameters; draw order is fixed for determinism."""
     if n_drugs < 1 or feature_dim < 1:
         raise ValidationError("need at least one drug and one feature column")
@@ -115,7 +110,7 @@ def init_encoders(
     re_mlp = nn.init_mlp(re_dims, ["relu"] * len(cfg.re_hidden) + ["identity"], rng)
     se_dims = [feature_dim, *cfg.se_hidden, cfg.latent_dim]
     se_mlp = nn.init_mlp(se_dims, ["relu"] * len(cfg.se_hidden) + ["identity"], rng)
-    return RuleEncoderParams(embedding, e_null, re_mlp), SampleEncoderParams(se_mlp)
+    return RuleEncoderParams(embedding, e_null, re_mlp), se_mlp
 
 
 def _rule_inputs(re: RuleEncoderParams, p_idx: np.ndarray, q_idx: np.ndarray) -> np.ndarray:
@@ -155,9 +150,9 @@ def _rule_encode_bwd(
     return [d_embedding, d_null] + mlp_grads
 
 
-def sample_encode(se: SampleEncoderParams, deltas: np.ndarray) -> np.ndarray:
+def sample_encode(se: nn.Mlp, deltas: np.ndarray) -> np.ndarray:
     """Latent embeddings for a batch of contrast vectors, shape (B, L)."""
-    out, _ = nn.mlp_forward(se.mlp, deltas)
+    out, _ = nn.mlp_forward(se, deltas)
     return out
 
 
@@ -269,10 +264,10 @@ class EpochStats:
 
 def pretrain(
     ruleset: RuleSet, cfg: PretrainConfig, seed: int
-) -> tuple[RuleEncoderParams, SampleEncoderParams, list[EpochStats]]:
-    """Alternating triplet pretraining: even epochs update the sample encoder,
-    odd epochs the rule encoder (0-based). Triplets are drawn once per run and
-    a holdout slice tracks separation.
+) -> tuple[EncoderModel, list[EpochStats]]:
+    """Encoders for ruleset by alternating triplet pretraining: even epochs
+    update the sample encoder, odd epochs the rule encoder (0-based). Triplets
+    are drawn once per run and a holdout slice tracks separation.
 
     The loop ends early, with the result of running all cfg.epochs, after two
     consecutive still epochs: each had a zero gradient on every batch, kept
@@ -318,8 +313,8 @@ def pretrain(
             rule_ids = train.rule_idx[idx]
             weights = ruleset.weights[rule_ids]
             e_rule, re_cache = _rule_encode_fwd(re, ruleset.p_idx[rule_ids], ruleset.q_idx[rule_ids])
-            e_pos, pos_cache = nn.mlp_forward(se.mlp, train.pos[idx])
-            e_neg, neg_cache = nn.mlp_forward(se.mlp, train.neg[idx])
+            e_pos, pos_cache = nn.mlp_forward(se, train.pos[idx])
+            e_neg, neg_cache = nn.mlp_forward(se, train.neg[idx])
             loss, d_rule, d_pos, d_neg = _triplet_batch_loss(e_rule, e_pos, e_neg, weights, cfg.margin)
             if not np.isfinite(loss):
                 raise NumericError(f"triplet loss diverged at epoch {epoch}")
@@ -331,8 +326,8 @@ def pretrain(
                 if zero:
                     grads = se_zero
                 else:
-                    grads_pos, _ = nn.mlp_backward(se.mlp, pos_cache, d_pos)
-                    grads_neg, _ = nn.mlp_backward(se.mlp, neg_cache, d_neg)
+                    grads_pos, _ = nn.mlp_backward(se, pos_cache, d_pos)
+                    grads_neg, _ = nn.mlp_backward(se, neg_cache, d_neg)
                     grads = [gp + gn for gp, gn in zip(grads_pos, grads_neg)]
                 nn.optimizer_step(se_opt, se.parameters(), grads, se_names)
             else:
@@ -347,64 +342,40 @@ def pretrain(
         history.append(EpochStats(epoch, phase, float(np.mean(losses)), sep, len(losses), n_zero))
         moved = any(p.tobytes() != bits for p, bits in zip(params, start_bits))
         still = still + 1 if clear and not moved else 0
-    return re, se, history
+    return EncoderModel(re, se, ruleset), history
 
 
-@dataclass
-class EncoderModel:
-    """Loaded encoder pair plus the binding metadata stored alongside it."""
-
-    re: RuleEncoderParams
-    se: SampleEncoderParams
-    ruleset_fingerprint: str
-    drugs: Vocabulary  # the drug each embedding row belongs to
-    file_sha256: str = ""
-
-    @property
-    def feature_dim(self) -> int:
-        return self.se.feature_dim
-
-
-def save_encoders(
-    path,
-    re: RuleEncoderParams,
-    se: SampleEncoderParams,
-    ruleset_fingerprint: str,
-    drugs: Vocabulary,
-) -> None:
+def save_encoders(path, model: EncoderModel) -> None:
     """Write the encoder pair as a single JSON document with fixed key order.
 
     drugs names the drug of each embedding row, so a reader binds rules to
     the embeddings by name rather than by position in some claims file.
     """
+    re = model.re
     doc = {
         "format_version": ENCODER_FORMAT_VERSION,
         "L": re.latent_dim,
         "d": re.index_dim,
-        "ruleset_fingerprint": ruleset_fingerprint,
-        "drugs": list(drugs.names),
+        "ruleset_fingerprint": model.ruleset.fingerprint(),
+        "drugs": list(model.ruleset.vocab.names),
         "re_weights": {"embedding": re.embedding, "mlp": nn.mlp_to_json(re.mlp)},
         "e_null": re.e_null,
-        "se_weights": {"mlp": nn.mlp_to_json(se.mlp)},
+        "se_weights": {"mlp": nn.mlp_to_json(model.se)},
     }
     atomic_write_text(path, dumps_canonical(doc) + "\n")
 
 
-def load_encoders(path) -> EncoderModel:
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: expected a JSON object")
-    if doc.get("format_version") != ENCODER_FORMAT_VERSION:
-        raise ParseError(f"{path}: unsupported format version {doc.get('format_version')!r}")
-    expected = [
+def load_encoders(path, rules_path) -> EncoderModel:
+    """Encoders from path, with the rules in rules_path bound to their drug names.
+
+    A rule naming a drug without an embedding fails to parse, and a rule set
+    whose fingerprint differs from the one stored with the encoders raises
+    FingerprintMismatch.
+    """
+    keys = [
         "format_version", "L", "d", "ruleset_fingerprint", "drugs", "re_weights", "e_null", "se_weights"
     ]
-    if list(doc.keys()) != expected:
-        raise ParseError(f"{path}: expected encoder model keys {expected}")
+    doc = read_json_document(path, ENCODER_FORMAT_VERSION, keys, "encoder model")
     embedding = np.asarray(doc["re_weights"]["embedding"], dtype=np.float64)
     e_null = np.asarray(doc["e_null"], dtype=np.float64)
     if embedding.ndim != 2 or e_null.shape != (embedding.shape[1],):
@@ -412,10 +383,10 @@ def load_encoders(path) -> EncoderModel:
     if not (np.all(np.isfinite(embedding)) and np.all(np.isfinite(e_null))):
         raise ParseError(f"{path}: non-finite embedding entries")
     re = RuleEncoderParams(embedding, e_null, nn.mlp_from_json(doc["re_weights"]["mlp"], str(path)))
-    se = SampleEncoderParams(nn.mlp_from_json(doc["se_weights"]["mlp"], str(path)))
+    se = nn.mlp_from_json(doc["se_weights"]["mlp"], str(path))
     if re.mlp.input_dim != 2 * embedding.shape[1]:
         raise ParseError(f"{path}: rule network width does not match twice the index width")
-    if int(doc["L"]) != re.latent_dim or int(doc["L"]) != se.latent_dim:
+    if int(doc["L"]) != re.latent_dim or int(doc["L"]) != se.output_dim:
         raise ParseError(f"{path}: latent width does not match stored networks")
     if int(doc["d"]) != embedding.shape[1]:
         raise ParseError(f"{path}: index width does not match the embedding table")
@@ -430,10 +401,11 @@ def load_encoders(path) -> EncoderModel:
         drugs = Vocabulary(names)
     except ValidationError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    return EncoderModel(
-        re=re,
-        se=se,
-        ruleset_fingerprint=str(doc["ruleset_fingerprint"]),
-        drugs=drugs,
-        file_sha256=sha256_file(path),
-    )
+    ruleset = parse_rules(rules_path, drugs)
+    fp, stored = ruleset.fingerprint(), str(doc["ruleset_fingerprint"])
+    if fp != stored:
+        raise FingerprintMismatch(
+            f"{rules_path}: rule set fingerprint {fp} does not match encoder fingerprint "
+            f"{stored} in {path}"
+        )
+    return EncoderModel(re, se, ruleset, file_sha256=sha256_file(path))

@@ -23,7 +23,7 @@ import numpy as np
 from . import nn
 from .alignment import AlignmentConfig
 from .detector import DetectorConfig, hybrid_train, score
-from .encoders import EncoderModel, PretrainConfig, pretrain
+from .encoders import PretrainConfig, pretrain
 from .errors import ParseError, ShapeError, UndefinedMetricError, ValidationError
 from .features import BLOCK, build_feature_matrix
 from .ingest import ClaimsTable, LabelTable
@@ -231,7 +231,10 @@ ABLATION_GROUPS = {
 
 
 def configs_for_groups(groups: tuple[str, ...]) -> tuple[str, ...]:
-    """Configuration names for a selection of droppable rule groups."""
+    """Configuration names for a selection of droppable rule groups.
+
+    The one check of a group selection: each group known, none repeated.
+    """
     for group in groups:
         if group not in ABLATION_GROUPS:
             raise ValidationError(f"unknown ablation group {group!r}")
@@ -275,21 +278,9 @@ def _run_configuration(
     cfg = dataclasses.replace(detector_cfg, lam=0.0) if lam_zero else detector_cfg
     encoders = None
     if not lam_zero:
-        re, se, _ = pretrain(ruleset, pretrain_cfg, nn.derive_seed(seed, "pretrain"))
-        encoders = EncoderModel(
-            re=re,
-            se=se,
-            ruleset_fingerprint=ruleset.fingerprint(),
-            drugs=ruleset.vocab,
-        )
+        encoders, _ = pretrain(ruleset, pretrain_cfg, nn.derive_seed(seed, "pretrain"))
     model, _ = hybrid_train(
-        features,
-        train_labels,
-        cfg,
-        nn.derive_seed(seed, "detector"),
-        encoders=encoders,
-        ruleset=None if lam_zero else ruleset,
-        align_cfg=align_cfg,
+        features, train_labels, cfg, nn.derive_seed(seed, "detector"), encoders, align_cfg
     )
     scores = score(model, features).scores
     y_eval = eval_labels.labels

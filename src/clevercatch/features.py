@@ -130,5 +130,6 @@ def read_features_csv(path) -> FeatureMatrix:
             if not np.isfinite(row).all():
                 raise ParseError(f"{path}: line {lineno}: feature values must be finite")
             rows.append(row)
-    values = np.vstack(rows) if rows else np.empty((0, len(columns)))
-    return FeatureMatrix(values=values, columns=columns, npis=tuple(npis))
+    if not rows:
+        raise ParseError(f"{path}: no feature rows")
+    return FeatureMatrix(values=np.vstack(rows), columns=columns, npis=tuple(npis))

@@ -1,4 +1,5 @@
-"""Deterministic serialization helpers: float formatting, canonical JSON, hashing."""
+"""Deterministic serialization helpers: float formatting, canonical JSON, hashing,
+and the checked read of a versioned model document."""
 
 from __future__ import annotations
 
@@ -9,6 +10,8 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+
+from .errors import ParseError
 
 FLOAT_FMT = "%.17g"
 
@@ -56,6 +59,22 @@ def _write_json(obj, parts: list[str]) -> None:
         parts.append(fmt_float(float(obj)))
     else:
         parts.append(json.dumps(obj))
+
+
+def read_json_document(path, version: int, keys: list[str], what: str) -> dict:
+    """The JSON object in path; its format version and exact key order are checked."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    if doc.get("format_version") != version:
+        raise ParseError(f"{path}: unsupported format version {doc.get('format_version')!r}")
+    if list(doc.keys()) != keys:
+        raise ParseError(f"{path}: expected {what} keys {keys}")
+    return doc
 
 
 def atomic_write_text(path, text: str) -> None:

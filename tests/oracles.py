@@ -36,7 +36,6 @@ from clevercatch.encoders import (
     EpochStats,
     PretrainConfig,
     RuleEncoderParams,
-    SampleEncoderParams,
     TripletBatch,
     _rule_encode_bwd,
     _rule_encode_fwd,
@@ -165,7 +164,7 @@ def triplet_loss(
 
 
 def separation_rate(
-    re: RuleEncoderParams, se: SampleEncoderParams, ruleset: RuleSet, batch: TripletBatch
+    re: RuleEncoderParams, se: nn.Mlp, ruleset: RuleSet, batch: TripletBatch
 ) -> float:
     """Fraction of triplets whose satisfying side is strictly closer to its rule."""
     if len(batch) == 0:
@@ -176,7 +175,7 @@ def separation_rate(
 
 def pretrain(
     ruleset: RuleSet, cfg: PretrainConfig, seed: int
-) -> tuple[RuleEncoderParams, SampleEncoderParams, list[EpochStats]]:
+) -> tuple[RuleEncoderParams, nn.Mlp, list[EpochStats]]:
     """Alternating triplet pretraining with a full backward pass on every batch.
 
     The loop encoders.pretrain ran before it skipped the backward passes of
@@ -211,8 +210,8 @@ def pretrain(
             idx = order[start : start + cfg.batch_size]
             rule_ids = train.rule_idx[idx]
             e_rule, re_cache = _rule_encode_fwd(re, ruleset.p_idx[rule_ids], ruleset.q_idx[rule_ids])
-            e_pos, pos_cache = nn.mlp_forward(se.mlp, train.pos[idx])
-            e_neg, neg_cache = nn.mlp_forward(se.mlp, train.neg[idx])
+            e_pos, pos_cache = nn.mlp_forward(se, train.pos[idx])
+            e_neg, neg_cache = nn.mlp_forward(se, train.neg[idx])
             loss, d_rule, d_pos, d_neg = _triplet_batch_loss(
                 e_rule, e_pos, e_neg, ruleset.weights[rule_ids], cfg.margin
             )
@@ -220,8 +219,8 @@ def pretrain(
                 raise NumericError(f"triplet loss diverged at epoch {epoch}")
             losses.append(loss)
             if phase == "se":
-                grads_pos, _ = nn.mlp_backward(se.mlp, pos_cache, d_pos)
-                grads_neg, _ = nn.mlp_backward(se.mlp, neg_cache, d_neg)
+                grads_pos, _ = nn.mlp_backward(se, pos_cache, d_pos)
+                grads_neg, _ = nn.mlp_backward(se, neg_cache, d_neg)
                 grads = [gp + gn for gp, gn in zip(grads_pos, grads_neg)]
                 n_zero += not any(g.any() for g in grads)
                 nn.optimizer_step(se_opt, se.parameters(), grads, se_names)

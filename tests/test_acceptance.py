@@ -98,14 +98,8 @@ class Corpus:
     def encoders(self, root: int) -> EncoderModel:
         if root not in self._encoders:
             b = self.bundle(root)
-            re, se, stats = pretrain(
+            model, stats = pretrain(
                 b.ruleset, EXPERIMENT_PRETRAIN, nn.derive_seed(root, "pretrain")
-            )
-            model = EncoderModel(
-                re,
-                se,
-                b.ruleset.fingerprint(),
-                b.ruleset.vocab,
             )
             self._encoders[root] = (model, stats[-1].holdout_separation)
         return self._encoders[root][0]
@@ -326,9 +320,7 @@ def test_c04_pretraining_separates_synthetic_triplets(capsys):
             Rule("unary", vocab.names[order[j]], None, w[12 + j]) for j in range(8)
         ]
         ruleset = RuleSet(rules, vocab)
-        _, _, stats = pretrain(
-            ruleset, PretrainConfig(), nn.derive_seed(seed, "pretrain")
-        )
+        _, stats = pretrain(ruleset, PretrainConfig(), nn.derive_seed(seed, "pretrain"))
         separations.append(stats[-1].holdout_separation)
     elapsed = time.perf_counter() - start
     n_good = sum(s >= 0.90 for s in separations)
@@ -350,7 +342,7 @@ def test_c05_pseudo_labels_beat_prevalence(capsys, corpus):
         start = time.perf_counter()
         b = corpus.bundle(root)
         report = pseudo_label_classifier(
-            b.features.values, corpus.encoders(root), b.ruleset, AlignmentConfig(), 0.5
+            b.features.values, corpus.encoders(root), AlignmentConfig(), 0.5
         )
         aps.append(pr_auc(b.y, report.labels))
         slowest = max(slowest, time.perf_counter() - start)
@@ -381,7 +373,6 @@ def test_c06_alignment_term_helps_recall(capsys, corpus):
             DetectorConfig(lam=0.5),
             seed,
             corpus.encoders(root),
-            b.ruleset,
             AlignmentConfig(),
         )
         plain, _ = hybrid_train(

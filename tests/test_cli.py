@@ -101,18 +101,6 @@ class TestPipeline:
         for name in a:
             assert a[name] == b[name], f"{name} differs between identical runs"
 
-    def test_evaluate_from_scores_matches_in_process(self, pipeline_dirs):
-        # Deleting scores.csv forces evaluate to apply the detector itself;
-        # the resulting report must be identical to the last digit.
-        src = pipeline_dirs / "a"
-        dst = pipeline_dirs / "c"
-        shutil.copytree(src, dst)
-        for stale in ("scores.csv", "report.csv", "pr_curve.csv"):
-            (dst / stale).unlink()
-        run_ok("evaluate", dst)
-        for name in ("report.csv", "pr_curve.csv"):
-            assert (dst / name).read_bytes() == (src / name).read_bytes()
-
     def test_evaluate_on_partial_scores_reports_the_skipped_labels(
         self, pipeline_dirs, tmp_path, capsys, caplog
     ):
@@ -283,6 +271,7 @@ class TestErrorContract:
             capsys,
             ["--seed", "3", "--out-dir", str(out), *SPEED, "train"],
             "FingerprintMismatch",
+            f"{out / 'rules.csv'}: rule set fingerprint ",
         )
 
     def test_configured_scores_file_must_exist(self, pipeline_dirs, tmp_path, capsys):
@@ -298,6 +287,36 @@ class TestErrorContract:
         )
         before = (pipeline_dirs / "a" / "evaluate_manifest.json").read_bytes()
         assert (out / "evaluate_manifest.json").read_bytes() == before  # no fallback run
+
+    def test_evaluate_without_scores_writes_no_report(self, pipeline_dirs, tmp_path, capsys):
+        # score writes scores.csv; evaluate has no second way to compute scores
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dirs / "a", out)
+        outputs = ("scores.csv", "report.csv", "pr_curve.csv", "evaluate_manifest.json")
+        for name in outputs:
+            (out / name).unlink()
+        self.check_error(
+            capsys,
+            ["--seed", "3", "--out-dir", str(out), *SPEED, "evaluate"],
+            "ConfigError",
+            f"no paths.scores configured and {out / 'scores.csv'} does not exist",
+        )
+        assert not any((out / name).exists() for name in outputs)
+
+    def test_score_on_features_without_rows(self, pipeline_dirs, tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dirs / "a", out)
+        features = out / "features.csv"
+        features.write_text(features.read_text().splitlines(keepends=True)[0])
+        for name in ("scores.csv", "score_manifest.json"):
+            (out / name).unlink()
+        self.check_error(
+            capsys,
+            ["--seed", "3", "--out-dir", str(out), *SPEED, "score"],
+            "ParseError",
+            f"{features}: no feature rows",
+        )
+        assert not (out / "scores.csv").exists() and not (out / "score_manifest.json").exists()
 
     @pytest.mark.parametrize(
         "command, key, artifact",

@@ -110,8 +110,10 @@ class TestIniParsing:
     def test_stage_validation_errors_become_config_errors(self, tmp_path):
         with pytest.raises(ConfigError, match=r"\[simulator\]"):
             load_config(write_ini(tmp_path, "[simulator]\nboost = 0.5\n"))
-        with pytest.raises(ConfigError, match=r"\[ablation\]"):
+        with pytest.raises(ConfigError, match=r"\[ablation\] unknown ablation group 'bogus'"):
             load_config(write_ini(tmp_path, "[ablation]\ngroups = bogus\n"))
+        with pytest.raises(ConfigError, match=r"\[ablation\] ablation groups must be distinct"):
+            load_config(None, ["ablation.groups=opioid,opioid"])
 
     def test_malformed_ini_reports_the_file(self, tmp_path):
         path = write_ini(tmp_path, "not an ini file at all\n")

@@ -18,18 +18,8 @@ from clevercatch.detector import (
     score,
     write_pseudo_labels_csv,
 )
-from clevercatch.encoders import (
-    BLOCK,
-    EncoderModel,
-    PretrainConfig,
-    pretrain,
-)
-from clevercatch.errors import (
-    FingerprintMismatch,
-    ParseError,
-    ShapeError,
-    ValidationError,
-)
+from clevercatch.encoders import BLOCK, PretrainConfig, pretrain
+from clevercatch.errors import ParseError, ShapeError, ValidationError
 from clevercatch.ingest import LabelTable
 from clevercatch.rules import Rule, RuleSet
 from clevercatch.vocab import Vocabulary
@@ -48,13 +38,7 @@ def toy_encoders(ruleset, seed=0, epochs=2):
         triplet_count=300,
         batch_size=64,
     )
-    re, se, _ = pretrain(ruleset, cfg, seed)
-    return EncoderModel(
-        re=re,
-        se=se,
-        ruleset_fingerprint=ruleset.fingerprint(),
-        drugs=ruleset.vocab,
-    )
+    return pretrain(ruleset, cfg, seed)[0]
 
 
 def toy_problem(rng, n=40, ruleset=None):
@@ -171,9 +155,7 @@ def test_hybrid_train_smoke_and_loss_direction():
     features, labels, ruleset = toy_problem(rng, n=60)
     encoders = toy_encoders(ruleset)
     cfg = DetectorConfig(hidden=(16,), lam=0.5, epochs=5, batch_size=64)
-    model, stats = hybrid_train(
-        features, labels, cfg, seed=1, encoders=encoders, ruleset=ruleset
-    )
+    model, stats = hybrid_train(features, labels, cfg, seed=1, encoders=encoders)
     assert len(stats) == 5
     assert all(np.isfinite(s.supervised_loss) for s in stats)
     assert all(np.isfinite(s.alignment_loss) for s in stats)
@@ -187,32 +169,10 @@ def test_binding_checks():
     features, labels, ruleset = toy_problem(rng)
     encoders = toy_encoders(ruleset)
     cfg = DetectorConfig(lam=0.5, epochs=1)
-    with pytest.raises(ShapeError, match="width"):
-        hybrid_train(
-            features[:, :-1], labels, cfg, 0, encoders=encoders, ruleset=ruleset
-        )
-    reweighted = RuleSet(
-        [Rule("binary", "A", "B", 0.9), Rule("unary", "C", None, 0.7)],
-        ruleset.vocab,
-    )
-    with pytest.raises(FingerprintMismatch):
-        hybrid_train(features, labels, cfg, 0, encoders=encoders, ruleset=reweighted)
-
-
-def test_binding_rejects_rules_over_another_drug_order():
-    # same rules, same fingerprint, but the drugs sit at other positions: the
-    # encoders' embedding rows would silently rebind to other drugs
-    rng = nn.make_rng(0)
-    features, labels, ruleset = toy_problem(rng)
-    encoders = toy_encoders(ruleset)
-    reordered = RuleSet(ruleset.rules, Vocabulary(["B", "A", "C"]))
-    assert reordered.fingerprint() == encoders.ruleset_fingerprint
-    with pytest.raises(FingerprintMismatch, match="drug list"):
-        pseudo_label_classifier(features, encoders, reordered)
-    with pytest.raises(FingerprintMismatch, match="drug list"):
-        hybrid_train(
-            features, labels, DetectorConfig(lam=0.5, epochs=1), 0, encoders=encoders, ruleset=reordered
-        )
+    with pytest.raises(ShapeError, match="feature width 29 does not match encoder width 30"):
+        hybrid_train(features[:, :-1], labels, cfg, 0, encoders=encoders)
+    with pytest.raises(ShapeError, match="feature width 29 does not match encoder width 30"):
+        pseudo_label_classifier(features[:, :-1], encoders)
 
 
 def test_score_ranks_and_tie_break():
@@ -235,13 +195,11 @@ def test_pseudo_label_classifier_threshold_strict():
     rng = nn.make_rng(2)
     features, _, ruleset = toy_problem(rng, n=30)
     encoders = toy_encoders(ruleset)
-    report = pseudo_label_classifier(features, encoders, ruleset)
+    report = pseudo_label_classifier(features, encoders)
     assert report.labels.shape == (30,)
     assert np.all((report.labels >= 0.0) & (report.labels <= 1.0))
     assert np.array_equal(report.predictions, report.labels > 0.5)
-    exact = pseudo_label_classifier(
-        features, encoders, ruleset, threshold=float(report.labels[0])
-    )
+    exact = pseudo_label_classifier(features, encoders, threshold=float(report.labels[0]))
     assert not exact.predictions[0]  # strictly above, not at, the threshold
 
 
@@ -249,7 +207,7 @@ def test_write_pseudo_labels_csv(tmp_path):
     rng = nn.make_rng(2)
     features, _, ruleset = toy_problem(rng, n=5)
     encoders = toy_encoders(ruleset)
-    report = pseudo_label_classifier(features, encoders, ruleset)
+    report = pseudo_label_classifier(features, encoders)
     path = tmp_path / "pseudo.csv"
     npis = [f"N{i}" for i in range(5)]
     write_pseudo_labels_csv(path, npis, report)

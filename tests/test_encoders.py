@@ -1,5 +1,7 @@
 """Encoder pretraining: triplet generation, losses, alternation, persistence."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,8 +19,8 @@ from clevercatch.encoders import (
     save_encoders,
     _triplet_batch_loss,
 )
-from clevercatch.errors import ParseError, ValidationError
-from clevercatch.rules import Rule, RuleSet
+from clevercatch.errors import FingerprintMismatch, ParseError, ValidationError
+from clevercatch.rules import Rule, RuleSet, write_rules_csv
 from clevercatch.vocab import Vocabulary
 
 import oracles
@@ -38,6 +40,12 @@ def small_cfg(**overrides):
     )
     base.update(overrides)
     return PretrainConfig(**base)
+
+
+def write_rules(directory, ruleset, name="rules.csv"):
+    path = directory / name
+    write_rules_csv(ruleset.rules, path)
+    return path
 
 
 def test_gen_triplets_shapes_and_blocks(toy_ruleset):
@@ -201,35 +209,37 @@ def test_separation_rate_hand_case(toy_vocab):
 
 def test_pretrain_alternates_and_improves(toy_ruleset):
     cfg = small_cfg(epochs=6)
-    re, se, history = pretrain(toy_ruleset, cfg, seed=0)
+    model, history = pretrain(toy_ruleset, cfg, seed=0)
+    assert model.ruleset is toy_ruleset and model.file_sha256 == ""
     assert [h.epoch for h in history] == list(range(6))
     assert [h.updated for h in history] == ["se", "re", "se", "re", "se", "re"]
     assert all(np.isfinite(h.mean_loss) for h in history)
     assert history[-1].holdout_separation >= 0.9
-    again_re, again_se, again_history = pretrain(toy_ruleset, cfg, seed=0)
-    for a, b in zip(re.parameters(), again_re.parameters()):
+    again, again_history = pretrain(toy_ruleset, cfg, seed=0)
+    for a, b in zip(model.re.parameters(), again.re.parameters()):
         assert np.array_equal(a, b)
-    for a, b in zip(se.parameters(), again_se.parameters()):
+    for a, b in zip(model.se.parameters(), again.se.parameters()):
         assert np.array_equal(a, b)
     assert [h.mean_loss for h in history] == [h.mean_loss for h in again_history]
 
 
 def test_encoder_round_trip(tmp_path, toy_ruleset):
     cfg = small_cfg(epochs=2)
-    re, se, _ = pretrain(toy_ruleset, cfg, seed=3)
+    trained, _ = pretrain(toy_ruleset, cfg, seed=3)
+    re, se = trained.re, trained.se
     path = tmp_path / "encoders.json"
-    save_encoders(path, re, se, toy_ruleset.fingerprint(), toy_ruleset.vocab)
-    model = load_encoders(path)
-    assert model.ruleset_fingerprint == toy_ruleset.fingerprint()
-    assert model.drugs == toy_ruleset.vocab
-    assert model.re.latent_dim == model.se.latent_dim == cfg.latent_dim
+    save_encoders(path, trained)
+    model = load_encoders(path, write_rules(tmp_path, toy_ruleset))
+    assert model.ruleset.fingerprint() == toy_ruleset.fingerprint()
+    assert model.ruleset.vocab == toy_ruleset.vocab
+    assert model.re.latent_dim == model.se.output_dim == cfg.latent_dim
     assert model.re.index_dim == cfg.index_dim
-    assert model.feature_dim == BLOCK * len(toy_ruleset)
+    assert model.se.input_dim == BLOCK * len(toy_ruleset)
     assert np.array_equal(model.re.embedding, re.embedding)
     assert np.array_equal(model.re.e_null, re.e_null)
     for a, b in zip(model.re.mlp.parameters(), re.mlp.parameters()):
         assert np.array_equal(a, b)
-    for a, b in zip(model.se.mlp.parameters(), se.mlp.parameters()):
+    for a, b in zip(model.se.parameters(), se.parameters()):
         assert np.array_equal(a, b)
     assert model.file_sha256 != ""
     # embeddings computed from the loaded model are bitwise identical
@@ -240,13 +250,13 @@ def test_encoder_round_trip(tmp_path, toy_ruleset):
 
 def test_load_encoders_rejects_malformed(tmp_path, toy_ruleset):
     cfg = small_cfg(epochs=1)
-    re, se, _ = pretrain(toy_ruleset, cfg, seed=0)
     path = tmp_path / "encoders.json"
-    save_encoders(path, re, se, toy_ruleset.fingerprint(), toy_ruleset.vocab)
+    save_encoders(path, pretrain(toy_ruleset, cfg, seed=0)[0])
+    rules = write_rules(tmp_path, toy_ruleset)
     not_json = tmp_path / "broken.json"
     not_json.write_text(path.read_text(encoding="utf-8")[:-40], encoding="utf-8")
     with pytest.raises(ParseError):
-        load_encoders(not_json)
+        load_encoders(not_json, rules)
     import json
 
     doc = json.loads(path.read_text(encoding="utf-8"))
@@ -254,27 +264,27 @@ def test_load_encoders_rejects_malformed(tmp_path, toy_ruleset):
     missing = tmp_path / "missing.json"
     missing.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ParseError, match="keys"):
-        load_encoders(missing)
+        load_encoders(missing, rules)
     doc2 = json.loads(path.read_text(encoding="utf-8"))
     doc2["format_version"] = 99
     version = tmp_path / "version.json"
     version.write_text(json.dumps(doc2), encoding="utf-8")
     with pytest.raises(ParseError, match="version"):
-        load_encoders(version)
+        load_encoders(version, rules)
     doc3 = json.loads(path.read_text(encoding="utf-8"))
     doc3["re_weights"]["mlp"][0]["weight"][0][0] = None
     nan_weights = tmp_path / "nan.json"
     nan_weights.write_text(json.dumps(doc3), encoding="utf-8")
     with pytest.raises(ParseError):
-        load_encoders(nan_weights)
+        load_encoders(nan_weights, rules)
 
 
 def test_encoders_bind_embedding_rows_to_drug_names(tmp_path, toy_ruleset):
     import json
 
-    re, se, _ = pretrain(toy_ruleset, small_cfg(epochs=1), seed=0)
     path = tmp_path / "encoders.json"
-    save_encoders(path, re, se, toy_ruleset.fingerprint(), toy_ruleset.vocab)
+    save_encoders(path, pretrain(toy_ruleset, small_cfg(epochs=1), seed=0)[0])
+    rules = write_rules(tmp_path, toy_ruleset)
     doc = json.loads(path.read_text(encoding="utf-8"))
     assert doc["format_version"] == 2
     assert doc["drugs"] == list(toy_ruleset.vocab.names)
@@ -288,14 +298,41 @@ def test_encoders_bind_embedding_rows_to_drug_names(tmp_path, toy_ruleset):
         bad = tmp_path / f"{name}.json"
         bad.write_text(json.dumps({**doc, "drugs": drugs}), encoding="utf-8")
         with pytest.raises(ParseError, match="drug|duplicate"):
-            load_encoders(bad)
+            load_encoders(bad, rules)
     # a version-1 file has no drug list and is refused by its version
     v1 = {k: v for k, v in doc.items() if k != "drugs"}
     v1["format_version"] = 1
     old = tmp_path / "v1.json"
     old.write_text(json.dumps(v1), encoding="utf-8")
     with pytest.raises(ParseError, match="unsupported format version 1"):
-        load_encoders(old)
+        load_encoders(old, rules)
+
+
+def test_load_encoders_binds_the_rules_it_is_given(tmp_path, toy_ruleset):
+    path = tmp_path / "encoders.json"
+    save_encoders(path, pretrain(toy_ruleset, small_cfg(epochs=1), seed=0)[0])
+    reweighted = RuleSet(
+        [Rule("binary", "DrugA", "DrugB", 0.8), Rule("unary", "DrugC", None, 0.7)],
+        toy_ruleset.vocab,
+    )
+    other = write_rules(tmp_path, reweighted, "other.csv")
+    with pytest.raises(FingerprintMismatch) as caught:
+        load_encoders(path, other)
+    assert reweighted.fingerprint() in str(caught.value)
+    assert toy_ruleset.fingerprint() in str(caught.value)
+    unknown = tmp_path / "unknown.csv"
+    unknown.write_text(write_rules(tmp_path, toy_ruleset).read_text() + "unary,DrugX,,0.5\n")
+    with pytest.raises(ParseError, match=r"unknown\.csv: line 4: unknown drug name 'DrugX'"):
+        load_encoders(path, unknown)
+
+
+def test_save_encoders_of_a_loaded_model_is_byte_identical(tmp_path, toy_ruleset):
+    path, again = tmp_path / "encoders.json", tmp_path / "again.json"
+    save_encoders(path, pretrain(toy_ruleset, small_cfg(epochs=3), seed=4)[0])
+    model = load_encoders(path, write_rules(tmp_path, toy_ruleset))
+    save_encoders(again, model)
+    assert again.read_bytes() == path.read_bytes()
+    assert model.file_sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_pretrain_config_validation():
@@ -312,7 +349,7 @@ def test_pretrain_on_random_mixed_ruleset():
     vocab = Vocabulary([f"D{i}" for i in range(10)])
     ruleset = random_ruleset(rng, vocab, 6)
     cfg = small_cfg(epochs=6, triplet_count=600)
-    _, _, history = pretrain(ruleset, cfg, seed=1)
+    _, history = pretrain(ruleset, cfg, seed=1)
     assert history[-1].holdout_separation >= 0.85
 
 
@@ -331,11 +368,13 @@ def assert_pretrain_matches_oracle(ruleset, cfg, seed):
 
     Returns pretrain's history and the training batches that each loop ran.
     """
-    (re, se, history), ran = run_counting_batches(encoders, pretrain, ruleset, cfg, seed)
+    (model, history), ran = run_counting_batches(encoders, pretrain, ruleset, cfg, seed)
     (old_re, old_se, old_history), full = run_counting_batches(
         oracles, oracles.pretrain, ruleset, cfg, seed
     )
-    for a, b in zip(re.parameters() + se.parameters(), old_re.parameters() + old_se.parameters()):
+    assert model.ruleset is ruleset
+    new_params = model.re.parameters() + model.se.parameters()
+    for a, b in zip(new_params, old_re.parameters() + old_se.parameters(), strict=True):
         assert a.tobytes() == b.tobytes()
     assert len(history) == len(old_history) == cfg.epochs
     for new, old in zip(history, old_history):
@@ -423,7 +462,8 @@ def test_pretrain_stops_despite_an_active_zero_weight_hinge():
     cfg = stop_cfg(weight_floor=0.5)
     _, ran, full = assert_pretrain_matches_oracle(ruleset, cfg, seed=0)
     assert ran < full
-    re, se, _ = pretrain(ruleset, cfg, seed=0)
+    model, _ = pretrain(ruleset, cfg, seed=0)
+    re, se = model.re, model.se
     batch = gen_synthetic_triplets(
         ruleset, 300, cfg.noise_sigma, (cfg.band_lo, cfg.band_hi), nn.make_rng(9),
         weight_floor=cfg.weight_floor,

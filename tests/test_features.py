@@ -324,6 +324,9 @@ def test_feature_csv_round_trip(tmp_path):
     bad.write_text("wrong,header\n", encoding="utf-8")
     with pytest.raises(ParseError):
         read_features_csv(bad)
+    bad.write_text("npi,f1,f2\n\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="bad.csv: no feature rows"):
+        read_features_csv(bad)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
