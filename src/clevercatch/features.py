@@ -11,13 +11,15 @@ mean, max). Every coordinate lies in [-1, 1].
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParseError, ShapeError, ValidationError
 from .ingest import CHANNELS, ClaimsTable
-from .io_utils import atomic_write_text, fmt_float
+from .io_utils import FLOAT_FMT, atomic_write_text
 from .rules import RuleSet
 
 STATS = ("min", "mean", "max")
@@ -98,38 +100,61 @@ def build_feature_matrix(claims: ClaimsTable, ruleset: RuleSet) -> FeatureMatrix
 
 
 def write_features_csv(features: FeatureMatrix, path) -> None:
+    row_format = "%s," + ",".join([FLOAT_FMT] * len(features.columns))
     lines = ["npi," + ",".join(features.columns)]
     for npi, row in zip(features.npis, features.values):
-        lines.append(npi + "," + ",".join(fmt_float(v) for v in row))
+        lines.append(row_format % (npi, *row.tolist()))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_features_csv(path) -> FeatureMatrix:
+    """Read features.csv through numpy's C reader, or through the row reader when it refuses.
+
+    The row reader takes the file when numpy cannot read a row, a value is not
+    finite or an npi repeats; it names the first faulty line.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        header = handle.readline().rstrip("\n")
-        fields = header.split(",")
-        if not fields or fields[0] != "npi":
+        fields = handle.readline().rstrip("\n").split(",")
+        if fields[0] != "npi":
             raise ParseError(f"{path}: line 1: expected an npi,<feature...> header")
         columns = tuple(fields[1:])
-        npis: list[str] = []
-        rows: list[np.ndarray] = []
-        for lineno, line in enumerate(handle, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(columns) + 1:
-                raise ParseError(
-                    f"{path}: line {lineno}: expected {len(columns) + 1} fields, got {len(parts)}"
-                )
-            npis.append(parts[0])
-            try:
-                row = np.array([float(v) for v in parts[1:]])
-            except ValueError:
-                raise ParseError(f"{path}: line {lineno}: malformed feature value") from None
-            if not np.isfinite(row).all():
-                raise ParseError(f"{path}: line {lineno}: feature values must be finite")
-            rows.append(row)
-    if not rows:
+        record = np.dtype([("npi", object), ("values", np.float64, (len(columns),))])
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a file without rows
+                table = np.loadtxt(handle, record, delimiter=",", comments=None, ndmin=1)
+        except ValueError:
+            table = None
+        npis = () if table is None else tuple(table["npi"].tolist())
+        if table is None or len(set(npis)) < len(npis) or not np.isfinite(table["values"]).all():
+            handle.seek(0)
+            handle.readline()
+            npis, values = _read_feature_rows(path, handle, len(columns))
+        else:
+            values = np.ascontiguousarray(table["values"])
+    if not npis:
         raise ParseError(f"{path}: no feature rows")
-    return FeatureMatrix(values=np.vstack(rows), columns=columns, npis=tuple(npis))
+    return FeatureMatrix(values=values, columns=columns, npis=npis)
+
+
+def _read_feature_rows(path, lines, width: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """The npis and values of the feature rows, raising at the first faulty line."""
+    npis: dict[str, None] = {}
+    rows: list[list[float]] = []
+    for lineno, line in enumerate(lines, start=2):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != width + 1:
+            raise ParseError(f"{path}: line {lineno}: expected {width + 1} fields, got {len(parts)}")
+        if parts[0] in npis:
+            raise ParseError(f"{path}: line {lineno}: duplicate npi {parts[0]!r}")
+        npis[parts[0]] = None
+        try:
+            rows.append([float(v) for v in parts[1:]])
+        except ValueError:
+            raise ParseError(f"{path}: line {lineno}: malformed feature value") from None
+        if not all(map(math.isfinite, rows[-1])):
+            raise ParseError(f"{path}: line {lineno}: feature values must be finite")
+    return tuple(npis), np.array(rows, dtype=np.float64)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import warnings
 from array import array
 from dataclasses import dataclass
 
@@ -57,48 +58,29 @@ class ClaimsTable:
 def parse_claims_csv(path) -> ClaimsTable:
     """Parse a claims CSV; duplicate (npi, year, drug) rows are summed.
 
-    One streaming pass appends each record to typed columns: prescriber and
-    drug indices in first-appearance order, the year, and the five metrics.
-    The metrics are checked in one step after the pass, and duplicates are
-    summed in file order. A file with several faults reports the one a
-    record-by-record check meets first; an npi that would need CSV quoting, or
-    a drug name holding a line break, is rejected only after every record passes.
+    numpy's C reader takes the body in chunks of records and appends them to
+    typed columns: prescriber and drug indices in first-appearance order, the
+    year, and the five metrics. A record it cannot read, a metric that is not
+    finite and non-negative, or an empty npi or drug sends the whole file to
+    the record-by-record reader. That reader checks each record in order, so a
+    file with several faults reports the first, and it also takes the numbers
+    that int() and float() read but numpy does not, such as 1_000. An npi that
+    would need CSV quoting, or a drug name holding a line break, is rejected
+    only after every record passes. Duplicates are summed in file order.
     """
-    prescribers: dict[str, int] = {}
-    drugs: dict[str, int] = {}
-    npi_col = array("q")
-    year_col = array("q")
-    drug_col = array("q")
-    metric_col = array("d")
-    # bound once: this loop runs once per record
-    add_npi, add_year, add_drug = npi_col.append, year_col.append, drug_col.append
-    add_metrics = metric_col.extend
-    npi_index, drug_index = prescribers.setdefault, drugs.setdefault
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != CLAIMS_HEADER:
+        if next(csv.reader(handle), None) != CLAIMS_HEADER:
             raise ParseError(f"{path}: line 1: expected header {','.join(CLAIMS_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 9 or not row[0] or not row[3]:
-                if not row:
-                    continue
-                raise _first_error(path, lineno, row, metric_col, len(npi_col))
-            try:
-                add_year(int(row[1]))
-                add_metrics(map(float, row[4:9]))
-            except (ValueError, OverflowError):
-                raise _first_error(path, lineno, row, metric_col, len(npi_col)) from None
-            add_drug(drug_index(row[3], len(drugs)))
-            add_npi(npi_index(row[0], len(prescribers)))
-    n = len(npi_col)
-    npi_idx = np.frombuffer(npi_col, dtype=np.int64)
-    year = np.frombuffer(year_col, dtype=np.int64)
-    drug_idx = np.frombuffer(drug_col, dtype=np.int64)
-    metrics = np.frombuffer(metric_col, dtype=np.float64).reshape(n, len(CHANNELS))
-    error = _metric_error(path, metrics)
-    if error is not None:
-        raise error
+        columns = _Columns()
+        if not columns.read_chunks(handle):
+            columns = _Columns()
+            columns.read_records(path, handle)
+    prescribers, drugs = columns.prescribers, columns.drugs
+    n = len(columns.npi)
+    npi_idx = np.frombuffer(columns.npi, dtype=np.int64)
+    year = np.frombuffer(columns.year, dtype=np.int64)
+    drug_idx = np.frombuffer(columns.drug, dtype=np.int64)
+    metrics = np.frombuffer(columns.metrics, dtype=np.float64).reshape(n, len(CHANNELS))
     # features.csv, scores.csv and pseudo_labels.csv write npis without quoting,
     # and csv.writer leaves a bare \r in a drug name unquoted in rules.csv
     for npi in prescribers:
@@ -147,7 +129,8 @@ def _record_error(path, lineno: int, row: list[str]) -> ParseError | None:
     if not row[0] or not row[3]:
         return ParseError(f"{where}: npi and drug must be non-empty")
     try:
-        int(row[1])
+        if not -(2**63) <= int(row[1]) < 2**63:  # the year column is int64
+            raise ValueError
     except ValueError:
         return ParseError(f"{where}: malformed year {row[1]!r}")
     for name, text in zip(CLAIMS_HEADER[4:], row[4:]):
@@ -160,35 +143,67 @@ def _record_error(path, lineno: int, row: list[str]) -> ParseError | None:
     return None
 
 
-def _metric_error(path, metrics: np.ndarray) -> ParseError | None:
-    """The error of the first record whose metrics are not all finite and non-negative."""
-    ok = np.isfinite(metrics)
-    ok &= metrics >= 0
-    bad = ~ok.all(axis=1)
-    if not bad.any():
-        return None
-    target = int(bad.argmax())
-    # only the failing record's text is needed, so read the file again to find it
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+# Records per np.loadtxt call. Each record of a chunk holds three Python
+# strings, so a bounded chunk keeps the parse's peak memory flat.
+_CHUNK_ROWS = 4096
+_RECORD = np.dtype([("npi", object), ("year", np.int64), ("specialty", object), ("drug", object),
+                    ("metrics", np.float64, (len(CHANNELS),))])
+
+
+class _Index(dict):
+    """Name -> index in first-appearance order; looking up a new name adds it."""
+
+    def __missing__(self, name: str) -> int:
+        self[name] = index = len(self)
+        return index
+
+
+class _Columns:
+    """Typed claims columns; npis and drugs become indices in first-appearance order."""
+
+    def __init__(self):
+        self.prescribers, self.drugs = _Index(), _Index()
+        self.npi, self.year, self.drug, self.metrics = array("q"), array("q"), array("q"), array("d")
+
+    def read_chunks(self, handle) -> bool:
+        """Append the records after the header through np.loadtxt; False if one needs checking.
+
+        Each call stops at the line that ends its last record, so no record
+        straddles two chunks, not even one with a quoted line break.
+        """
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # blank lines and the end of the file
+            while True:
+                try:
+                    chunk = np.loadtxt(handle, _RECORD, delimiter=",", quotechar='"', comments=None,
+                                       ndmin=1, max_rows=_CHUNK_ROWS)
+                except ValueError:
+                    return False
+                if not chunk.size:
+                    return "" not in self.prescribers and "" not in self.drugs
+                metrics = chunk["metrics"]
+                if not (np.isfinite(metrics).all() and (metrics >= 0).all()):
+                    return False
+                self.npi.extend(map(self.prescribers.__getitem__, chunk["npi"].tolist()))
+                self.drug.extend(map(self.drugs.__getitem__, chunk["drug"].tolist()))
+                self.year.frombytes(chunk["year"].tobytes())
+                self.metrics.frombytes(metrics.tobytes())
+
+    def read_records(self, path, handle) -> None:
+        """Append every record through csv.reader, raising the first faulty record's error."""
+        handle.seek(0)
         reader = csv.reader(handle)
-        next(reader)
-        records = ((lineno, row) for lineno, row in enumerate(reader, start=2) if row)
-        for k, (lineno, row) in enumerate(records):
-            if k == target:
-                error = _record_error(path, lineno, row)
-                if error is not None:
-                    return error
-                break
-    raise ParseError(f"{path}: changed while it was being read")
-
-
-def _first_error(path, lineno: int, row: list[str], metric_col: array, n_done: int) -> ParseError:
-    """The error for a faulty record, unless an earlier record's metrics fail first."""
-    earlier = np.array(metric_col[: n_done * len(CHANNELS)]).reshape(n_done, len(CHANNELS))
-    error = _metric_error(path, earlier) or _record_error(path, lineno, row)
-    if error is None:  # an int() overflow: the year does not fit the int64 column
-        error = ParseError(f"{path}: line {lineno}: malformed year {row[1]!r}")
-    return error
+        next(reader)  # the header, checked already
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            error = _record_error(path, lineno, row)
+            if error is not None:
+                raise error
+            self.npi.append(self.prescribers[row[0]])
+            self.year.append(int(row[1]))
+            self.drug.append(self.drugs[row[3]])
+            self.metrics.extend(map(float, row[4:9]))
 
 
 @dataclass

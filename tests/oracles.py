@@ -6,6 +6,7 @@ per-prescriber-year share groups and the prescriber-by-prescriber feature
 loop that the vectorized feature pass must match bitwise, the plain
 supervised trainer that hybrid_train must reproduce bitwise at lambda = 0,
 the record-at-a-time claims parser that the columnar one must match, the
+line-at-a-time features.csv reader that the numpy one must match, the
 pretraining loop that runs every backward pass, which encoders.pretrain must
 match bitwise, the scalar supervised and alignment losses, and the serial
 ablation loop that the pooled one must match bitwise, and the MLP forward
@@ -464,6 +465,42 @@ def parse_claims_csv(path) -> ClaimsTable:
         drugs=drugs.build(),
         prescribers=prescribers.build(),
     )
+
+
+def read_features_csv(path) -> FeatureMatrix:
+    """Read features.csv line by line: split on commas, float() each value."""
+    with open(path, "r", encoding="utf-8") as handle:
+        header = handle.readline().rstrip("\n")
+        fields = header.split(",")
+        if not fields or fields[0] != "npi":
+            raise ParseError(f"{path}: line 1: expected an npi,<feature...> header")
+        columns = tuple(fields[1:])
+        npis: list[str] = []
+        seen: set[str] = set()
+        rows: list[np.ndarray] = []
+        for lineno, line in enumerate(handle, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != len(columns) + 1:
+                raise ParseError(
+                    f"{path}: line {lineno}: expected {len(columns) + 1} fields, got {len(parts)}"
+                )
+            if parts[0] in seen:
+                raise ParseError(f"{path}: line {lineno}: duplicate npi {parts[0]!r}")
+            seen.add(parts[0])
+            npis.append(parts[0])
+            try:
+                row = np.array([float(v) for v in parts[1:]])
+            except ValueError:
+                raise ParseError(f"{path}: line {lineno}: malformed feature value") from None
+            if not np.isfinite(row).all():
+                raise ParseError(f"{path}: line {lineno}: feature values must be finite")
+            rows.append(row)
+    if not rows:
+        raise ParseError(f"{path}: no feature rows")
+    return FeatureMatrix(values=np.vstack(rows), columns=columns, npis=tuple(npis))
 
 
 def supervised_loss(scores: np.ndarray, labels: np.ndarray) -> float:

@@ -319,6 +319,28 @@ class TestErrorContract:
         assert not (out / "scores.csv").exists() and not (out / "score_manifest.json").exists()
 
     @pytest.mark.parametrize(
+        "command, artifact",
+        [("pseudolabel", "pseudo_labels.csv"), ("train", "detector.json"), ("score", "scores.csv")],
+    )
+    def test_features_with_a_repeated_npi(self, pipeline_dirs, tmp_path, capsys, command, artifact):
+        # score once wrote both rows, and evaluate failed one command late on scores.csv
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dirs / "a", out)
+        features = out / "features.csv"
+        header, first, *rest = features.read_text().splitlines(keepends=True)
+        features.write_text(header + first + first + "".join(rest))
+        for name in (artifact, f"{command}_manifest.json"):
+            (out / name).unlink()
+        npi = first.split(",")[0]
+        self.check_error(
+            capsys,
+            ["--seed", "3", "--out-dir", str(out), *SPEED, command],
+            "ParseError",
+            f"{features}: line 3: duplicate npi {npi!r}",
+        )
+        assert not (out / artifact).exists() and not (out / f"{command}_manifest.json").exists()
+
+    @pytest.mark.parametrize(
         "command, key, artifact",
         [("pretrain", "pretrain.epochs", "encoders.json"), ("train", "detector.epochs", "detector.json")],
     )
@@ -377,6 +399,24 @@ def test_commands_and_ablation_workers_do_not_import_scipy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+def test_commands_leak_no_warning_to_stderr(tmp_path):
+    # -W error turns any warning, numpy's "input contained no data" among them, into a crash
+    env = dict(os.environ, PYTHONPATH=str(Path(clevercatch.__file__).parents[1]))
+
+    def run(command):
+        argv = [sys.executable, "-W", "error", "-m", "clevercatch", "--seed", "3", "--out-dir", str(tmp_path)]
+        return subprocess.run([*argv, *SPEED, command], env=env, capture_output=True, text=True)
+
+    for command in ("simulate", "featurize", "pretrain", "train", "score"):
+        result = run(command)
+        assert (result.returncode, result.stderr) == (0, ""), command
+    features = tmp_path / "features.csv"
+    features.write_text(features.read_text().splitlines(keepends=True)[0])
+    result = run("score")
+    assert result.returncode == 1
+    assert result.stderr == f"error: ParseError: {features}: no feature rows\n"
 
 
 class TestEncoderBinding:

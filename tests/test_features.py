@@ -354,3 +354,83 @@ def test_write_features_csv_leaves_earlier_file_on_failure(tmp_path, monkeypatch
         write_features_csv(doubled, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["features.csv"]
+
+
+FEATURE_VALUES = (
+    "0", "-0", "0.5", "-0.25", "1e-300", "3.0000000000000004", "-0.99999999999999989", " 4", "7 ",
+    "1_000", "١", "nan", "inf", "-inf", "Infinity", "1e400", "abc", "", '"1"',
+)
+
+
+@st.composite
+def feature_files(draw):
+    """features.csv text: repeated npis, blank lines, CRLF or LF, wrong field counts,
+    malformed and non-finite values, and files without rows."""
+    width = draw(st.integers(0, 4))
+    terminator = draw(st.sampled_from(("\n", "\r\n")))
+    lines = [",".join(["npi", *feature_columns(1)[:width]])]
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 5)) == 0:  # a blank line still counts toward line numbers
+            lines.append(draw(st.sampled_from(("", "", "", " "))))
+            continue
+        fresh = f"{1_000_000_000 + len(lines)}"
+        npi = draw(st.sampled_from(("N 0", 'N"1', *[fresh] * 6)))  # may repeat
+        n_values = max(width + draw(st.sampled_from((0,) * 14 + (-1, 1))), 0)
+        # one row in six draws from the malformed and non-finite values too
+        pool = FEATURE_VALUES if draw(st.integers(0, 5)) == 0 else FEATURE_VALUES[:7]
+        values = draw(st.lists(st.sampled_from(pool), min_size=n_values, max_size=n_values))
+        lines.append(",".join([npi, *values]))
+    return terminator.join(lines) + (terminator if draw(st.booleans()) else "")
+
+
+def read_both(path):
+    """The outcome of the library reader and of the oracle: a FeatureMatrix or the ParseError text."""
+    results = []
+    for read in (read_features_csv, oracles.read_features_csv):
+        try:
+            results.append(read(path))
+        except ParseError as exc:
+            results.append(str(exc))
+    return results
+
+
+@settings(deadline=None, max_examples=300)
+@given(text=feature_files())
+def test_feature_reader_matches_row_oracle(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("features") / "features.csv"
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+    new, old = read_both(path)
+    if isinstance(old, str):
+        assert new == old
+    else:
+        assert new.columns == old.columns and new.npis == old.npis
+        assert new.values.dtype == old.values.dtype and new.values.shape == old.values.shape
+        assert new.values.tobytes() == old.values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("A,0.5\n\nA,0.25\n", "line 4: duplicate npi 'A'"),
+        ("A,0.5\nB,nan\nA,0.25\n", "line 3: feature values must be finite"),
+        ("A,0.5\nB,1_000\nC,x\n", "line 4: malformed feature value"),
+        ("A,0.5\r\nB,0.5,1\r\n", "line 3: expected 2 fields, got 3"),
+        ("\n\n", "no feature rows"),
+    ],
+)
+def test_feature_reader_errors_match_the_oracle(tmp_path, body, message):
+    path = tmp_path / "features.csv"
+    path.write_bytes(("npi,f1\n" + body).encode())
+    new, old = read_both(path)
+    assert isinstance(old, str) and old.endswith(message)
+    assert new == old
+
+
+def test_feature_reader_takes_what_float_takes(tmp_path):
+    # numpy refuses 1_000 and non-ASCII digits; the row reader takes them as float() does
+    path = tmp_path / "features.csv"
+    path.write_text("npi,f1,f2\nA,1_000,١\nB,0.5,-0\n", encoding="utf-8")
+    new, old = read_both(path)
+    assert new.values.tolist() == [[1000.0, 1.0], [0.5, -0.0]]
+    assert new.values.tobytes() == old.values.tobytes() and new.npis == old.npis == ("A", "B")

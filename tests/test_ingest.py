@@ -5,12 +5,14 @@ import io
 import logging
 import tracemalloc
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from clevercatch import ingest
 from clevercatch.errors import ParseError, ValidationError
 from clevercatch.ingest import LabelTable, parse_claims_csv, parse_labels
 from clevercatch.vocab import Vocabulary
@@ -186,14 +188,31 @@ def assert_tables_identical(new, old):
 NUMBERS = ("0", "-0", "1", "7", "0.1", "2.5", "1e3", "3.0000000000000004", "12.75", " 4", "0.0")
 DRUGS = ("DrugA", "DrugB", "Drug, extended release", 'Drug "X"', "Opioid Z")
 FAULTS = ("", "-1", "nan", "inf", "abc", "1e400", "20x9")
+# Hand-written records at the edge of what numpy's reader takes. Each one reads
+# the same through both of the library's readers, or sends the file to the
+# record-by-record one.
+HAND_RECORDS = (
+    '300,2019,gp, "DrugX",1,2,3,4,5',  # a space before an opening quote keeps the quotes
+    '300,2019,gp,"Drug"X,1,2,3,4,5',  # text after a closing quote joins the field
+    "300,2019,gp,DrugA,1_000,2,3,4,5",  # float() takes 1_000
+    "300,２０１９,gp,DrugA,1,2,3,4,5",  # int() takes full-width digits
+    '300,2019,"general\npractice",DrugA,1,2,3,4,5',  # a quoted line break
+    '300,2019,gp,DrugA,1,2,3,4,"5\r\n"',
+)
+HAND_FAULTS = (
+    '300,2019,gp, "Drug, X",1,2,3,4,5',  # a space before an opening quote: the comma splits
+    "300,2019,gp,DrugA,1,2,3,4,5,",  # a trailing comma: 10 fields
+)
 
 
 @st.composite
 def claims_files(draw, faulty: bool):
-    """Random claims text: repeated cells, blank records, CRLF or LF, quoted names.
+    """Random claims text: repeated cells, blank records, CRLF or LF, quoted names,
+    and the hand-written records.
 
     With faulty set, a few fields may be replaced by empty, negative,
-    non-finite or malformed text, or a record may lose a field.
+    non-finite or malformed text, a record may lose a field, or a hand-written
+    faulty record may appear.
     """
     cell = st.tuples(
         st.sampled_from(("100", "200", "300", "400")),
@@ -204,6 +223,7 @@ def claims_files(draw, faulty: bool):
     index = st.integers(0, len(cells) - 1)
     order = draw(st.lists(index, min_size=0, max_size=25))
     terminator = draw(st.sampled_from(("\n", "\r\n")))
+    hand = st.sampled_from(HAND_RECORDS + HAND_FAULTS if faulty else HAND_RECORDS)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator=terminator)
     writer.writerow(oracles.CLAIMS_HEADER)
@@ -217,6 +237,8 @@ def claims_files(draw, faulty: bool):
         writer.writerow(row)
         if draw(st.integers(0, 5)) == 0:
             buffer.write(terminator)  # a blank record still counts toward line numbers
+        if draw(st.integers(0, 9)) == 0:
+            buffer.write(draw(hand) + terminator)
     return buffer.getvalue()
 
 
@@ -225,26 +247,32 @@ def write_text(path, text):
         handle.write(text)
 
 
+# records per numpy call: one, a few, and the library's own chunk
+CHUNK_ROWS = st.sampled_from((1, 2, 3, ingest._CHUNK_ROWS))
+
+
 @settings(deadline=None, max_examples=150)
-@given(text=claims_files(faulty=False), triple=st.booleans())
-def test_columnar_parser_matches_oracle_bitwise(tmp_path_factory, text, triple):
+@given(text=claims_files(faulty=False), triple=st.booleans(), chunk_rows=CHUNK_ROWS)
+def test_columnar_parser_matches_oracle_bitwise(tmp_path_factory, text, triple, chunk_rows):
     path = tmp_path_factory.mktemp("claims") / "claims.csv"
     if triple:  # every record three times: each cell sums three rows in file order
         header, _, body = text.partition("\n")
         text = header + "\n" + body * 3
     write_text(path, text)
-    (new, new_log), (old, old_log) = parse_both(path)
+    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+        (new, new_log), (old, old_log) = parse_both(path)
     assert not isinstance(old, str)
     assert_tables_identical(new, old)
     assert new_log == old_log
 
 
 @settings(deadline=None, max_examples=150)
-@given(text=claims_files(faulty=True))
-def test_columnar_parser_reports_the_oracles_first_error(tmp_path_factory, text):
+@given(text=claims_files(faulty=True), chunk_rows=CHUNK_ROWS)
+def test_columnar_parser_reports_the_oracles_first_error(tmp_path_factory, text, chunk_rows):
     path = tmp_path_factory.mktemp("claims") / "claims.csv"
     write_text(path, text)
-    (new, new_log), (old, old_log) = parse_both(path)
+    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+        (new, new_log), (old, old_log) = parse_both(path)
     if isinstance(old, str):
         assert new == old
     else:
@@ -283,6 +311,41 @@ def test_parse_errors_match_the_oracle(tmp_path, rows, message):
     (new, _), (old, _) = parse_both(path)
     assert isinstance(old, str) and message in old
     assert new == old
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2])
+@pytest.mark.parametrize("record", HAND_RECORDS + HAND_FAULTS)
+def test_hand_written_records_match_the_oracle(tmp_path, monkeypatch, record, chunk_rows):
+    monkeypatch.setattr(ingest, "_CHUNK_ROWS", chunk_rows)
+    path = tmp_path / "claims.csv"
+    write_claims(path, ["100,2019,gp,DrugA,1,2,3,4,5", record, "200,2020,gp,DrugB,1,2,3,4,5"])
+    (new, new_log), (old, old_log) = parse_both(path)
+    if isinstance(old, str):
+        assert old.startswith(f"{path}: line 3: expected 9 fields, got 10")
+        assert new == old
+    else:
+        assert_tables_identical(new, old)
+        assert new_log == old_log
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3])
+def test_quoted_line_breaks_stay_on_the_fast_path(tmp_path, monkeypatch, chunk_rows):
+    # a record whose quoted field holds a line break spans two lines, so with a
+    # chunk of one or two records a line-based split would cut through it
+    def refuse(self, path, handle):
+        raise AssertionError("the file went to the record-by-record reader")
+
+    monkeypatch.setattr(ingest, "_CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(ingest._Columns, "read_records", refuse)
+    path = tmp_path / "claims.csv"
+    record = '{0},2019,"general\r\npractice",Drug{0},1,2,3,4,"{0}\n"\r\n\r\n'
+    records = (record.format(npi) for npi in range(100, 107))
+    write_text(path, CLAIMS_HEADER + "\r\n" + "".join(records))
+    new = parse_claims_csv(path)
+    monkeypatch.undo()
+    (_, _), (old, _) = parse_both(path)
+    assert_tables_identical(new, old)
+    assert new.metrics[:, 4].tolist() == list(range(100, 107))
 
 
 @pytest.mark.parametrize("npi", ["10,1", 'N"7', "10\n1", "10\r1"])
