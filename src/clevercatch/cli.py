@@ -47,6 +47,7 @@ from .errors import CleverCatchError
 from .evaluation import (
     MetricsRow,
     ablation_run,
+    evaluable_ks,
     evaluate_scores,
     pr_curve,
     read_scores_csv,
@@ -211,11 +212,7 @@ def cmd_evaluate(run: Run):
     labels = parse_labels(run.input("labels"), Vocabulary(npis))
     y = labels.labels
     s = scores[labels.idx]
-    ks = tuple(k for k in cfg.evaluate.ks if k <= y.size)
-    if not ks:
-        raise CleverCatchError(
-            f"all ks in {cfg.evaluate.ks} exceed the {y.size} labeled prescribers"
-        )
+    ks = evaluable_ks(cfg.evaluate.ks, y.size)
     result = evaluate_scores(y, s, ks, cfg.evaluate.threshold)
     curve = pr_curve(y, s)
     report_path = run.output("report")

@@ -28,7 +28,7 @@ from .alignment import (
 from .encoders import EncoderModel, rule_encode, sample_encode
 from .errors import NumericError, ParseError, ShapeError, ValidationError
 from .ingest import LabelTable
-from .io_utils import atomic_write_text, dumps_canonical, fmt_float, read_json_document
+from .io_utils import atomic_write_text, dumps_canonical, fmt_float, read_json_document, write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -271,10 +271,9 @@ def write_pseudo_labels_csv(path, npis, report: PseudoLabelReport) -> None:
         raise ShapeError(
             f"{len(npis)} prescriber ids for {report.labels.size} pseudo-labels"
         )
-    lines = [",".join(PSEUDO_LABELS_HEADER)]
-    for npi, cost, label in zip(npis, report.costs, report.labels):
-        lines.append(f"{npi},{fmt_float(cost)},{fmt_float(label)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = zip(npis, report.costs, report.labels)
+    write_csv(path, PSEUDO_LABELS_HEADER,
+              (f"{npi},{fmt_float(cost)},{fmt_float(label)}" for npi, cost, label in rows))
 
 
 def save_detector(path, model: DetectorModel) -> None:

@@ -9,7 +9,6 @@ Ranking ties always break on ascending row index.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import logging
 import math
@@ -27,7 +26,7 @@ from .encoders import PretrainConfig, pretrain
 from .errors import ParseError, ShapeError, UndefinedMetricError, ValidationError
 from .features import BLOCK, build_feature_matrix
 from .ingest import ClaimsTable, LabelTable
-from .io_utils import atomic_write_text, fmt_float
+from .io_utils import csv_records, fmt_float, write_csv
 from .rules import RuleSet
 
 logger = logging.getLogger(__name__)
@@ -93,6 +92,14 @@ def recall_at_k(labels, scores, k: int) -> float:
         raise UndefinedMetricError("recall_at_k needs at least one positive label")
     top = _rank_order(s)[:k]
     return int(y[top].sum()) / n_pos
+
+
+def evaluable_ks(ks: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The ks at which recall can be taken on n evaluated prescribers; none is an error."""
+    kept = tuple(k for k in ks if k <= n)
+    if not kept:
+        raise ValidationError(f"all ks in {ks} exceed the {n} labeled prescribers")
+    return kept
 
 
 def prf_at_threshold(labels, scores, threshold: float) -> dict[str, float]:
@@ -258,7 +265,7 @@ def ablation_subset(
     if len(keep) == len(ruleset):
         return ruleset, features
     columns = (BLOCK * np.array(keep)[:, None] + np.arange(BLOCK)).ravel()
-    return ruleset.subset(lambda rule: rule.kind != dropped), features[:, columns]
+    return RuleSet([ruleset.rules[j] for j in keep], ruleset.vocab), features[:, columns]
 
 
 def _run_configuration(
@@ -311,9 +318,10 @@ def ablation_run(
     subset slices its rules' blocks from it. A subset that would leave no
     rules is skipped with a note. With eval_fraction > 0 the labeled set is
     split and metrics are computed on the held-out part only; otherwise on
-    all labeled prescribers. The (seed, configuration) jobs run in spawned
-    worker processes, at most one per usable CPU; their results are taken in
-    submission order, so the report equals that of a serial run.
+    all labeled prescribers. A k above the smallest evaluated set is dropped
+    before any configuration trains. The (seed, configuration) jobs run in
+    spawned worker processes, at most one per usable CPU; their results are
+    taken in submission order, so the report equals that of a serial run.
     """
     config_names = configs_for_groups(tuple(groups))
     pretrain_cfg = pretrain_cfg if pretrain_cfg is not None else PretrainConfig()
@@ -321,16 +329,16 @@ def ablation_run(
     detector_cfg = detector_cfg if detector_cfg is not None else DetectorConfig()
     if labels.n_labeled == 0:
         raise ValidationError("ablation needs labeled prescribers")
+    splits = [
+        split_labels(labels, eval_fraction, nn.derive_seed(seed, "split"))
+        if eval_fraction > 0.0 else (labels, labels)
+        for seed in seeds
+    ]
+    ks = evaluable_ks(ks, min((e.n_labeled for _, e in splits), default=labels.n_labeled))
     features = build_feature_matrix(claims, ruleset).values
     jobs: list[tuple] = []  # _run_configuration's arguments, seed by seed
     notes: list[str] = []
-    for seed in seeds:
-        if eval_fraction > 0.0:
-            train_labels, eval_labels = split_labels(
-                labels, eval_fraction, nn.derive_seed(seed, "split")
-            )
-        else:
-            train_labels, eval_labels = labels, labels
+    for seed, (train_labels, eval_labels) in zip(seeds, splits):
         for name in config_names:
             subset = ablation_subset(name, ruleset, features)
             if subset is None:
@@ -367,14 +375,10 @@ def ablation_run(
     return AblationReport(rows=rows, deltas=deltas, notes=notes, ks=ks)
 
 
-def _report_header(ks: tuple[int, ...]) -> list[str]:
-    return ["config", "seed", "pr_auc", *[f"r@{k}" for k in ks], "precision", "recall", "f1"]
-
-
 def write_report_csv(path, rows: list[MetricsRow], ks: tuple[int, ...] = DEFAULT_KS,
                      deltas: list[DeltaRow] | None = None) -> None:
     """Metrics report CSV; metric drops (vs full) go in trailing comment lines."""
-    lines = [R_AT_K_NOTE, ",".join(_report_header(ks))]
+    lines = []
     for row in rows:
         r = row.result
         cells = [row.config, str(row.seed), fmt_float(r.pr_auc)]
@@ -387,24 +391,22 @@ def write_report_csv(path, rows: list[MetricsRow], ks: tuple[int, ...] = DEFAULT
         lines.append(
             f"# delta vs full: config={delta.config} seed={delta.seed} " + " ".join(parts)
         )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    header = ["config", "seed", "pr_auc", *[f"r@{k}" for k in ks], "precision", "recall", "f1"]
+    write_csv(path, header, lines, comments=[R_AT_K_NOTE])
 
 
 def write_pr_curve_csv(path, curve: PrCurve) -> None:
-    lines = ["threshold,precision,recall"]
-    for t, p, r in zip(curve.thresholds, curve.precisions, curve.recalls):
-        lines.append(f"{fmt_float(t)},{fmt_float(p)},{fmt_float(r)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    points = zip(curve.thresholds, curve.precisions, curve.recalls)
+    write_csv(path, ["threshold", "precision", "recall"],
+              (f"{fmt_float(t)},{fmt_float(p)},{fmt_float(r)}" for t, p, r in points))
 
 
 SCORES_HEADER = ["npi", "score", "rank"]
 
 
 def write_scores_csv(path, npis: list[str], scores: np.ndarray, ranks: np.ndarray) -> None:
-    lines = [",".join(SCORES_HEADER)]
-    for npi, s, rank in zip(npis, scores, ranks):
-        lines.append(f"{npi},{fmt_float(float(s))},{int(rank)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = zip(npis, scores, ranks)
+    write_csv(path, SCORES_HEADER, (f"{npi},{fmt_float(float(s))},{int(rank)}" for npi, s, rank in rows))
 
 
 def read_scores_csv(path) -> tuple[list[str], np.ndarray]:
@@ -415,30 +417,19 @@ def read_scores_csv(path) -> tuple[list[str], np.ndarray]:
     npis: list[str] = []
     scores: list[float] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header not in (SCORES_HEADER, SCORES_HEADER[:2]):
-            raise ParseError(f"{path}: line 1: expected header npi,score[,rank]")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"{path}: line {lineno}: expected {len(header)} fields")
-            npi = row[0]
-            if npi in seen:
-                raise ParseError(f"{path}: line {lineno}: duplicate npi {npi!r}")
-            seen.add(npi)
-            try:
-                value = float(row[1])
-            except ValueError:
-                raise ParseError(
-                    f"{path}: line {lineno}: score {row[1]!r} is not a number"
-                ) from None
-            if not math.isfinite(value):
-                raise ParseError(f"{path}: line {lineno}: score must be finite")
-            npis.append(npi)
-            scores.append(value)
+    for lineno, row in csv_records(path, [SCORES_HEADER, SCORES_HEADER[:2]]):
+        npi = row[0]
+        if npi in seen:
+            raise ParseError(f"{path}: line {lineno}: duplicate npi {npi!r}")
+        seen.add(npi)
+        try:
+            value = float(row[1])
+        except ValueError:
+            raise ParseError(f"{path}: line {lineno}: score {row[1]!r} is not a number") from None
+        if not math.isfinite(value):
+            raise ParseError(f"{path}: line {lineno}: score must be finite")
+        npis.append(npi)
+        scores.append(value)
     if not npis:
         raise ParseError(f"{path}: no score rows")
     return npis, np.array(scores, dtype=np.float64)

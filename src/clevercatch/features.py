@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ParseError, ShapeError, ValidationError
 from .ingest import CHANNELS, ClaimsTable
-from .io_utils import FLOAT_FMT, atomic_write_text
+from .io_utils import FLOAT_FMT, write_csv
 from .rules import RuleSet
 
 STATS = ("min", "mean", "max")
@@ -101,10 +101,8 @@ def build_feature_matrix(claims: ClaimsTable, ruleset: RuleSet) -> FeatureMatrix
 
 def write_features_csv(features: FeatureMatrix, path) -> None:
     row_format = "%s," + ",".join([FLOAT_FMT] * len(features.columns))
-    lines = ["npi," + ",".join(features.columns)]
-    for npi, row in zip(features.npis, features.values):
-        lines.append(row_format % (npi, *row.tolist()))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = zip(features.npis, features.values)
+    write_csv(path, ["npi", *features.columns], (row_format % (npi, *row.tolist()) for npi, row in rows))
 
 
 def read_features_csv(path) -> FeatureMatrix:

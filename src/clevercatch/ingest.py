@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, ValidationError
+from .io_utils import csv_records
 from .vocab import Vocabulary
 
 logger = logging.getLogger(__name__)
@@ -69,12 +70,14 @@ def parse_claims_csv(path) -> ClaimsTable:
     only after every record passes. Duplicates are summed in file order.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
+        # the one csv.reader outside io_utils: numpy's fast path reads the
+        # records from this handle, so the header is taken from it first
         if next(csv.reader(handle), None) != CLAIMS_HEADER:
             raise ParseError(f"{path}: line 1: expected header {','.join(CLAIMS_HEADER)}")
         columns = _Columns()
         if not columns.read_chunks(handle):
             columns = _Columns()
-            columns.read_records(path, handle)
+            columns.read_records(path)
     prescribers, drugs = columns.prescribers, columns.drugs
     n = len(columns.npi)
     npi_idx = np.frombuffer(columns.npi, dtype=np.int64)
@@ -124,8 +127,6 @@ def parse_claims_csv(path) -> ClaimsTable:
 def _record_error(path, lineno: int, row: list[str]) -> ParseError | None:
     """The first fault of one claims record, checking its fields in column order."""
     where = f"{path}: line {lineno}"
-    if len(row) != 9:
-        return ParseError(f"{where}: expected 9 fields, got {len(row)}")
     if not row[0] or not row[3]:
         return ParseError(f"{where}: npi and drug must be non-empty")
     try:
@@ -189,14 +190,9 @@ class _Columns:
                 self.year.frombytes(chunk["year"].tobytes())
                 self.metrics.frombytes(metrics.tobytes())
 
-    def read_records(self, path, handle) -> None:
-        """Append every record through csv.reader, raising the first faulty record's error."""
-        handle.seek(0)
-        reader = csv.reader(handle)
-        next(reader)  # the header, checked already
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+    def read_records(self, path) -> None:
+        """Append every record through csv_records, raising the first faulty record's error."""
+        for lineno, row in csv_records(path, [CLAIMS_HEADER]):
             error = _record_error(path, lineno, row)
             if error is not None:
                 raise error
@@ -242,29 +238,17 @@ def parse_labels(path, prescribers: Vocabulary) -> LabelTable:
     labels: list[int] = []
     seen: set[str] = set()
     n_skipped = 0
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != LABELS_HEADER:
-            raise ParseError(f"{path}: line 1: expected header npi,label")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParseError(f"{path}: line {lineno}: expected npi,label")
-            npi, label_text = row
-            if label_text not in ("0", "1"):
-                raise ParseError(
-                    f"{path}: line {lineno}: label must be 0 or 1, got {label_text!r}"
-                )
-            if npi in seen:
-                raise ParseError(f"{path}: line {lineno}: duplicate label for npi {npi!r}")
-            seen.add(npi)
-            if npi not in prescribers:
-                n_skipped += 1
-                continue
-            idx.append(prescribers.index(npi))
-            labels.append(int(label_text))
+    for lineno, (npi, label_text) in csv_records(path, [LABELS_HEADER]):
+        if label_text not in ("0", "1"):
+            raise ParseError(f"{path}: line {lineno}: label must be 0 or 1, got {label_text!r}")
+        if npi in seen:
+            raise ParseError(f"{path}: line {lineno}: duplicate label for npi {npi!r}")
+        seen.add(npi)
+        if npi not in prescribers:
+            n_skipped += 1
+            continue
+        idx.append(prescribers.index(npi))
+        labels.append(int(label_text))
     if n_skipped:
         msg = "%s: skipped %d labels for npis not among the %d prescribers being labeled"
         logger.warning(msg, path, n_skipped, len(prescribers))

@@ -1,13 +1,20 @@
 """Deterministic serialization helpers: float formatting, canonical JSON, hashing,
-and the checked read of a versioned model document."""
+the checked read of a versioned model document, and the one CSV dialect.
+
+Every CSV table is comma-separated, LF-terminated and starts with a header.
+Writers hand over lines they formatted themselves; readers get each record's
+fields after the header and field count are checked.
+"""
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
 import tempfile
 from pathlib import Path
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -89,6 +96,31 @@ def atomic_write_text(path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_csv(path, header: Sequence[str], lines: Iterable[str], comments: Sequence[str] = ()) -> None:
+    """Write comment lines, the header, then one pre-formatted line per item, atomically."""
+    atomic_write_text(path, "\n".join([*comments, ",".join(header), *lines, ""]))  # "" ends the last line
+
+
+def csv_records(path, headers: Sequence[Sequence[str]]) -> Iterator[tuple[int, list[str]]]:
+    """(record number, fields) of each non-blank record of a CSV whose header is one of headers.
+
+    Records are numbered from 2, the header being record 1, and blank records
+    are counted. A record must have as many fields as the header.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header not in map(list, headers):
+            expected = " or ".join(",".join(h) for h in headers)
+            raise ParseError(f"{path}: line 1: expected header {expected}")
+        for lineno, fields in enumerate(reader, start=2):
+            if not fields:
+                continue
+            if len(fields) != len(header):
+                raise ParseError(f"{path}: line {lineno}: expected {len(header)} fields, got {len(fields)}")
+            yield lineno, fields
 
 
 def sha256_file(path) -> str:

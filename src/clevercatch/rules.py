@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .io_utils import atomic_write_text, fmt_float, sha256_text
+from .io_utils import atomic_write_text, csv_records, fmt_float, sha256_text
 from .vocab import Vocabulary
 
 RULES_HEADER = ["kind", "drug_p", "drug_q", "weight"]
@@ -81,40 +81,23 @@ class RuleSet:
         """Hash of the canonical serialization; stable across runs."""
         return sha256_text("\n".join(self.canonical_lines()) + "\n")
 
-    def subset(self, keep) -> "RuleSet | None":
-        """New RuleSet with rules passing the predicate, or None if empty."""
-        kept = [r for r in self.rules if keep(r)]
-        if not kept:
-            return None
-        return RuleSet(kept, self.vocab)
-
 
 def parse_rules(path, vocab: Vocabulary) -> RuleSet:
     """Parse a rules CSV (kind,drug_p,drug_q,weight) against a drug vocabulary."""
     rules: list[Rule] = []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != RULES_HEADER:
-            raise ParseError(f"{path}: line 1: expected header {','.join(RULES_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ParseError(f"{path}: line {lineno}: expected 4 fields, got {len(row)}")
-            kind, drug_p, drug_q, weight_text = row
-            try:
-                weight = float(weight_text)
-            except ValueError:
-                raise ParseError(f"{path}: line {lineno}: malformed weight {weight_text!r}") from None
-            try:
-                rule = Rule(kind, drug_p, drug_q or None, weight)
-            except ValidationError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from None
-            for name in (rule.p, rule.q):
-                if name is not None and name not in vocab:
-                    raise ParseError(f"{path}: line {lineno}: unknown drug name {name!r}")
-            rules.append(rule)
+    for lineno, (kind, drug_p, drug_q, weight_text) in csv_records(path, [RULES_HEADER]):
+        try:
+            weight = float(weight_text)
+        except ValueError:
+            raise ParseError(f"{path}: line {lineno}: malformed weight {weight_text!r}") from None
+        try:
+            rule = Rule(kind, drug_p, drug_q or None, weight)
+        except ValidationError as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from None
+        for name in (rule.p, rule.q):
+            if name is not None and name not in vocab:
+                raise ParseError(f"{path}: line {lineno}: unknown drug name {name!r}")
+        rules.append(rule)
     try:
         return RuleSet(rules, vocab)
     except ValidationError as exc:

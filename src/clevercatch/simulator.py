@@ -21,7 +21,7 @@ import numpy as np
 from . import nn
 from .errors import ValidationError
 from .ingest import CLAIMS_HEADER, LABELS_HEADER
-from .io_utils import atomic_write_text, dumps_canonical
+from .io_utils import atomic_write_text, dumps_canonical, write_csv
 from .rules import Rule, write_rules_csv
 
 SPECIALTY = "general_practice"
@@ -264,20 +264,14 @@ def generate(cfg: SimConfig) -> SimData:
 
 
 def write_claims_csv(path, rows: list[ClaimRow]) -> None:
-    lines = [",".join(CLAIMS_HEADER)]
-    for r in rows:
-        lines.append(
-            f"{r.npi},{r.year},{SPECIALTY},{r.drug},{r.claims},{r.fills},"
-            f"{r.days},{r.cost:.2f},{r.bene}"
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, CLAIMS_HEADER, (
+        f"{r.npi},{r.year},{SPECIALTY},{r.drug},{r.claims},{r.fills},{r.days},{r.cost:.2f},{r.bene}"
+        for r in rows
+    ))
 
 
 def write_labels_csv(path, npis: list[str], labels: np.ndarray) -> None:
-    lines = [",".join(LABELS_HEADER)]
-    for npi, label in zip(npis, labels):
-        lines.append(f"{npi},{int(label)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, LABELS_HEADER, (f"{npi},{int(label)}" for npi, label in zip(npis, labels)))
 
 
 def write_sim_data(cfg: SimConfig, out_dir) -> tuple[SimData, dict[str, Path]]:

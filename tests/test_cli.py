@@ -374,6 +374,20 @@ class TestErrorContract:
         assert multiprocessing.active_children() == []
         assert not (tmp_path / "ablation_report.csv").exists()
 
+    def test_ablate_drops_ks_beyond_the_held_out_labels(self, tmp_path, capsys):
+        # 60 labeled prescribers, half held out: r@100 cannot be taken, as in evaluate
+        run_ok("simulate", tmp_path)
+        run_ok("ablate", tmp_path, ["--set", "evaluate.ks=5,100"])
+        report = (tmp_path / "ablation_report.csv").read_text().splitlines()
+        assert report[1] == "config,seed,pr_auc,r@5,precision,recall,f1"
+        assert "r@100" not in capsys.readouterr().out
+        self.check_error(
+            capsys,
+            ["--seed", "3", "--out-dir", str(tmp_path), *SPEED, "--set", "evaluate.ks=100", "ablate"],
+            "ValidationError",
+            "all ks in (100,) exceed the 30 labeled prescribers",
+        )
+
 
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 

@@ -371,6 +371,13 @@ class TestAblationSubset:
                 assert sub_values.shape == rebuilt.shape
                 assert sub_values.tobytes() == rebuilt.tobytes(), (seed, name)
 
+    def test_unary_only_subset(self, toy_ruleset):
+        features = np.arange(3 * 30, dtype=np.float64).reshape(3, 30)
+        sub_rules, sub_values = ablation_subset("minus-cost", toy_ruleset, features)
+        assert sub_rules.rules == (Rule("unary", "DrugC", None, 0.6),)
+        assert sub_rules.vocab is toy_ruleset.vocab
+        assert sub_values.tobytes() == features[:, 15:].tobytes()
+
     def test_dropped_kind_and_empty_subset(self):
         vocab = Vocabulary(["A", "B", "C"])
         ruleset = RuleSet([Rule("unary", "A", None, 0.5), Rule("unary", "C", None, 0.9)], vocab)

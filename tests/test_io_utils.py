@@ -1,0 +1,64 @@
+"""The one CSV dialect: the atomic writer and the checked record reader shared by every table."""
+
+import pytest
+
+from clevercatch.errors import ParseError
+from clevercatch.evaluation import read_scores_csv
+from clevercatch.ingest import parse_claims_csv, parse_labels
+from clevercatch.io_utils import csv_records, write_csv
+from clevercatch.rules import parse_rules
+from clevercatch.vocab import Vocabulary
+
+CLAIMS_HEADER = (
+    "npi,year,specialty,drug,total_claims,total_30day_fills,total_day_supply,total_cost,"
+    "total_beneficiaries"
+)
+
+# reader, header line, one good record, the header text its error names
+READERS = {
+    "labels": (lambda path: parse_labels(path, Vocabulary(["100"])), "npi,label", "100,1", "npi,label"),
+    "rules": (
+        lambda path: parse_rules(path, Vocabulary(["DrugA"])),
+        "kind,drug_p,drug_q,weight", "unary,DrugA,,0.5", "kind,drug_p,drug_q,weight",
+    ),
+    "scores": (read_scores_csv, "npi,score,rank", "100,0.5,1", "npi,score,rank or npi,score"),
+    "claims": (parse_claims_csv, CLAIMS_HEADER, "100,2019,gp,DrugA,1,2,3,4,5", CLAIMS_HEADER),
+}
+
+
+@pytest.mark.parametrize("case", ["wrong header", "wrong field count", "blank record first"])
+@pytest.mark.parametrize("table", READERS)
+def test_record_readers_share_one_error_contract(tmp_path, table, case):
+    read, header, good, expected_header = READERS[table]
+    width = header.count(",") + 1
+    path = tmp_path / f"{table}.csv"
+    text, message = {
+        "wrong header": (
+            f"x{header}\n{good}\n", f"line 1: expected header {expected_header}"
+        ),
+        "wrong field count": (
+            f"{header}\n{good}\n{good},9\n", f"line 3: expected {width} fields, got {width + 1}"
+        ),
+        # a blank record still counts in the record numbers
+        "blank record first": (
+            f"{header}\n\n{good.rsplit(',', 1)[0]}\n", f"line 3: expected {width} fields, got {width - 1}"
+        ),
+    }[case]
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        read(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_write_csv_layout_and_records_round_trip(tmp_path):
+    path = tmp_path / "table.csv"
+    write_csv(path, ["a", "b"], (f"{i},{i * i}" for i in range(3)), comments=["# note"])
+    assert path.read_bytes() == b"# note\na,b\n0,0\n1,1\n2,4\n"
+    write_csv(path, ["a", "b"], ["x,1", "", "y,2"])
+    assert list(csv_records(path, [["a", "b"]])) == [(2, ["x", "1"]), (4, ["y", "2"])]
+
+
+def test_csv_records_accepts_any_of_its_headers(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("a\r\n\r\n1\r\n", encoding="utf-8")
+    assert list(csv_records(path, [["a", "b"], ["a"]])) == [(3, ["1"])]

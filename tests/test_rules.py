@@ -96,10 +96,3 @@ def test_fingerprint_sensitivity(toy_vocab):
     swapped = RuleSet([Rule("binary", "DrugB", "DrugA", 0.8)], toy_vocab)
     assert base.fingerprint() != reweighted.fingerprint()
     assert base.fingerprint() != swapped.fingerprint()
-
-
-def test_subset(toy_ruleset):
-    unary_only = toy_ruleset.subset(lambda r: r.kind == "unary")
-    assert len(unary_only) == 1
-    assert unary_only.rules[0].kind == "unary"
-    assert toy_ruleset.subset(lambda r: False) is None

@@ -127,3 +127,46 @@ def test_every_public_name_is_reached_outside_tests(library_use_block):
     }
     unreached = _unreached(modules, callers, [key.value for key in targets.keys])
     assert not unreached, f"nothing outside tests/ reads {', '.join(unreached)}"
+
+
+def _csv_readers(source: str) -> int:
+    """How many times a module constructs a csv.reader, as csv.reader(...) or an imported reader(...)."""
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "csv"
+        for alias in node.names
+        if alias.name == "reader"
+    }
+    return sum(
+        isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Attribute) and node.func.attr == "reader"
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "csv"
+            or isinstance(node.func, ast.Name) and node.func.id in imported
+        )
+        for node in ast.walk(tree)
+    )
+
+
+def test_csv_reader_detector_on_examples():
+    source = (
+        "import csv\n"
+        "from csv import reader as r\n"
+        "rows = csv.reader(open('a'))\n"
+        "more = r(open('b'))\n"
+        "w = csv.writer(open('c'))\n"
+        "other.reader(x)\n"
+    )
+    assert _csv_readers(source) == 2
+
+
+def test_only_io_utils_reads_csv_records():
+    # ingest takes the claims header with its own csv.reader because numpy's
+    # fast path goes on to read the records from that same file handle
+    found = {
+        path.stem: count
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "io_utils" and (count := _csv_readers(path.read_text(encoding="utf-8")))
+    }
+    assert found == {"ingest": 1}
