@@ -37,8 +37,11 @@ class AlignmentConfig:
             raise ValidationError("momentum must lie in [0, 1)")
 
 
+COST_BLOCK_ROWS = 1024  # sample rows per (rows, R, L) difference temporary
+
+
 def cost_matrix(samples: np.ndarray, rules: np.ndarray) -> np.ndarray:
-    """Exact pairwise squared Euclidean distances, shape (B, R)."""
+    """Exact pairwise squared Euclidean distances, shape (B, R), COST_BLOCK_ROWS rows at a time."""
     samples = np.asarray(samples, dtype=np.float64)
     rules = np.asarray(rules, dtype=np.float64)
     if samples.ndim != 2 or rules.ndim != 2:
@@ -47,8 +50,11 @@ def cost_matrix(samples: np.ndarray, rules: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"latent widths differ: samples {samples.shape[1]}, rules {rules.shape[1]}"
         )
-    diff = samples[:, None, :] - rules[None, :, :]
-    return (diff * diff).sum(axis=2)
+    cost = np.empty((samples.shape[0], rules.shape[0]))
+    for start in range(0, samples.shape[0], COST_BLOCK_ROWS):
+        diff = samples[start : start + COST_BLOCK_ROWS, None, :] - rules[None, :, :]
+        cost[start : start + COST_BLOCK_ROWS] = (diff * diff).sum(axis=2)
+    return cost
 
 
 @dataclass
@@ -87,48 +93,62 @@ def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
     return (np.log1p(s) + np.log(m) + x_max).squeeze(axis)
 
 
-def sinkhorn(
-    cost: np.ndarray,
-    epsilon: float,
-    a: np.ndarray | None = None,
-    b: np.ndarray | None = None,
-    max_iters: int = 500,
-    tol: float = 1e-9,
-) -> TransportPlan:
-    """Entropic transport plan by log-domain Sinkhorn iterations.
+def sinkhorn_stack(
+    costs: np.ndarray, epsilons: np.ndarray, a: np.ndarray | None = None,
+    b: np.ndarray | None = None, max_iters: int = 500, tol: float = 1e-9,
+) -> list[TransportPlan]:
+    """Entropic transport plans of K problems, (K, B, R) costs, by log-domain
+    Sinkhorn iterations on all of them at once; each plan is that of its problem alone.
 
     The dual potentials f, g are updated with log-sum-exp reductions, so the
     kernel exp(-C / epsilon) is never formed and cannot underflow. Each sweep
     ends with the g update, which makes the column sums equal b up to
-    rounding (about 1e-14), so only the row marginal is checked: the solver
-    stops when its worst violation drops below tol or after max_iters sweeps,
-    reporting convergence in the returned plan.
+    rounding (about 1e-14), so only the row marginal is checked: a problem's
+    plan is taken at the first sweep where its worst violation is below tol,
+    or at sweep max_iters, and reports which.
     """
+    costs = np.asarray(costs, dtype=np.float64)
+    epsilons = np.asarray(epsilons, dtype=np.float64)
+    if costs.ndim != 3 or costs.size == 0:
+        raise ShapeError("cost stack must be a non-empty 3-D array")
+    if not np.all(np.isfinite(costs)):
+        raise ValidationError("cost matrix must be finite")
+    if epsilons.shape != costs.shape[:1] or not np.all(np.isfinite(epsilons) & (epsilons > 0)):
+        raise ValidationError(f"epsilon must be positive, got {epsilons}")
+    if max_iters < 1 or tol <= 0:
+        raise ValidationError("max_iters must be >= 1 and tol positive")
+    n_problems, n_rows, n_cols = costs.shape
+    a = _check_marginal(a, n_rows, "row")
+    b = _check_marginal(b, n_cols, "column")
+    log_kernel = -costs / epsilons[:, None, None]
+    log_a, log_b = np.log(a), np.log(b)
+    g = np.zeros((n_problems, n_cols))
+    plans = np.empty_like(costs)
+    iterations = np.full(n_problems, max_iters)
+    active = np.ones(n_problems, dtype=bool)
+    for iteration in range(1, max_iters + 1):
+        f = log_a - _logsumexp(log_kernel + g[:, None, :], axis=2)
+        g = log_b - _logsumexp(log_kernel + f[:, :, None], axis=1)
+        plan = np.exp(f[:, :, None] + g[:, None, :] + log_kernel)
+        done = active & (np.abs(plan.sum(axis=2) - a).max(axis=1) < tol)
+        plans[done] = plan[done]
+        iterations[done] = iteration
+        active &= ~done
+        if not active.any():
+            break
+    plans[active] = plan[active]
+    return [TransportPlan(plans[k], b, not active[k], int(iterations[k])) for k in range(n_problems)]
+
+
+def sinkhorn(
+    cost: np.ndarray, epsilon: float, a: np.ndarray | None = None,
+    b: np.ndarray | None = None, max_iters: int = 500, tol: float = 1e-9,
+) -> TransportPlan:
+    """Entropic transport plan of one (B, R) cost matrix: sinkhorn_stack with K = 1."""
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.size == 0:
         raise ShapeError("cost matrix must be a non-empty 2-D array")
-    if not np.all(np.isfinite(cost)):
-        raise ValidationError("cost matrix must be finite")
-    if not np.isfinite(epsilon) or epsilon <= 0:
-        raise ValidationError(f"epsilon must be positive, got {epsilon}")
-    if max_iters < 1 or tol <= 0:
-        raise ValidationError("max_iters must be >= 1 and tol positive")
-    n_rows, n_cols = cost.shape
-    a = _check_marginal(a, n_rows, "row")
-    b = _check_marginal(b, n_cols, "column")
-    log_kernel = -cost / epsilon
-    log_a = np.log(a)
-    log_b = np.log(b)
-    f = np.zeros(n_rows)
-    g = np.zeros(n_cols)
-    plan = None
-    for iteration in range(1, max_iters + 1):
-        f = log_a - _logsumexp(log_kernel + g[None, :], axis=1)
-        g = log_b - _logsumexp(log_kernel + f[:, None], axis=0)
-        plan = np.exp(f[:, None] + g[None, :] + log_kernel)
-        if np.abs(plan.sum(axis=1) - a).max() < tol:
-            return TransportPlan(plan, b, True, iteration)
-    return TransportPlan(plan, b, False, max_iters)
+    return sinkhorn_stack(cost[None], np.array([epsilon], dtype=np.float64), a, b, max_iters, tol)[0]
 
 
 def transport_cost(plan: TransportPlan, cost: np.ndarray) -> np.ndarray:
@@ -221,3 +241,20 @@ def align_batch(
     epsilon = batch_epsilon(cost, cfg.epsilon_scale)
     plan = sinkhorn(cost, epsilon, b=col_marginal, max_iters=cfg.max_iters, tol=cfg.tol)
     return transport_cost(plan, cost), plan
+
+
+def align_batches(
+    sample_embeds: list[np.ndarray], rule_embeds: np.ndarray, cfg: AlignmentConfig,
+    col_marginal: np.ndarray | None = None,
+) -> list[tuple[np.ndarray, TransportPlan]]:
+    """align_batch of each batch in turn, bitwise, with one stacked Sinkhorn solve per batch size."""
+    costs = [cost_matrix(embeds, rule_embeds) for embeds in sample_embeds]
+    aligned: list = [None] * len(costs)
+    for size in {cost.shape[0] for cost in costs}:
+        group = [k for k, cost in enumerate(costs) if cost.shape[0] == size]
+        epsilons = [batch_epsilon(costs[k], cfg.epsilon_scale) for k in group]
+        plans = sinkhorn_stack(np.stack([costs[k] for k in group]), np.array(epsilons),
+                               b=col_marginal, max_iters=cfg.max_iters, tol=cfg.tol)
+        for k, plan in zip(group, plans):
+            aligned[k] = transport_cost(plan, costs[k]), plan
+    return aligned

@@ -147,12 +147,11 @@ def cmd_pretrain(run: Run):
     encoders, stats = pretrain(ruleset, run.cfg.pretrain, nn.derive_seed(run.seed, "pretrain"))
     path = run.output("encoders")
     save_encoders(path, encoders)
-    last = stats[-1]
-    skipped = sum(s.zero_grad_batches for s in stats)
+    last, ran = stats[-1], [s for s in stats if s.ran]
     print(
-        f"pretrain: {len(stats)} epochs, final loss {last.mean_loss:.6f}, "
+        f"pretrain: {len(ran)} of {len(stats)} epochs run, final loss {last.mean_loss:.6f}, "
         f"holdout separation {last.holdout_separation:.3f}, backward skipped on "
-        f"{skipped} of {sum(s.batches for s in stats)} batches -> {path}"
+        f"{sum(s.zero_grad_batches for s in ran)} of {sum(s.batches for s in ran)} batches -> {path}"
     )
 
 

@@ -20,7 +20,9 @@ from . import nn
 from .alignment import (
     AlignmentConfig,
     CalibrationState,
+    TransportPlan,
     align_batch,
+    align_batches,
     pseudo_labels,
     rule_marginal,
     update_calibration,
@@ -124,7 +126,15 @@ class _Aligner:
     def __call__(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Transport costs and calibrated pseudo-labels of one feature batch."""
         embeds = sample_encode(self.se, batch)
-        costs, plan = align_batch(embeds, self.rule_embeds, self.cfg, self.col_marginal)
+        return self._calibrate(*align_batch(embeds, self.rule_embeds, self.cfg, self.col_marginal))
+
+    def batches(self, batches: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """One call per batch in list order, bitwise, with one Sinkhorn solve per batch size."""
+        embeds = [sample_encode(self.se, batch) for batch in batches]
+        aligned = align_batches(embeds, self.rule_embeds, self.cfg, self.col_marginal)
+        return [self._calibrate(costs, plan) for costs, plan in aligned]  # calibrates in batch order
+
+    def _calibrate(self, costs: np.ndarray, plan: TransportPlan) -> tuple[np.ndarray, np.ndarray]:
         self.plans += 1
         self.unconverged += not plan.converged
         update_calibration(self.calibration, costs)
@@ -151,7 +161,10 @@ def hybrid_train(
     The alignment term runs over every batch row (labeled or not); the
     supervised term averages over a batch's labeled members only, so the two
     objective normalizations (1/|labeled| and 1/batch) are preserved. With
-    lambda = 0 the encoders and alignment settings are ignored.
+    lambda = 0 the encoders and alignment settings are ignored. The encoders
+    are frozen and the permutation does not involve the detector, so each
+    epoch aligns all its batches first, same-size ones in one stacked
+    Sinkhorn solve, bitwise as if each were aligned just before its step.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] < 1:
@@ -173,12 +186,13 @@ def hybrid_train(
     history: list[TrainEpochStats] = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
+        batches = [order[start : start + cfg.batch_size] for start in range(0, n, cfg.batch_size)]
+        aligned = aligner.batches([features[i] for i in batches]) if aligner else [None] * len(batches)
         sup_sum = 0.0
         sup_count = 0
         align_sum = 0.0
         align_count = 0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
+        for idx, costs_and_targets in zip(batches, aligned):
             batch = features[idx]
             out, cache = nn.mlp_forward(mlp, batch)
             scores = out[:, 0]
@@ -189,9 +203,8 @@ def hybrid_train(
                 d_scores[labeled] = d_sup
                 sup_sum += sup_loss * int(labeled.sum())
                 sup_count += int(labeled.sum())
-            if aligner is not None:
-                _, targets = aligner(batch)
-                align_loss_value, d_align = bce_with_grad(scores, targets)
+            if costs_and_targets is not None:
+                align_loss_value, d_align = bce_with_grad(scores, costs_and_targets[1])
                 d_scores += cfg.lam * d_align
                 align_sum += align_loss_value * idx.size
                 align_count += idx.size

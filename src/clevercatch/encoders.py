@@ -260,6 +260,7 @@ class EpochStats:
     holdout_separation: float
     batches: int
     zero_grad_batches: int  # output gradient exactly zero, so backward skipped
+    ran: bool = True  # False: a copy of the last epoch of its phase, after the still-epoch stop
 
 
 def pretrain(
@@ -300,7 +301,8 @@ def pretrain(
     for epoch in range(cfg.epochs):
         phase = "se" if epoch % 2 == 0 else "re"
         if still == 2:  # both encoders are frozen: repeat the last epoch of this phase
-            history.append(replace(history[-2], epoch=epoch, zero_grad_batches=history[-2].batches))
+            repeat = replace(history[-2], epoch=epoch, zero_grad_batches=history[-2].batches, ran=False)
+            history.append(repeat)
             continue
         params = se.parameters() if phase == "se" else re.parameters()
         start_bits = [p.tobytes() for p in params]

@@ -14,7 +14,7 @@ import logging
 import math
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 from . import nn
 from .alignment import AlignmentConfig
 from .detector import DetectorConfig, hybrid_train, score
-from .encoders import PretrainConfig, pretrain
+from .encoders import EncoderModel, PretrainConfig, pretrain
 from .errors import ParseError, ShapeError, UndefinedMetricError, ValidationError
 from .features import BLOCK, build_feature_matrix
 from .ingest import ClaimsTable, LabelTable
@@ -268,31 +268,18 @@ def ablation_subset(
     return RuleSet([ruleset.rules[j] for j in keep], ruleset.vocab), features[:, columns]
 
 
-def _run_configuration(
-    name: str,
-    features: np.ndarray,
-    ruleset: RuleSet,
-    train_labels: LabelTable,
-    eval_labels: LabelTable,
-    pretrain_cfg: PretrainConfig,
-    align_cfg: AlignmentConfig,
-    detector_cfg: DetectorConfig,
-    seed: int,
-    ks: tuple[int, ...],
-    threshold: float,
+def _train_configuration(
+    features: np.ndarray, encoders: EncoderModel | None, train_labels: LabelTable,
+    eval_labels: LabelTable, align_cfg: AlignmentConfig, detector_cfg: DetectorConfig, seed: int,
+    ks: tuple[int, ...], threshold: float,
 ) -> EvalResult:
-    lam_zero = name == "lambda0"
-    cfg = dataclasses.replace(detector_cfg, lam=0.0) if lam_zero else detector_cfg
-    encoders = None
-    if not lam_zero:
-        encoders, _ = pretrain(ruleset, pretrain_cfg, nn.derive_seed(seed, "pretrain"))
+    """Train, score and evaluate one configuration; no encoders means lambda = 0."""
+    cfg = detector_cfg if encoders is not None else dataclasses.replace(detector_cfg, lam=0.0)
     model, _ = hybrid_train(
         features, train_labels, cfg, nn.derive_seed(seed, "detector"), encoders, align_cfg
     )
     scores = score(model, features).scores
-    y_eval = eval_labels.labels
-    s_eval = scores[eval_labels.idx]
-    return evaluate_scores(y_eval, s_eval, ks, threshold)
+    return evaluate_scores(eval_labels.labels, scores[eval_labels.idx], ks, threshold)
 
 
 def ablation_run(
@@ -319,9 +306,12 @@ def ablation_run(
     rules is skipped with a note. With eval_fraction > 0 the labeled set is
     split and metrics are computed on the held-out part only; otherwise on
     all labeled prescribers. A k above the smallest evaluated set is dropped
-    before any configuration trains. The (seed, configuration) jobs run in
-    spawned worker processes, at most one per usable CPU; their results are
-    taken in submission order, so the report equals that of a serial run.
+    before any configuration trains. Each (seed, configuration) job runs in
+    spawned worker processes, at most one per usable CPU, as two tasks:
+    pretraining, then training, scoring and evaluation, submitted once its
+    encoders come back (lambda = 0 needs none and is submitted at once).
+    Results are taken in job order, so the report, or the error of the first
+    failing job, equals that of a serial run.
     """
     config_names = configs_for_groups(tuple(groups))
     pretrain_cfg = pretrain_cfg if pretrain_cfg is not None else PretrainConfig()
@@ -336,7 +326,7 @@ def ablation_run(
     ]
     ks = evaluable_ks(ks, min((e.n_labeled for _, e in splits), default=labels.n_labeled))
     features = build_feature_matrix(claims, ruleset).values
-    jobs: list[tuple] = []  # _run_configuration's arguments, seed by seed
+    jobs: list[tuple] = []  # (name, seed, rule subset, its features, train labels, eval labels)
     notes: list[str] = []
     for seed, (train_labels, eval_labels) in zip(seeds, splits):
         for name in config_names:
@@ -346,19 +336,30 @@ def ablation_run(
                 notes.append(note)
                 logger.warning(note)
                 continue
-            sub_rules, sub_features = subset
-            jobs.append((
-                name, sub_features, sub_rules, train_labels, eval_labels,
-                pretrain_cfg, align_cfg, detector_cfg, int(seed), ks, threshold,
-            ))
+            jobs.append((name, int(seed), *subset, train_labels, eval_labels))
     # spawn, not fork: a forked worker inherits the parent's BLAS thread pool
     workers = max(1, min(len(jobs), len(os.sched_getaffinity(0))))
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-        results = list(pool.map(_run_configuration, *zip(*jobs)))  # in submission order
+
+        def train(i: int, encoders: EncoderModel | None) -> Future:
+            _, seed, _, sub_features, train_labels, eval_labels = jobs[i]
+            return pool.submit(_train_configuration, sub_features, encoders, train_labels,
+                               eval_labels, align_cfg, detector_cfg, seed, ks, threshold)
+
+        futures = [
+            train(i, None) if name == "lambda0"
+            else pool.submit(pretrain, sub_rules, pretrain_cfg, nn.derive_seed(seed, "pretrain"))
+            for i, (name, seed, sub_rules, *_) in enumerate(jobs)
+        ]
+        pretraining = {future: i for i, future in enumerate(futures) if jobs[i][0] != "lambda0"}
+        for done in as_completed(pretraining):  # a job trains as soon as its encoders come back
+            if done.exception() is None:
+                futures[pretraining[done]] = train(pretraining[done], done.result()[0])
+        results = [future.result() for future in futures]  # raises the first failing job's error
     rows: list[MetricsRow] = []
     deltas: list[DeltaRow] = []
     full_results: dict[int, EvalResult] = {}
-    for (name, *_, seed, _ks, _threshold), result in zip(jobs, results):
+    for (name, seed, *_), result in zip(jobs, results):
         rows.append(MetricsRow(config=name, seed=seed, result=result))
         if name == "full":
             full_results[seed] = result

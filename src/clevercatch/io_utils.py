@@ -104,10 +104,11 @@ def write_csv(path, header: Sequence[str], lines: Iterable[str], comments: Seque
 
 
 def csv_records(path, headers: Sequence[Sequence[str]]) -> Iterator[tuple[int, list[str]]]:
-    """(record number, fields) of each non-blank record of a CSV whose header is one of headers.
+    """(line number, fields) of each non-blank record of a CSV whose header is one of headers.
 
-    Records are numbered from 2, the header being record 1, and blank records
-    are counted. A record must have as many fields as the header.
+    A record is numbered by the physical line it starts on, so a quoted line
+    break moves the numbers of the records after it. A record must have as
+    many fields as the header.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -115,7 +116,9 @@ def csv_records(path, headers: Sequence[Sequence[str]]) -> Iterator[tuple[int, l
         if header not in map(list, headers):
             expected = " or ".join(",".join(h) for h in headers)
             raise ParseError(f"{path}: line 1: expected header {expected}")
-        for lineno, fields in enumerate(reader, start=2):
+        start = reader.line_num + 1  # the line the next record starts on
+        for fields in reader:
+            lineno, start = start, reader.line_num + 1
             if not fields:
                 continue
             if len(fields) != len(header):

@@ -5,6 +5,8 @@ scalar triplet loss, the separation rate of a triplet batch, the
 per-prescriber-year share groups and the prescriber-by-prescriber feature
 loop that the vectorized feature pass must match bitwise, the plain
 supervised trainer that hybrid_train must reproduce bitwise at lambda = 0,
+the batch-by-batch hybrid loop that hybrid_train's per-epoch stacked
+transport solve must match bitwise,
 the record-at-a-time claims parser that the columnar one must match, the
 line-at-a-time features.csv reader that the numpy one must match, the
 pretraining loop that runs every backward pass, which encoders.pretrain must
@@ -30,14 +32,17 @@ from clevercatch.detector import (
     DetectorConfig,
     DetectorModel,
     TrainEpochStats,
+    _Aligner,
     bce_with_grad,
     init_detector,
 )
 from clevercatch.encoders import (
+    EncoderModel,
     EpochStats,
     PretrainConfig,
     RuleEncoderParams,
     TripletBatch,
+    pretrain as pretrain_encoders,
     _rule_encode_bwd,
     _rule_encode_fwd,
     _separation,
@@ -55,7 +60,7 @@ from clevercatch.evaluation import (
     DeltaRow,
     EvalResult,
     MetricsRow,
-    _run_configuration,
+    _train_configuration,
     ablation_subset,
     configs_for_groups,
     split_labels,
@@ -374,6 +379,67 @@ def supervised_train(
     return DetectorModel(mlp=mlp, lam=0.0, seed=int(seed)), history
 
 
+def hybrid_train(
+    features: np.ndarray,
+    labels: LabelTable,
+    cfg: DetectorConfig,
+    seed: int,
+    encoders: EncoderModel | None = None,
+    align_cfg: AlignmentConfig | None = None,
+) -> tuple[DetectorModel, list[TrainEpochStats]]:
+    """The batch-by-batch hybrid loop: each batch is aligned alone, with its
+    own Sinkhorn solve, just before its SGD step.
+
+    detector.hybrid_train solves an epoch's transport problems together and
+    must match this loop bitwise.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    n = features.shape[0]
+    y, mask = labels.to_dense(n)
+    aligner = None
+    if cfg.lam > 0.0:
+        aligner = _Aligner(encoders, align_cfg if align_cfg is not None else AlignmentConfig())
+    rng = nn.make_rng(seed)
+    mlp = init_detector(features.shape[1], cfg.hidden, rng)
+    opt = nn.adam(cfg.learning_rate)
+    names = mlp.parameter_names()
+    history: list[TrainEpochStats] = []
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        sup_sum = 0.0
+        sup_count = 0
+        align_sum = 0.0
+        align_count = 0
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            batch = features[idx]
+            out, cache = nn.mlp_forward(mlp, batch)
+            scores = out[:, 0]
+            d_scores = np.zeros_like(scores)
+            labeled = mask[idx]
+            if labeled.any():
+                sup_loss, d_sup = bce_with_grad(scores[labeled], y[idx][labeled])
+                d_scores[labeled] = d_sup
+                sup_sum += sup_loss * int(labeled.sum())
+                sup_count += int(labeled.sum())
+            if aligner is not None:
+                _, targets = aligner(batch)
+                align_loss_value, d_align = bce_with_grad(scores, targets)
+                d_scores += cfg.lam * d_align
+                align_sum += align_loss_value * idx.size
+                align_count += idx.size
+            grads, _ = nn.mlp_backward(mlp, cache, d_scores[:, None])
+            nn.optimizer_step(opt, mlp.parameters(), grads, names)
+        epoch_sup = sup_sum / sup_count if sup_count else float("nan")
+        epoch_align = align_sum / align_count if align_count else 0.0
+        history.append(TrainEpochStats(epoch, float(epoch_sup), float(epoch_align)))
+    fingerprint = ""
+    if aligner is not None:
+        aligner.warn_unconverged("hybrid_train")
+        fingerprint = encoders.file_sha256
+    return DetectorModel(mlp=mlp, lam=cfg.lam, seed=int(seed), encoder_fingerprint=fingerprint), history
+
+
 class VocabularyBuilder:
     """Accumulates names in first-appearance order, then freezes."""
 
@@ -410,7 +476,9 @@ def parse_claims_csv(path) -> ClaimsTable:
         header = next(reader, None)
         if header != CLAIMS_HEADER:
             raise ParseError(f"{path}: line 1: expected header {','.join(CLAIMS_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
+        start = reader.line_num + 1  # records are numbered by the line they start on
+        for row in reader:
+            lineno, start = start, reader.line_num + 1
             if not row:
                 continue
             if len(row) != 9:
@@ -577,13 +645,15 @@ def ablation_run(
                 _evaluation_logger.warning(note)
                 continue
             sub_rules, sub_features = subset
-            result = _run_configuration(
-                name,
+            encoders = None
+            if name != "lambda0":
+                seed_pretrain = nn.derive_seed(int(seed), "pretrain")
+                encoders, _ = pretrain_encoders(sub_rules, pretrain_cfg, seed_pretrain)
+            result = _train_configuration(
                 sub_features,
-                sub_rules,
+                encoders,
                 train_labels,
                 eval_labels,
-                pretrain_cfg,
                 align_cfg,
                 detector_cfg,
                 int(seed),

@@ -1,11 +1,13 @@
 """Entropic transport: independent fixed-point oracle, calibration, labels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import expit, logsumexp
 
-from clevercatch import nn
+from clevercatch import alignment, nn
 from clevercatch.alignment import (
     AlignmentConfig,
     _logsumexp,
@@ -17,6 +19,7 @@ from clevercatch.alignment import (
     pseudo_labels,
     rule_marginal,
     sinkhorn,
+    sinkhorn_stack,
     transport_cost,
     update_calibration,
 )
@@ -56,6 +59,52 @@ def test_cost_matrix_hand_value():
     assert cost_matrix(samples, rules)[0, 0] == 25.0
     with pytest.raises(ShapeError):
         cost_matrix(samples, np.zeros((1, 3)))
+
+
+def test_cost_matrix_blocks_give_the_one_pass_entries(monkeypatch):
+    rng = nn.make_rng(1)
+    samples, rules = rng.normal(size=(23, 5)), rng.normal(size=(4, 5))
+    diff = samples[:, None, :] - rules[None, :, :]
+    monkeypatch.setattr(alignment, "COST_BLOCK_ROWS", 3)  # 23 rows: the last block holds 2
+    assert cost_matrix(samples, rules).tobytes() == (diff * diff).sum(axis=2).tobytes()
+
+
+def test_cost_matrix_peak_memory_does_not_grow_with_rows():
+    rng = nn.make_rng(2)
+    rules = rng.normal(size=(7, 16))
+    extra = []  # tracemalloc peak above the (rows, R) result
+    for rows in (2 * alignment.COST_BLOCK_ROWS, 16 * alignment.COST_BLOCK_ROWS):
+        samples = rng.normal(size=(rows, 16))
+        tracemalloc.start()
+        cost = cost_matrix(samples, rules)
+        extra.append(tracemalloc.get_traced_memory()[1] - cost.nbytes)
+        tracemalloc.stop()
+    block = alignment.COST_BLOCK_ROWS * rules.size * 8  # one (block, R, L) difference
+    assert extra[1] <= extra[0] + 4096 and extra[1] < 3 * block
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    seed=st.integers(0, 2**32),
+    n_problems=st.integers(1, 6),
+    n_rows=st.integers(1, 20),
+    n_cols=st.integers(1, 9),
+    weighted=st.booleans(),
+    max_iters=st.sampled_from([1, 2, 3, 500]),
+)
+def test_sinkhorn_stack_solves_each_problem_as_sinkhorn_does(
+    seed, n_problems, n_rows, n_cols, weighted, max_iters
+):
+    rng = nn.make_rng(seed)
+    costs = rng.uniform(0.0, 5.0, size=(n_problems, n_rows, n_cols))
+    epsilons = rng.uniform(0.05, 2.0, size=n_problems)
+    b = random_marginal(rng, n_cols) if weighted else None
+    stacked = sinkhorn_stack(costs, epsilons, b=b, max_iters=max_iters)
+    for cost, epsilon, plan in zip(costs, epsilons, stacked, strict=True):
+        alone = sinkhorn(cost, epsilon, b=b, max_iters=max_iters)
+        assert plan.matrix.tobytes() == alone.matrix.tobytes()
+        assert (plan.iterations, plan.converged) == (alone.iterations, alone.converged)
+        assert type(plan.iterations) is int and type(plan.converged) is bool
 
 
 def test_sinkhorn_diagonal_dominance():

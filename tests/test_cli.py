@@ -148,9 +148,17 @@ class TestPipeline:
         shutil.copytree(pipeline_dirs / "a", out)
         run_ok("pretrain", out)
         # 4 epochs of 360 training triplets in batches of 256: 2 batches each
-        found = re.search(r"backward skipped on (\d+) of (\d+) batches", capsys.readouterr().out)
-        assert found is not None and int(found[1]) <= int(found[2]) == 8
+        summary = r"(\d+) of (\d+) epochs run, .* backward skipped on (\d+) of (\d+) batches"
+        found = re.search(summary, capsys.readouterr().out)
+        assert found is not None and found[1] == found[2] == "4" and int(found[3]) <= int(found[4]) == 8
         assert (out / "encoders.json").read_bytes() == (pipeline_dirs / "a" / "encoders.json").read_bytes()
+        # 41 training triplets in batches of 2: 21 each. The still-epoch stop ends
+        # this run early, and only the epochs that ran are counted.
+        stop = ["pretrain.epochs=48", "pretrain.margin=0", "pretrain.triplet_count=46", "pretrain.batch_size=2"]
+        run_ok("pretrain", out, extra=[arg for key in stop for arg in ("--set", key)])
+        found = re.search(summary, capsys.readouterr().out)
+        assert found is not None and int(found[1]) < int(found[2]) == 48
+        assert int(found[3]) <= int(found[4]) == 21 * int(found[1])
 
     def test_unconverged_transport_plans_are_counted(self, pipeline_dirs, tmp_path, caplog):
         out = tmp_path / "run"
@@ -195,6 +203,24 @@ class TestPipeline:
         timings = json.loads((out / "pseudolabel_manifest.json").read_text())["timings_seconds"]
         assert list(timings) == ["pseudolabel"]
         assert timings["pseudolabel"] >= 0.3
+
+
+def test_traced_commands_exit_zero_with_plain_number_counters(pipeline_dirs, tmp_path):
+    # perfbench/tracer.py wraps library functions and its observers read their
+    # arguments and results, so a library change can break a traced run alone
+    out = tmp_path / "run"
+    shutil.copytree(pipeline_dirs / "a", out)
+    env = dict(os.environ, PYTHONPATH=str(Path(clevercatch.__file__).parents[1]))
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    for command in ("featurize", "pretrain", "pseudolabel", "train", "score", "evaluate", "ablate"):
+        trace = tmp_path / f"{command}.json"
+        argv = [str(tracer), str(trace), "0", "--", "--seed", "3", "--out-dir", str(out), *SPEED, command]
+        result = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, f"{command}: {result.stderr[-2000:]}"
+        doc = json.loads(trace.read_text(), parse_constant=lambda name: name)  # NaN stays a string
+        assert doc["rc"] == 0 and doc["counters"], command
+        for key, value in doc["counters"].items():
+            assert type(value) in (int, float), f"{command}: counter {key} = {value!r}"
 
 
 class TestFlagsAndOutput:

@@ -1,11 +1,15 @@
 """Detector losses, hybrid training, scoring, and model persistence."""
 
+import functools
 import json
+import logging
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from clevercatch import nn
+from clevercatch.alignment import AlignmentConfig
 from clevercatch.detector import (
     DetectorConfig,
     DetectorModel,
@@ -140,6 +144,48 @@ def test_lambda_zero_reduces_to_supervised_bitwise():
         assert np.array_equal(a, b)
     assert [s.supervised_loss for s in h_stats] == [s.supervised_loss for s in p_stats]
     assert all(s.alignment_loss == 0.0 for s in h_stats)
+
+
+@functools.cache
+def toy_problem_encoders():
+    """toy_encoders of toy_problem's default rule set, pretrained once per session."""
+    return toy_encoders(toy_problem(nn.make_rng(0), n=1)[2])
+
+
+# caplog is cleared before each of the two runs of an example
+@settings(deadline=None, max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    seed=st.integers(0, 2**32),
+    n=st.integers(1, 70),
+    batch_size=st.integers(1, 24),
+    epochs=st.integers(1, 3),
+    max_iters=st.sampled_from([1, 2, 500]),
+    weighted=st.booleans(),
+    lam=st.sampled_from([0.0, 0.5]),
+)
+@example(seed=3, n=33, batch_size=8, epochs=2, max_iters=1, weighted=True, lam=0.5)  # n = 1 (mod 8)
+def test_hybrid_train_matches_the_batch_by_batch_loop(
+    seed, n, batch_size, epochs, max_iters, weighted, lam, caplog
+):
+    features, labels, _ = toy_problem(nn.make_rng(seed), n=n)
+    if labels.n_labeled == 0:
+        labels = LabelTable(np.array([0]), np.array([1]))
+    encoders = toy_problem_encoders()
+    cfg = DetectorConfig(hidden=(8,), lam=lam, epochs=epochs, batch_size=batch_size)
+    align_cfg = AlignmentConfig(max_iters=max_iters, weighted_marginals=weighted)
+    runs = []
+    for train in (hybrid_train, oracles.hybrid_train):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="clevercatch.detector"):
+            model, history = train(features, labels, cfg, seed, encoders, align_cfg)
+        runs.append((model, history, [r.getMessage() for r in caplog.records]))
+    (model, history, warned), (expected, expected_history, expected_warned) = runs
+    for a, b in zip(model.mlp.parameters(), expected.mlp.parameters(), strict=True):
+        assert a.tobytes() == b.tobytes()
+    assert model.encoder_fingerprint == expected.encoder_fingerprint
+    as_bytes = lambda h: np.array([[s.epoch, s.supervised_loss, s.alignment_loss] for s in h]).tobytes()
+    assert as_bytes(history) == as_bytes(expected_history)
+    assert warned == expected_warned  # the unconverged count and its text
 
 
 def test_hybrid_train_requires_encoders_when_lam_positive():

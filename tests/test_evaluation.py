@@ -1,7 +1,9 @@
 """Ranking metrics, PR curves, label splitting, the ablation, and report/score CSV I/O."""
 
+import dataclasses
 import itertools
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -429,6 +431,25 @@ class TestAblationRun:
         assert bool(pooled.notes) == (kinds == "binary")
         assert pooled == serial
         assert repr(pooled) == repr(serial)  # repr keeps every float bit, and -0.0
+
+    def test_a_failing_pretraining_raises_the_serial_loops_error(self):
+        rng = nn.make_rng(5)
+        claims = random_claims(rng, 30, 5, 2)
+        ruleset = random_ruleset(rng, claims.drugs, 5)
+        kinds = [rule.kind for rule in ruleset.rules]
+        # enough triplets for either group alone, too few for the full rule set
+        pretrain_cfg = dataclasses.replace(
+            self.PRETRAIN, triplet_count=max(kinds.count("binary"), kinds.count("unary"))
+        )
+        labels = LabelTable(np.arange(30, dtype=np.int64), (np.arange(30) % 4 == 0).astype(np.int64))
+        kwargs = dict(pretrain_cfg=pretrain_cfg, detector_cfg=self.DETECTOR, seeds=(2, 9), ks=(3, 5))
+        errors = []
+        for run in (ablation_run, oracles.ablation_run):
+            with pytest.raises(Exception) as info:
+                run(claims, labels, ruleset, **kwargs)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1] == (ValidationError, "need at least 5 triplets to cover 5 rules, got 3")
+        assert multiprocessing.active_children() == []  # no worker outlives the call
 
 
 def result_fixture() -> EvalResult:

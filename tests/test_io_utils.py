@@ -14,22 +14,31 @@ CLAIMS_HEADER = (
     "total_beneficiaries"
 )
 
-# reader, header line, one good record, the header text its error names
+# reader, header line, one good record, the header text its error names, and a
+# good record that holds a quoted line break
 READERS = {
-    "labels": (lambda path: parse_labels(path, Vocabulary(["100"])), "npi,label", "100,1", "npi,label"),
+    "labels": (
+        lambda path: parse_labels(path, Vocabulary(["100"])), "npi,label", "100,1", "npi,label",
+        '"10\n1",0',  # an npi outside the vocabulary is skipped
+    ),
     "rules": (
         lambda path: parse_rules(path, Vocabulary(["DrugA"])),
         "kind,drug_p,drug_q,weight", "unary,DrugA,,0.5", "kind,drug_p,drug_q,weight",
+        'unary,DrugA,,"0.5\n"',
     ),
-    "scores": (read_scores_csv, "npi,score,rank", "100,0.5,1", "npi,score,rank or npi,score"),
-    "claims": (parse_claims_csv, CLAIMS_HEADER, "100,2019,gp,DrugA,1,2,3,4,5", CLAIMS_HEADER),
+    "scores": (read_scores_csv, "npi,score,rank", "100,0.5,1", "npi,score,rank or npi,score",
+               '100,"0.5\n",1'),
+    "claims": (parse_claims_csv, CLAIMS_HEADER, "100,2019,gp,DrugA,1,2,3,4,5", CLAIMS_HEADER,
+               '100,2019,"general\npractice",DrugA,1,2,3,4,5'),
 }
 
 
-@pytest.mark.parametrize("case", ["wrong header", "wrong field count", "blank record first"])
+@pytest.mark.parametrize(
+    "case", ["wrong header", "wrong field count", "blank record first", "quoted line break first"]
+)
 @pytest.mark.parametrize("table", READERS)
 def test_record_readers_share_one_error_contract(tmp_path, table, case):
-    read, header, good, expected_header = READERS[table]
+    read, header, good, expected_header, broken = READERS[table]
     width = header.count(",") + 1
     path = tmp_path / f"{table}.csv"
     text, message = {
@@ -39,9 +48,14 @@ def test_record_readers_share_one_error_contract(tmp_path, table, case):
         "wrong field count": (
             f"{header}\n{good}\n{good},9\n", f"line 3: expected {width} fields, got {width + 1}"
         ),
-        # a blank record still counts in the record numbers
+        # a blank line still counts in the line numbers
         "blank record first": (
             f"{header}\n\n{good.rsplit(',', 1)[0]}\n", f"line 3: expected {width} fields, got {width - 1}"
+        ),
+        # the faulty record starts on line 4, after a record over lines 2 and 3
+        "quoted line break first": (
+            f"{header}\n{broken}\n{good.rsplit(',', 1)[0]}\n",
+            f"line 4: expected {width} fields, got {width - 1}",
         ),
     }[case]
     path.write_text(text, encoding="utf-8")
