@@ -105,7 +105,8 @@ def sinkhorn_stack(
     ends with the g update, which makes the column sums equal b up to
     rounding (about 1e-14), so only the row marginal is checked: a problem's
     plan is taken at the first sweep where its worst violation is below tol,
-    or at sweep max_iters, and reports which.
+    or at sweep max_iters, and reports which. A problem leaves the working
+    arrays in the sweep its plan is taken.
     """
     costs = np.asarray(costs, dtype=np.float64)
     epsilons = np.asarray(epsilons, dtype=np.float64)
@@ -122,22 +123,26 @@ def sinkhorn_stack(
     b = _check_marginal(b, n_cols, "column")
     log_kernel = -costs / epsilons[:, None, None]
     log_a, log_b = np.log(a), np.log(b)
-    g = np.zeros((n_problems, n_cols))
     plans = np.empty_like(costs)
-    iterations = np.full(n_problems, max_iters)
-    active = np.ones(n_problems, dtype=bool)
+    iterations = np.empty(n_problems, dtype=np.int64)
+    converged = np.zeros(n_problems, dtype=bool)
+    live = np.arange(n_problems)  # the problems still in the working arrays log_kernel and g
+    g = np.zeros((n_problems, n_cols))
     for iteration in range(1, max_iters + 1):
         f = log_a - _logsumexp(log_kernel + g[:, None, :], axis=2)
         g = log_b - _logsumexp(log_kernel + f[:, :, None], axis=1)
         plan = np.exp(f[:, :, None] + g[:, None, :] + log_kernel)
-        done = active & (np.abs(plan.sum(axis=2) - a).max(axis=1) < tol)
-        plans[done] = plan[done]
-        iterations[done] = iteration
-        active &= ~done
-        if not active.any():
-            break
-    plans[active] = plan[active]
-    return [TransportPlan(plans[k], b, not active[k], int(iterations[k])) for k in range(n_problems)]
+        done = np.abs(plan.sum(axis=2) - a).max(axis=1) < tol
+        converged[live[done]] = True
+        done |= iteration == max_iters
+        if done.any():
+            plans[live[done]] = plan[done]
+            iterations[live[done]] = iteration
+            live, log_kernel, g = live[~done], log_kernel[~done], g[~done]
+            if live.size == 0:
+                break
+    return [TransportPlan(plans[k], b, bool(converged[k]), int(iterations[k]))
+            for k in range(n_problems)]
 
 
 def sinkhorn(
@@ -244,11 +249,9 @@ def align_batch(
 
 
 def align_batches(
-    sample_embeds: list[np.ndarray], rule_embeds: np.ndarray, cfg: AlignmentConfig,
-    col_marginal: np.ndarray | None = None,
+    costs: list[np.ndarray], cfg: AlignmentConfig, col_marginal: np.ndarray | None = None,
 ) -> list[tuple[np.ndarray, TransportPlan]]:
-    """align_batch of each batch in turn, bitwise, with one stacked Sinkhorn solve per batch size."""
-    costs = [cost_matrix(embeds, rule_embeds) for embeds in sample_embeds]
+    """align_batch of each batch, from its cost matrix, bitwise, with one Sinkhorn solve per size."""
     aligned: list = [None] * len(costs)
     for size in {cost.shape[0] for cost in costs}:
         group = [k for k, cost in enumerate(costs) if cost.shape[0] == size]

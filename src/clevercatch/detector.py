@@ -23,6 +23,7 @@ from .alignment import (
     TransportPlan,
     align_batch,
     align_batches,
+    cost_matrix,
     pseudo_labels,
     rule_marginal,
     update_calibration,
@@ -128,10 +129,14 @@ class _Aligner:
         embeds = sample_encode(self.se, batch)
         return self._calibrate(*align_batch(embeds, self.rule_embeds, self.cfg, self.col_marginal))
 
-    def batches(self, batches: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-        """One call per batch in list order, bitwise, with one Sinkhorn solve per batch size."""
-        embeds = [sample_encode(self.se, batch) for batch in batches]
-        aligned = align_batches(embeds, self.rule_embeds, self.cfg, self.col_marginal)
+    def cost(self, batch: np.ndarray) -> np.ndarray:
+        """Cost matrix of one feature batch against the rule embeddings, shape (B, R)."""
+        return cost_matrix(sample_encode(self.se, batch), self.rule_embeds)
+
+    def batches(self, costs: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """One call per batch, given its cost matrix, in list order, bitwise, with
+        one Sinkhorn solve per batch size."""
+        aligned = align_batches(costs, self.cfg, self.col_marginal)
         return [self._calibrate(costs, plan) for costs, plan in aligned]  # calibrates in batch order
 
     def _calibrate(self, costs: np.ndarray, plan: TransportPlan) -> tuple[np.ndarray, np.ndarray]:
@@ -162,9 +167,10 @@ def hybrid_train(
     supervised term averages over a batch's labeled members only, so the two
     objective normalizations (1/|labeled| and 1/batch) are preserved. With
     lambda = 0 the encoders and alignment settings are ignored. The encoders
-    are frozen and the permutation does not involve the detector, so each
-    epoch aligns all its batches first, same-size ones in one stacked
-    Sinkhorn solve, bitwise as if each were aligned just before its step.
+    are frozen and the permutation does not involve the detector, so every
+    row is encoded once per run and each epoch aligns all its batches first,
+    same-size ones in one stacked Sinkhorn solve: bitwise as if each were encoded
+    and aligned before its step, where BLAS rows do not depend on the batch.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] < 1:
@@ -179,6 +185,7 @@ def hybrid_train(
             raise ValidationError("lambda > 0 needs encoders")
         _check_binding(features, encoders)
         aligner = _Aligner(encoders, align_cfg if align_cfg is not None else AlignmentConfig())
+        costs = aligner.cost(features)
     rng = nn.make_rng(seed)
     mlp = init_detector(features.shape[1], cfg.hidden, rng)
     opt = nn.adam(cfg.learning_rate)
@@ -187,7 +194,9 @@ def hybrid_train(
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         batches = [order[start : start + cfg.batch_size] for start in range(0, n, cfg.batch_size)]
-        aligned = aligner.batches([features[i] for i in batches]) if aligner else [None] * len(batches)
+        aligned = aligner.batches(  # a one-row forward takes BLAS's matrix-vector path: it runs alone
+            [costs[i] if i.size > 1 else aligner.cost(features[i]) for i in batches]
+        ) if aligner else [None] * len(batches)
         sup_sum = 0.0
         sup_count = 0
         align_sum = 0.0

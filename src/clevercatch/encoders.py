@@ -213,6 +213,21 @@ def gen_synthetic_triplets(
     return TripletBatch(rule_idx=rule_idx.astype(np.int64), pos=pos, neg=neg)
 
 
+def _triplet_hinges(e_rule, e_pos, e_neg, weights, margin):
+    """Mean weighted hinge, squared distances d_pos and d_neg, and each row's gradient coefficient."""
+    d_pos = ((e_pos - e_rule) ** 2).sum(axis=1)
+    d_neg = ((e_neg - e_rule) ** 2).sum(axis=1)
+    hinge = d_pos - d_neg + margin
+    loss = float((weights * np.maximum(hinge, 0.0)).mean())
+    return loss, d_pos, d_neg, (weights * (hinge > 0.0)) / weights.size
+
+
+def _triplet_grads(e_rule: np.ndarray, e_pos: np.ndarray, e_neg: np.ndarray, coef: np.ndarray):
+    """Gradients of the mean weighted hinge w.r.t. the rule, satisfying and violating embeddings."""
+    c = 2.0 * coef[:, None]
+    return c * (e_neg - e_pos), c * (e_pos - e_rule), -c * (e_neg - e_rule)
+
+
 def _triplet_batch_loss(
     e_rule: np.ndarray,
     e_pos: np.ndarray,
@@ -221,29 +236,8 @@ def _triplet_batch_loss(
     margin: float,
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Mean weighted hinge plus gradients w.r.t. the three embedding batches."""
-    diff_pos = e_pos - e_rule
-    diff_neg = e_neg - e_rule
-    d_pos = (diff_pos**2).sum(axis=1)
-    d_neg = (diff_neg**2).sum(axis=1)
-    hinge = d_pos - d_neg + margin
-    active = hinge > 0.0
-    loss = float((weights * np.maximum(hinge, 0.0)).mean())
-    coef = (weights * active) / weights.size
-    d_e_pos = 2.0 * coef[:, None] * diff_pos
-    d_e_neg = -2.0 * coef[:, None] * diff_neg
-    d_e_rule = 2.0 * coef[:, None] * (e_neg - e_pos)
-    return loss, d_e_rule, d_e_pos, d_e_neg
-
-
-def _hinges_clear(
-    e_rule: np.ndarray, e_pos: np.ndarray, e_neg: np.ndarray, weights: np.ndarray, margin: float
-) -> bool:
-    """Whether every weighted hinge lies below zero by far more than the last-bit
-    differences that the same row's embeddings can show in another batch."""
-    d_pos = ((e_pos - e_rule) ** 2).sum(axis=1)
-    d_neg = ((e_neg - e_rule) ** 2).sum(axis=1)
-    clear = d_pos - d_neg + margin < -1e-9 * (d_pos + d_neg + abs(margin))
-    return bool(np.all(clear | (weights == 0)))
+    loss, _, _, coef = _triplet_hinges(e_rule, e_pos, e_neg, weights, margin)
+    return (loss, *_triplet_grads(e_rule, e_pos, e_neg, coef))
 
 
 def _separation(e_rule: np.ndarray, e_pos: np.ndarray, e_neg: np.ndarray) -> float:
@@ -292,10 +286,6 @@ def pretrain(
         raise ValidationError("holdout fraction leaves no training triplets")
     re_opt, se_opt = nn.adam(cfg.learning_rate), nn.adam(cfg.learning_rate)
     re_names, se_names = re.parameter_names(), se.parameter_names()
-    # a zero output gradient backpropagates to +/-0 only, and Adam's first moment
-    # (from +0) takes the same bits from +0 as from -0, so these stand in for it
-    re_zero = [np.zeros_like(p) for p in re.parameters()]
-    se_zero = [np.zeros_like(p) for p in se.parameters()]
     history: list[EpochStats] = []
     still = 0  # consecutive still epochs
     for epoch in range(cfg.epochs):
@@ -314,28 +304,38 @@ def pretrain(
             idx = order[start : start + cfg.batch_size]
             rule_ids = train.rule_idx[idx]
             weights = ruleset.weights[rule_ids]
-            e_rule, re_cache = _rule_encode_fwd(re, ruleset.p_idx[rule_ids], ruleset.q_idx[rule_ids])
+            # the rule encoder runs once on the R rules and each triplet takes its rule's
+            # row; a one-row forward takes BLAS's matrix-vector path, so it runs alone
+            gather = len(ruleset) > 1 and idx.size > 1
+            forward_ids, rows = (np.arange(len(ruleset)), rule_ids) if gather else (rule_ids, slice(None))
+            e_rule, re_cache = _rule_encode_fwd(re, ruleset.p_idx[forward_ids], ruleset.q_idx[forward_ids])
+            e_rule = e_rule[rows]
             e_pos, pos_cache = nn.mlp_forward(se, train.pos[idx])
             e_neg, neg_cache = nn.mlp_forward(se, train.neg[idx])
-            loss, d_rule, d_pos, d_neg = _triplet_batch_loss(e_rule, e_pos, e_neg, weights, cfg.margin)
+            loss, d_pos, d_neg, coef = _triplet_hinges(e_rule, e_pos, e_neg, weights, cfg.margin)
             if not np.isfinite(loss):
                 raise NumericError(f"triplet loss diverged at epoch {epoch}")
             losses.append(loss)
-            zero = not (d_rule.any() or d_pos.any() or d_neg.any())
-            n_zero += zero
-            clear = clear and zero and _hinges_clear(e_rule, e_pos, e_neg, weights, cfg.margin)
+            grads = _triplet_grads(e_rule, e_pos, e_neg, coef) if coef.any() else None
+            grads = None if grads is None or not any(g.any() for g in grads) else grads
+            n_zero += grads is None
+            # every weighted hinge lies below zero by far more than the last-bit
+            # differences that the same row's embeddings can show in another batch
+            clear = clear and grads is None and bool(np.all(
+                (d_pos - d_neg + cfg.margin < -1e-9 * (d_pos + d_neg + abs(cfg.margin))) | (weights == 0)
+            ))
             if phase == "se":
-                if zero:
-                    grads = se_zero
-                else:
-                    grads_pos, _ = nn.mlp_backward(se, pos_cache, d_pos)
-                    grads_neg, _ = nn.mlp_backward(se, neg_cache, d_neg)
+                if grads is not None:
+                    grads_pos, _ = nn.mlp_backward(se, pos_cache, grads[1])
+                    grads_neg, _ = nn.mlp_backward(se, neg_cache, grads[2])
                     grads = [gp + gn for gp, gn in zip(grads_pos, grads_neg)]
                 nn.optimizer_step(se_opt, se.parameters(), grads, se_names)
             else:
-                grads = re_zero if zero else _rule_encode_bwd(
-                    re, ruleset.p_idx[rule_ids], ruleset.q_idx[rule_ids], re_cache, d_rule
-                )
+                if grads is not None:
+                    cache = nn.ForwardCache(re.mlp, [a[rows] for a in re_cache.activations])
+                    grads = _rule_encode_bwd(
+                        re, ruleset.p_idx[rule_ids], ruleset.q_idx[rule_ids], cache, grads[0]
+                    )
                 nn.optimizer_step(re_opt, re.parameters(), grads, re_names)
         if phase == "se":  # an "re" epoch leaves the sample encoder as it was
             hold_pos, hold_neg = sample_encode(se, holdout.pos), sample_encode(se, holdout.neg)

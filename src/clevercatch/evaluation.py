@@ -14,7 +14,7 @@ import logging
 import math
 import multiprocessing
 import os
-from concurrent.futures import Future, ProcessPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -311,7 +311,8 @@ def ablation_run(
     pretraining, then training, scoring and evaluation, submitted once its
     encoders come back (lambda = 0 needs none and is submitted at once).
     Results are taken in job order, so the report, or the error of the first
-    failing job, equals that of a serial run.
+    failing job, equals that of a serial run. Once a job fails, the tasks of
+    later jobs that have not started are cancelled and they train no more.
     """
     config_names = configs_for_groups(tuple(groups))
     pretrain_cfg = pretrain_cfg if pretrain_cfg is not None else PretrainConfig()
@@ -351,10 +352,23 @@ def ablation_run(
             else pool.submit(pretrain, sub_rules, pretrain_cfg, nn.derive_seed(seed, "pretrain"))
             for i, (name, seed, sub_rules, *_) in enumerate(jobs)
         ]
-        pretraining = {future: i for i, future in enumerate(futures) if jobs[i][0] != "lambda0"}
-        for done in as_completed(pretraining):  # a job trains as soon as its encoders come back
-            if done.exception() is None:
-                futures[pretraining[done]] = train(pretraining[done], done.result()[0])
+        pretraining = {future for i, future in enumerate(futures) if jobs[i][0] != "lambda0"}
+        job_of = {future: i for i, future in enumerate(futures)}
+        pending, failed = set(futures), len(jobs)  # failed: the first failing job seen so far
+        while pending:
+            done, pending = wait(pending, return_when=FIRST_COMPLETED)
+            for future in sorted(done, key=job_of.get):
+                i = job_of[future]
+                if i > failed:  # cancelled, or its result can no longer reach the report
+                    continue
+                if future.exception() is not None:
+                    failed = i
+                    for later in futures[i + 1 :]:
+                        later.cancel()
+                elif future in pretraining:  # the job trains once its encoders come back
+                    futures[i] = train(i, future.result()[0])
+                    job_of[futures[i]] = i
+                    pending.add(futures[i])
         results = [future.result() for future in futures]  # raises the first failing job's error
     rows: list[MetricsRow] = []
     deltas: list[DeltaRow] = []

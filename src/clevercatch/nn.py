@@ -145,16 +145,24 @@ def init_mlp(dims: Sequence[int], activations: Sequence[str], rng: np.random.Gen
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-x)) per element, 0.0 where exp(-x) overflows; bitwise scipy expit.
 
-    It loops over Python floats for libm's exp: numpy's differs in the last bit.
+    It maps libm's exp (math.exp) over the elements, as numpy's exp differs in
+    the last bit; 1 / (1 + e) is then the same IEEE arithmetic in numpy. Only
+    an input where exp(-x) overflows takes the loop that reads it as inf.
     """
     x = np.asarray(x, dtype=np.float64)
-    out: list[float] = []
-    for v in x.ravel().tolist():
-        try:
-            out.append(1.0 / (1.0 + math.exp(-v)))
-        except OverflowError:
-            out.append(0.0)
-    return np.array(out, dtype=np.float64).reshape(x.shape)
+    neg = (-x).ravel().tolist()
+    try:
+        e = list(map(math.exp, neg))
+    except OverflowError:
+        e = [_exp_or_inf(v) for v in neg]
+    return (1.0 / (1.0 + np.array(e, dtype=np.float64))).reshape(x.shape)
+
+
+def _exp_or_inf(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
 
 
 def _activate(z: np.ndarray, activation: str) -> np.ndarray:
@@ -239,13 +247,18 @@ def adam(learning_rate: float = 1e-3) -> OptimizerState:
 def optimizer_step(
     state: OptimizerState,
     params: Sequence[np.ndarray],
-    grads: Sequence[np.ndarray],
+    grads: Sequence[np.ndarray] | None,
     names: Sequence[str] | None = None,
 ) -> None:
-    """Update parameters in place; state moments are owned by this function."""
-    if len(params) != len(grads):
+    """Update parameters in place; state moments are owned by this function.
+
+    grads None is an exactly zero gradient: the moments only decay, bitwise as
+    with zero arrays, since a moment is never -0.0 (it starts at +0, beta1 or beta2
+    times a non-zero value is not zero, a cancellation gives +0), so adding +0 is a no-op.
+    """
+    if grads is not None and len(params) != len(grads):
         raise ShapeError(f"{len(params)} parameters but {len(grads)} gradients")
-    for i, (p, g) in enumerate(zip(params, grads)):
+    for i, (p, g) in enumerate(zip(params, grads or ())):
         label = names[i] if names is not None else f"parameter {i}"
         if p.shape != g.shape:
             raise ShapeError(f"gradient shape {g.shape} does not match {label} shape {p.shape}")
@@ -260,9 +273,10 @@ def optimizer_step(
     t = state.step_count
     bias1 = 1.0 - state.beta1**t
     bias2 = 1.0 - state.beta2**t
-    for p, g, m, v in zip(params, grads, state.moments1, state.moments2):
+    for i, (p, m, v) in enumerate(zip(params, state.moments1, state.moments2)):
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
         v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
+        if grads is not None:
+            m += (1.0 - state.beta1) * grads[i]
+            v += (1.0 - state.beta2) * (grads[i] * grads[i])
         p -= state.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + state.eps)

@@ -164,6 +164,7 @@ def toy_problem_encoders():
     lam=st.sampled_from([0.0, 0.5]),
 )
 @example(seed=3, n=33, batch_size=8, epochs=2, max_iters=1, weighted=True, lam=0.5)  # n = 1 (mod 8)
+@example(seed=3, n=33, batch_size=8, epochs=3, max_iters=500, weighted=False, lam=0.5)
 def test_hybrid_train_matches_the_batch_by_batch_loop(
     seed, n, batch_size, epochs, max_iters, weighted, lam, caplog
 ):

@@ -399,6 +399,12 @@ def assert_pretrain_matches_oracle(ruleset, cfg, seed):
 )
 @example(seed=5, n_rules=3, margin=1.0, learning_rate=3e-2, batch_size=8, extra=38,
          holdout_fraction=0.0, epochs=4)  # 41 training rows: the last batch holds one
+@example(seed=5, n_rules=3, margin=100.0, learning_rate=1e-3, batch_size=8, extra=38,
+         holdout_fraction=0.0, epochs=4)  # the same, with every hinge active
+@example(seed=5, n_rules=1, margin=1.0, learning_rate=3e-2, batch_size=8, extra=40,
+         holdout_fraction=0.0, epochs=4)  # one rule: the rule forward has one row
+@example(seed=5, n_rules=1, margin=100.0, learning_rate=1e-3, batch_size=8, extra=40,
+         holdout_fraction=0.0, epochs=4)
 def test_pretrain_matches_the_full_backward_loop(
     seed, n_rules, margin, learning_rate, batch_size, extra, holdout_fraction, epochs
 ):

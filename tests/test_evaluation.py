@@ -4,13 +4,14 @@ import dataclasses
 import itertools
 import math
 import multiprocessing
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clevercatch import nn
+from clevercatch import evaluation, nn
 from clevercatch.detector import DetectorConfig
 from clevercatch.encoders import PretrainConfig
 from clevercatch.errors import (
@@ -432,7 +433,8 @@ class TestAblationRun:
         assert pooled == serial
         assert repr(pooled) == repr(serial)  # repr keeps every float bit, and -0.0
 
-    def test_a_failing_pretraining_raises_the_serial_loops_error(self):
+    def failing_setup(self):
+        """Claims, labels, rules and ablation settings under which both full pretrainings fail."""
         rng = nn.make_rng(5)
         claims = random_claims(rng, 30, 5, 2)
         ruleset = random_ruleset(rng, claims.drugs, 5)
@@ -443,13 +445,42 @@ class TestAblationRun:
         )
         labels = LabelTable(np.arange(30, dtype=np.int64), (np.arange(30) % 4 == 0).astype(np.int64))
         kwargs = dict(pretrain_cfg=pretrain_cfg, detector_cfg=self.DETECTOR, seeds=(2, 9), ks=(3, 5))
+        return claims, labels, ruleset, kwargs
+
+    FAILURE = (ValidationError, "need at least 5 triplets to cover 5 rules, got 3")
+
+    def test_a_failing_pretraining_raises_the_serial_loops_error(self):
+        claims, labels, ruleset, kwargs = self.failing_setup()
         errors = []
         for run in (ablation_run, oracles.ablation_run):
             with pytest.raises(Exception) as info:
                 run(claims, labels, ruleset, **kwargs)
             errors.append((type(info.value), str(info.value)))
-        assert errors[0] == errors[1] == (ValidationError, "need at least 5 triplets to cover 5 rules, got 3")
+        assert errors[0] == errors[1] == self.FAILURE
         assert multiprocessing.active_children() == []  # no worker outlives the call
+
+    def test_no_job_after_a_failed_one_trains(self, monkeypatch):
+        submitted = []
+
+        class InProcessPool(ThreadPoolExecutor):
+            """One worker thread running tasks in submission order; records each submission."""
+
+            def __init__(self, max_workers, mp_context=None):
+                super().__init__(1)
+
+            def submit(self, fn, /, *args, **kwargs):
+                submitted.append((fn.__name__, args))
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InProcessPool)
+        claims, labels, ruleset, kwargs = self.failing_setup()
+        with pytest.raises(Exception) as info:
+            ablation_run(claims, labels, ruleset, **kwargs)
+        assert (type(info.value), str(info.value)) == self.FAILURE
+        # job 0 (full, seed 2) fails first, so only the tasks submitted up front remain:
+        # every pretraining, and the two lambda0 trainings, which need no encoders
+        trainings = [args for name, args in submitted if name == "_train_configuration"]
+        assert len(trainings) == 2 and all(args[1] is None for args in trainings)
 
 
 def result_fixture() -> EvalResult:
