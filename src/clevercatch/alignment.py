@@ -37,7 +37,7 @@ class AlignmentConfig:
             raise ValidationError("momentum must lie in [0, 1)")
 
 
-COST_BLOCK_ROWS = 1024  # sample rows per (rows, R, L) difference temporary
+COST_BLOCK_ROWS = 1024  # sample rows per (rows, R, L) difference temporary and per training encoder pass
 
 
 def cost_matrix(samples: np.ndarray, rules: np.ndarray) -> np.ndarray:

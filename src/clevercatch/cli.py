@@ -136,6 +136,7 @@ def cmd_simulate(run: Run):
 def cmd_featurize(run: Run):
     claims, ruleset = _load_claims_and_rules(run)
     features = build_feature_matrix(claims, ruleset)
+    del claims  # the table is dead before the features go out
     path = run.output("features")
     write_features_csv(features, path)
     n, width = features.values.shape

@@ -8,6 +8,7 @@ strings and pass through the same typed conversion as file values.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -97,7 +98,10 @@ def _convert(section: str, key: str, text: str, kind) -> object:
         if kind is int:
             return int(text)
         if kind is float:
-            return float(text)
+            value = float(text)
+            if not math.isfinite(value):
+                raise ValueError(f"must be finite, got {text.strip()!r}")
+            return value
         if kind is str:
             return text.strip()
         if kind == "int_tuple":

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import nn
 from .alignment import (
+    COST_BLOCK_ROWS,
     AlignmentConfig,
     CalibrationState,
     TransportPlan,
@@ -130,8 +131,10 @@ class _Aligner:
         return self._calibrate(*align_batch(embeds, self.rule_embeds, self.cfg, self.col_marginal))
 
     def cost(self, batch: np.ndarray) -> np.ndarray:
-        """Cost matrix of one feature batch against the rule embeddings, shape (B, R)."""
-        return cost_matrix(sample_encode(self.se, batch), self.rule_embeds)
+        """Cost matrix of one feature batch against the rule embeddings, shape (B, R), encoded
+        COST_BLOCK_ROWS rows at a time; a one-row remainder joins the block before it."""
+        blocks = np.split(batch, range(COST_BLOCK_ROWS, batch.shape[0] - 1, COST_BLOCK_ROWS))
+        return np.concatenate([cost_matrix(sample_encode(self.se, b), self.rule_embeds) for b in blocks])
 
     def batches(self, costs: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
         """One call per batch, given its cost matrix, in list order, bitwise, with

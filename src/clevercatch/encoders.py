@@ -204,8 +204,10 @@ def gen_synthetic_triplets(
     probs = probs / total
     width = BLOCK * r
     rule_idx = rng.choice(r, size=count, p=probs)
-    pos = np.clip(rng.normal(0.0, noise_sigma, (count, width)), -1.0, 1.0)
-    neg = np.clip(rng.normal(0.0, noise_sigma, (count, width)), -1.0, 1.0)
+    pos = rng.normal(0.0, noise_sigma, (count, width))
+    np.clip(pos, -1.0, 1.0, out=pos)
+    neg = rng.normal(0.0, noise_sigma, (count, width))
+    np.clip(neg, -1.0, 1.0, out=neg)
     rows = np.arange(count)[:, None]
     cols = rule_idx[:, None] * BLOCK + np.arange(BLOCK)[None, :]
     pos[rows, cols] = rng.uniform(lo, hi, (count, 1))
@@ -280,9 +282,8 @@ def pretrain(
     perm = rng.permutation(len(triplets))
     n_hold = int(round(cfg.holdout_fraction * len(triplets)))
     holdout = triplets.take(perm[:n_hold])
-    train = triplets.take(perm[n_hold:])
-    del triplets  # train and holdout are copies; the unsplit draw is dead
-    if len(train) == 0:
+    train = perm[n_hold:]  # training rows are reached through the draw, not copied out of it
+    if train.size == 0:
         raise ValidationError("holdout fraction leaves no training triplets")
     re_opt, se_opt = nn.adam(cfg.learning_rate), nn.adam(cfg.learning_rate)
     re_names, se_names = re.parameter_names(), se.parameter_names()
@@ -297,12 +298,12 @@ def pretrain(
         params = se.parameters() if phase == "se" else re.parameters()
         start_bits = [p.tobytes() for p in params]
         clear = True
-        order = rng.permutation(len(train))
+        order = rng.permutation(train.size)
         losses: list[float] = []
         n_zero = 0
-        for start in range(0, len(train), cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            rule_ids = train.rule_idx[idx]
+        for start in range(0, train.size, cfg.batch_size):
+            idx = train[order[start : start + cfg.batch_size]]
+            rule_ids = triplets.rule_idx[idx]
             weights = ruleset.weights[rule_ids]
             # the rule encoder runs once on the R rules and each triplet takes its rule's
             # row; a one-row forward takes BLAS's matrix-vector path, so it runs alone
@@ -310,8 +311,8 @@ def pretrain(
             forward_ids, rows = (np.arange(len(ruleset)), rule_ids) if gather else (rule_ids, slice(None))
             e_rule, re_cache = _rule_encode_fwd(re, ruleset.p_idx[forward_ids], ruleset.q_idx[forward_ids])
             e_rule = e_rule[rows]
-            e_pos, pos_cache = nn.mlp_forward(se, train.pos[idx])
-            e_neg, neg_cache = nn.mlp_forward(se, train.neg[idx])
+            e_pos, pos_cache = nn.mlp_forward(se, triplets.pos[idx])
+            e_neg, neg_cache = nn.mlp_forward(se, triplets.neg[idx])
             loss, d_pos, d_neg, coef = _triplet_hinges(e_rule, e_pos, e_neg, weights, cfg.margin)
             if not np.isfinite(loss):
                 raise NumericError(f"triplet loss diverged at epoch {epoch}")

@@ -26,6 +26,8 @@ STATS = ("min", "mean", "max")
 
 BLOCK = len(CHANNELS) * len(STATS)  # 15 coordinates per rule
 
+PRESCRIBER_BLOCK = 1024  # prescribers per feature pass; its temporaries grow with their rows
+
 
 @dataclass
 class FeatureMatrix:
@@ -52,36 +54,54 @@ def feature_columns(n_rules: int) -> tuple[str, ...]:
 def build_feature_matrix(claims: ClaimsTable, ruleset: RuleSet) -> FeatureMatrix:
     """Rule-contrast features for every prescriber in the claims table.
 
-    One pass over the claim rows: each (prescriber, year) cell's channel
-    totals are summed in drug order, the rows of drugs the rules name are
-    divided into a (cell, drug, channel) share grid, and the per-cell rule
-    contrasts are folded into each prescriber's min, mean and max in year
-    order. The mean is a sum from zero divided by the count of observed
-    years. A claims table holds at most one row per (prescriber, year, drug).
+    One pass per block of PRESCRIBER_BLOCK prescribers over their claim rows:
+    each (prescriber, year) cell's channel totals are summed in drug order,
+    the rows of drugs the rules name are divided into a (cell, drug, channel)
+    share grid, and the per-cell rule contrasts are folded into each
+    prescriber's min, mean and max in year order. The mean is a sum from zero
+    divided by the count of observed years. A cell never spans prescribers, so
+    the blocks give the values of a single pass. A claims table holds at most
+    one row per (prescriber, year, drug).
     """
     if ruleset.vocab != claims.drugs:
         raise ValidationError("rule set is bound to a different drug vocabulary")
     n, r = claims.prescribers.size, len(ruleset)
-    years, year_rank = np.unique(claims.year, return_inverse=True)
-    cell_keys, cell = np.unique(claims.npi_idx * years.size + year_rank, return_inverse=True)
-    cell_npi = cell_keys // years.size  # cells ascend by (prescriber, year)
-    order = np.lexsort((claims.drug_idx, cell))
-    totals = np.zeros((cell_keys.size, len(CHANNELS)))
-    np.add.at(totals, cell[order], claims.metrics[order])
     # slot[d] is drug d's column in the share grid; slot[-1] (a unary rule's
     # q index) is an extra column that stays zero
     named = np.unique(np.concatenate([ruleset.p_idx, ruleset.q_idx[ruleset.q_idx >= 0]]))
     slot = np.full(claims.drugs.size + 1, named.size)
     slot[named] = np.arange(named.size)
-    rows = np.flatnonzero(np.isin(claims.drug_idx, named))
-    denom = totals[cell[rows]]
-    shares = np.zeros((cell_keys.size, named.size + 1, len(CHANNELS)))
-    shares[cell[rows], slot[claims.drug_idx[rows]]] = np.divide(
-        claims.metrics[rows], denom, out=np.zeros_like(denom), where=denom > 0
+    values = np.empty((n, r, len(CHANNELS), len(STATS)))
+    by_npi = np.argsort(claims.npi_idx, kind="stable")  # each block's rows in file order
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(claims.npi_idx, minlength=n))])
+    for first in range(0, n, PRESCRIBER_BLOCK):
+        last = min(first + PRESCRIBER_BLOCK, n)
+        _fold_block(claims, by_npi[bounds[first] : bounds[last]], first, slot, ruleset, values[first:last])
+    return FeatureMatrix(
+        values=values.reshape(n, r * BLOCK),
+        columns=feature_columns(r),
+        npis=claims.prescribers.names,
+    )
+
+
+def _fold_block(claims: ClaimsTable, rows, first: int, slot, ruleset: RuleSet, values) -> None:
+    """Fill values, shape (prescribers, R, channel, stat), for prescribers first, first + 1, ...
+    from rows, the indices of their claim rows in file order."""
+    years, year_rank = np.unique(claims.year[rows], return_inverse=True)
+    cell_keys, cell = np.unique((claims.npi_idx[rows] - first) * years.size + year_rank, return_inverse=True)
+    cell_npi = cell_keys // years.size  # cells ascend by (prescriber, year)
+    drug = claims.drug_idx[rows]
+    order = np.lexsort((drug, cell))
+    totals = np.zeros((cell_keys.size, len(CHANNELS)))
+    np.add.at(totals, cell[order], claims.metrics[rows[order]])
+    keep = np.flatnonzero(slot[drug] < slot[-1])  # rows of named drugs
+    denom = totals[cell[keep]]
+    shares = np.zeros((cell_keys.size, slot[-1] + 1, len(CHANNELS)))
+    shares[cell[keep], slot[drug[keep]]] = np.divide(
+        claims.metrics[rows[keep]], denom, out=np.zeros_like(denom), where=denom > 0
     )
     contrast = shares[:, slot[ruleset.p_idx]] - shares[:, slot[ruleset.q_idx]]  # (cells, r, 5)
     del shares
-    values = np.empty((n, r, len(CHANNELS), len(STATS)))
     lo, total, hi = values[..., 0], values[..., 1], values[..., 2]
     lo.fill(np.inf)
     total.fill(0.0)
@@ -89,14 +109,9 @@ def build_feature_matrix(claims: ClaimsTable, ruleset: RuleSet) -> FeatureMatrix
     np.minimum.at(lo, cell_npi, contrast)
     np.add.at(total, cell_npi, contrast)
     np.maximum.at(hi, cell_npi, contrast)
-    n_years = np.bincount(cell_npi, minlength=n)
+    n_years = np.bincount(cell_npi, minlength=values.shape[0])
     total /= np.maximum(n_years, 1)[:, None, None]
     values[n_years == 0] = 0.0  # a prescriber without rows keeps zeros
-    return FeatureMatrix(
-        values=values.reshape(n, r * BLOCK),
-        columns=feature_columns(r),
-        npis=claims.prescribers.names,
-    )
 
 
 def write_features_csv(features: FeatureMatrix, path) -> None:

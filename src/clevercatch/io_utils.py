@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import tempfile
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -21,6 +22,8 @@ import numpy as np
 from .errors import ParseError
 
 FLOAT_FMT = "%.17g"
+
+CSV_BLOCK_LINES = 4096  # lines joined per write of a CSV table
 
 
 def fmt_float(x: float) -> str:
@@ -84,13 +87,14 @@ def read_json_document(path, version: int, keys: list[str], what: str) -> dict:
     return doc
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write text then rename into place so readers never see a torn file."""
+def atomic_write_text(path, text: str | Iterable[str]) -> None:
+    """Write text, or each string of an iterable in turn, then rename into place
+    so readers never see a torn file."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -99,8 +103,13 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def write_csv(path, header: Sequence[str], lines: Iterable[str], comments: Sequence[str] = ()) -> None:
-    """Write comment lines, the header, then one pre-formatted line per item, atomically."""
-    atomic_write_text(path, "\n".join([*comments, ",".join(header), *lines, ""]))  # "" ends the last line
+    """Write comment lines, the header, then one pre-formatted line per item,
+    atomically, joining CSV_BLOCK_LINES lines per write."""
+    lines = iter(lines)
+    blocks = iter(lambda: list(islice(lines, CSV_BLOCK_LINES)), [])
+    atomic_write_text(path, chain(
+        ["\n".join([*comments, ",".join(header), ""])], ("\n".join([*block, ""]) for block in blocks)
+    ))  # "" ends the last line of each block
 
 
 def csv_records(path, headers: Sequence[Sequence[str]]) -> Iterator[tuple[int, list[str]]]:

@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,16 @@ def make_claims(records, drugs=None, prescribers=None):
         drugs=drugs,
         prescribers=prescribers,
     )
+
+
+def traced_peak(fn, *args):
+    """The tracemalloc peak, in bytes, of the allocations fn(*args) makes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_claims(rng, n_prescribers, n_drugs, n_years, density=0.7):

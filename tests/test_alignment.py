@@ -1,7 +1,5 @@
 """Entropic transport: independent fixed-point oracle, calibration, labels."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +22,8 @@ from clevercatch.alignment import (
     update_calibration,
 )
 from clevercatch.errors import ContractError, ShapeError, ValidationError
+
+from conftest import traced_peak
 
 
 def oracle_sinkhorn(cost, epsilon, a, b, tol=1e-12, max_iters=200_000):
@@ -75,10 +75,7 @@ def test_cost_matrix_peak_memory_does_not_grow_with_rows():
     extra = []  # tracemalloc peak above the (rows, R) result
     for rows in (2 * alignment.COST_BLOCK_ROWS, 16 * alignment.COST_BLOCK_ROWS):
         samples = rng.normal(size=(rows, 16))
-        tracemalloc.start()
-        cost = cost_matrix(samples, rules)
-        extra.append(tracemalloc.get_traced_memory()[1] - cost.nbytes)
-        tracemalloc.stop()
+        extra.append(traced_peak(cost_matrix, samples, rules) - rows * rules.shape[0] * 8)
     block = alignment.COST_BLOCK_ROWS * rules.size * 8  # one (block, R, L) difference
     assert extra[1] <= extra[0] + 4096 and extra[1] < 3 * block
 

@@ -3,8 +3,10 @@
 import pytest
 
 from clevercatch.config import (
+    _SECTION_SPECS,
     PATH_KEYS,
     RunConfig,
+    _dataclass_kinds,
     load_config,
 )
 from clevercatch.errors import ConfigError
@@ -106,6 +108,18 @@ class TestIniParsing:
             load_config(write_ini(tmp_path, "[simulator]\nn_providers = many\n"))
         with pytest.raises(ConfigError, match="alignment.weighted_marginals"):
             load_config(write_ini(tmp_path, "[alignment]\nweighted_marginals = maybe\n"))
+
+    @pytest.mark.parametrize("section,key", [
+        (section, key) for section, (cls, _) in _SECTION_SPECS.items()
+        for key, kind in _dataclass_kinds(cls).items() if kind is float
+    ])
+    @pytest.mark.parametrize("text", ["nan", "inf", "-Infinity"])
+    def test_non_finite_floats_rejected_from_file_and_override(self, tmp_path, section, key, text):
+        message = rf"^{section}\.{key}: must be finite, got '{text}'$"
+        with pytest.raises(ConfigError, match=message):
+            load_config(write_ini(tmp_path, f"[{section}]\n{key} = {text}\n"))
+        with pytest.raises(ConfigError, match=message):
+            load_config(overrides=[f"{section}.{key}={text}"])
 
     def test_stage_validation_errors_become_config_errors(self, tmp_path):
         with pytest.raises(ConfigError, match=r"\[simulator\]"):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from clevercatch import nn
+from clevercatch import detector, nn
 from clevercatch.alignment import AlignmentConfig
 from clevercatch.detector import (
     DetectorConfig,
@@ -22,13 +22,14 @@ from clevercatch.detector import (
     score,
     write_pseudo_labels_csv,
 )
-from clevercatch.encoders import BLOCK, PretrainConfig, pretrain
+from clevercatch.encoders import BLOCK, EncoderModel, PretrainConfig, init_encoders, pretrain
 from clevercatch.errors import ParseError, ShapeError, ValidationError
 from clevercatch.ingest import LabelTable
 from clevercatch.rules import Rule, RuleSet
 from clevercatch.vocab import Vocabulary
 
 import oracles
+from conftest import traced_peak
 from oracles import alignment_loss, supervised_loss, supervised_train
 
 
@@ -162,12 +163,16 @@ def toy_problem_encoders():
     max_iters=st.sampled_from([1, 2, 500]),
     weighted=st.booleans(),
     lam=st.sampled_from([0.0, 0.5]),
+    block=st.sampled_from([detector.COST_BLOCK_ROWS, 2, 3, 4]),  # rows per encoder pass
 )
-@example(seed=3, n=33, batch_size=8, epochs=2, max_iters=1, weighted=True, lam=0.5)  # n = 1 (mod 8)
-@example(seed=3, n=33, batch_size=8, epochs=3, max_iters=500, weighted=False, lam=0.5)
+@example(seed=3, n=33, batch_size=8, epochs=2, max_iters=1, weighted=True, lam=0.5, block=1024)  # n = 1 (mod 8)
+@example(seed=3, n=33, batch_size=8, epochs=3, max_iters=500, weighted=False, lam=0.5, block=1024)
+@example(seed=3, n=33, batch_size=8, epochs=2, max_iters=500, weighted=False, lam=0.5, block=4)  # ends in 5 rows
+@example(seed=3, n=34, batch_size=8, epochs=2, max_iters=500, weighted=False, lam=0.5, block=4)  # ends in 2 rows
 def test_hybrid_train_matches_the_batch_by_batch_loop(
-    seed, n, batch_size, epochs, max_iters, weighted, lam, caplog
+    seed, n, batch_size, epochs, max_iters, weighted, lam, block, caplog, monkeypatch
 ):
+    monkeypatch.setattr(detector, "COST_BLOCK_ROWS", block)
     features, labels, _ = toy_problem(nn.make_rng(seed), n=n)
     if labels.n_labeled == 0:
         labels = LabelTable(np.array([0]), np.array([1]))
@@ -187,6 +192,23 @@ def test_hybrid_train_matches_the_batch_by_batch_loop(
     as_bytes = lambda h: np.array([[s.epoch, s.supervised_loss, s.alignment_loss] for s in h]).tobytes()
     assert as_bytes(history) == as_bytes(expected_history)
     assert warned == expected_warned  # the unconverged count and its text
+
+
+def test_hybrid_train_peak_memory_per_added_row():
+    """Encoding in COST_BLOCK_ROWS blocks keeps the per-row growth near the
+    cost matrix and batch lists (about 65 B); encoding every row at once holds
+    all layer activations, about 2 KB per row at 7 rules."""
+    vocab = Vocabulary([f"D{i}" for i in range(8)])
+    ruleset = RuleSet([Rule("binary", f"D{i}", f"D{i + 1}", 0.5) for i in range(7)], vocab)
+    encoders = EncoderModel(*init_encoders(vocab.size, BLOCK * 7, PretrainConfig(), nn.make_rng(0)), ruleset)
+    peaks = []
+    for n in (2 * detector.COST_BLOCK_ROWS, 6 * detector.COST_BLOCK_ROWS):
+        features = nn.make_rng(1).normal(0.0, 0.1, (n, BLOCK * 7))
+        idx = np.arange(0, n, 10)
+        labels = LabelTable(idx, (idx % 20 == 0).astype(np.int64))
+        peaks.append(traced_peak(hybrid_train, features, labels, DetectorConfig(epochs=1), 3, encoders))
+    per_row = (peaks[1] - peaks[0]) / (4 * detector.COST_BLOCK_ROWS)
+    assert per_row <= 512, f"{per_row:.0f} B per added row"
 
 
 def test_hybrid_train_requires_encoders_when_lam_positive():

@@ -24,7 +24,7 @@ from clevercatch.rules import Rule, RuleSet, write_rules_csv
 from clevercatch.vocab import Vocabulary
 
 import oracles
-from conftest import random_ruleset
+from conftest import random_ruleset, traced_peak
 from oracles import separation_rate, triplet_loss
 
 
@@ -492,3 +492,16 @@ def test_pretrain_runs_every_epoch_while_parameters_move():
     last = [a.tobytes() for a in re.parameters()] + [a.tobytes() for a in se.parameters()]
     before = [a.tobytes() for a in before_re.parameters() + before_se.parameters()]
     assert last != before  # the last epoch moved a bit
+
+
+def test_pretrain_peak_memory_grows_with_the_triplets_it_keeps():
+    """Doubling the triplets adds at most 1.4 times their bytes to the traced peak:
+    the draw is kept once, and only the holdout is copied out of it."""
+    vocab = Vocabulary(f"D{i}" for i in range(8))
+    ruleset = RuleSet([Rule("binary", f"D{i}", f"D{i + 1}", 0.5) for i in range(7)], vocab)
+    peaks = []
+    for count in (4000, 8000):
+        cfg = PretrainConfig(epochs=1, triplet_count=count)
+        peaks.append(traced_peak(pretrain, ruleset, cfg, 0))
+    added = 4000 * (2 * BLOCK * len(ruleset) + 1) * 8  # pos, neg and rule index of the added triplets
+    assert (peaks[1] - peaks[0]) / added <= 1.4, f"{(peaks[1] - peaks[0]) / added:.2f} x the added bytes"

@@ -1,13 +1,11 @@
 """Rule-contrast features against the per-prescriber reference and a brute-force oracle."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from clevercatch import io_utils, nn
+from clevercatch import features as features_module, io_utils, nn
 from clevercatch.errors import ParseError, ValidationError
 from clevercatch.features import (
     BLOCK,
@@ -21,7 +19,7 @@ from clevercatch.ingest import CHANNELS, ClaimsTable
 from clevercatch.rules import Rule, RuleSet
 from clevercatch.vocab import Vocabulary
 
-from conftest import make_claims, random_claims, random_ruleset
+from conftest import make_claims, random_claims, random_ruleset, traced_peak
 
 N_CHANNELS = len(CHANNELS)
 
@@ -246,7 +244,8 @@ def shuffled_claims_and_rules(draw):
                 )
                 records.append((f"N{i}", 2019 + t, f"D{d}", *metrics))
     vocab = Vocabulary(f"D{d}" for d in range(n_drugs))
-    claims = make_claims(records, drugs=vocab)
+    names = [f"N{i}" for i in range(n_prescribers + draw(st.integers(0, 3)))]  # N{n_prescribers}... have no rows
+    claims = make_claims(records, drugs=vocab, prescribers=Vocabulary(draw(st.permutations(names))))
     perm = np.array(draw(st.permutations(range(claims.n_records))), dtype=np.int64)
     claims = ClaimsTable(
         npi_idx=claims.npi_idx[perm],
@@ -274,23 +273,24 @@ def shuffled_claims_and_rules(draw):
 
 
 @settings(deadline=None, max_examples=200)
-@given(case=shuffled_claims_and_rules())
-def test_feature_pass_matches_per_prescriber_reference_bitwise(case):
+@given(case=shuffled_claims_and_rules(), block=st.sampled_from([features_module.PRESCRIBER_BLOCK, 3]))
+def test_feature_pass_matches_per_prescriber_reference_bitwise(case, block):
     claims, ruleset = case
-    got = build_feature_matrix(claims, ruleset)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(features_module, "PRESCRIBER_BLOCK", block)  # prescribers per pass
+        got = build_feature_matrix(claims, ruleset)
     want = oracles.feature_matrix(claims, ruleset)
     assert got.columns == want.columns and got.npis == want.npis
     assert got.values.tobytes() == want.values.tobytes()  # bitwise, signs of zero included
 
 
-def test_build_feature_matrix_peak_memory_per_row():
-    """The feature pass allocates at most 150 B per claim row at 7 rules (about 105 measured)."""
+def synthetic_claims(n_prescribers: int = 2_000, n_drugs: int = 25, n_years: int = 2) -> ClaimsTable:
+    """Every prescriber holds every drug in every year, rows in random drug order."""
     rng = np.random.default_rng(0)
-    n_prescribers, n_drugs, n_years = 2_000, 25, 2
     npi_idx = np.repeat(np.arange(n_prescribers), n_drugs * n_years)
     year = np.tile(np.repeat(2019 + np.arange(n_years), n_drugs), n_prescribers)
     drug_idx = np.concatenate([rng.permutation(n_drugs) for _ in range(n_prescribers * n_years)])
-    claims = ClaimsTable(
+    return ClaimsTable(
         npi_idx=npi_idx,
         year=year,
         drug_idx=drug_idx,
@@ -298,14 +298,23 @@ def test_build_feature_matrix_peak_memory_per_row():
         drugs=Vocabulary(f"D{d}" for d in range(n_drugs)),
         prescribers=Vocabulary(f"N{i}" for i in range(n_prescribers)),
     )
+
+
+def test_build_feature_matrix_peak_memory_per_row():
+    """The feature pass allocates at most 150 B per claim row at 7 rules (about 105 measured)."""
+    claims = synthetic_claims()
     ruleset = random_ruleset(nn.make_rng(3), claims.drugs, 7)
-    tracemalloc.start()
-    try:
-        features = build_feature_matrix(claims, ruleset)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert features.values.shape == (n_prescribers, 7 * BLOCK)
+    peak = traced_peak(build_feature_matrix, claims, ruleset)
+    assert peak / claims.n_records <= 150, f"{peak / claims.n_records:.0f} B per row"
+
+
+def test_build_feature_matrix_peak_memory_per_row_at_20_rules(monkeypatch):
+    """At 20 rules the (cells, R, 5) contrasts of one pass cost 198 B per claim row;
+    prescriber blocks keep the pass under 150 B, the output's 48 B included."""
+    claims = synthetic_claims()
+    ruleset = random_ruleset(nn.make_rng(3), claims.drugs, 20)
+    monkeypatch.setattr(features_module, "PRESCRIBER_BLOCK", 256)  # 8 blocks
+    peak = traced_peak(build_feature_matrix, claims, ruleset)
     assert peak / claims.n_records <= 150, f"{peak / claims.n_records:.0f} B per row"
 
 

@@ -3,7 +3,6 @@
 import csv
 import io
 import logging
-import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
 
@@ -16,6 +15,8 @@ from clevercatch import ingest
 from clevercatch.errors import ParseError, ValidationError
 from clevercatch.ingest import LabelTable, parse_claims_csv, parse_labels
 from clevercatch.vocab import Vocabulary
+
+from conftest import traced_peak
 
 CLAIMS_HEADER = (
     "npi,year,specialty,drug,total_claims,total_30day_fills,"
@@ -406,11 +407,6 @@ def test_parse_claims_peak_memory_per_row(tmp_path):
     path = tmp_path / "claims.csv"
     write_claims(path, rows)
     del rows
-    tracemalloc.start()
-    try:
-        table = parse_claims_csv(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert table.n_records == n_prescribers * n_drugs * n_years == 50_000
-    assert peak / table.n_records <= 300, f"{peak / table.n_records:.0f} B per row"
+    peak = traced_peak(parse_claims_csv, path)
+    assert parse_claims_csv(path).n_records == n_prescribers * n_drugs * n_years == 50_000
+    assert peak / 50_000 <= 300, f"{peak / 50_000:.0f} B per row"

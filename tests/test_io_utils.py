@@ -2,12 +2,15 @@
 
 import pytest
 
+from clevercatch import io_utils
 from clevercatch.errors import ParseError
 from clevercatch.evaluation import read_scores_csv
 from clevercatch.ingest import parse_claims_csv, parse_labels
 from clevercatch.io_utils import csv_records, write_csv
 from clevercatch.rules import parse_rules
 from clevercatch.vocab import Vocabulary
+
+from conftest import traced_peak
 
 CLAIMS_HEADER = (
     "npi,year,specialty,drug,total_claims,total_30day_fills,total_day_supply,total_cost,"
@@ -70,6 +73,27 @@ def test_write_csv_layout_and_records_round_trip(tmp_path):
     assert path.read_bytes() == b"# note\na,b\n0,0\n1,1\n2,4\n"
     write_csv(path, ["a", "b"], ["x,1", "", "y,2"])
     assert list(csv_records(path, [["a", "b"]])) == [(2, ["x", "1"]), (4, ["y", "2"])]
+
+
+@pytest.mark.parametrize("block", [io_utils.CSV_BLOCK_LINES, 1, 3])
+@pytest.mark.parametrize("n_lines", [0, 1, 3, 7])
+@pytest.mark.parametrize("comments", [[], ["# one", "# two"]])
+def test_write_csv_bytes_equal_the_joined_table(tmp_path, monkeypatch, block, n_lines, comments):
+    monkeypatch.setattr(io_utils, "CSV_BLOCK_LINES", block)
+    lines = [f"{i},{i / 7!r}" for i in range(n_lines)]
+    path = tmp_path / "table.csv"
+    write_csv(path, ["a", "b"], iter(lines), comments=comments)
+    assert path.read_bytes() == "\n".join([*comments, "a,b", *lines, ""]).encode("utf-8")
+
+
+def test_write_csv_peak_memory_is_below_half_the_text(tmp_path):
+    """The table streams to disk in blocks; it is never one string."""
+    n_lines, line = 100_000, "1234567,0.12345678901234567,0.98765432109876543"
+    text_bytes = n_lines * (len(line) + 1)  # about 4.8 MB
+    path = tmp_path / "table.csv"
+    peak = traced_peak(write_csv, path, ["npi", "x", "y"], (line for _ in range(n_lines)))
+    assert path.stat().st_size == text_bytes + len("npi,x,y\n")
+    assert peak < text_bytes / 2, f"peak {peak} B for {text_bytes} B of text"
 
 
 def test_csv_records_accepts_any_of_its_headers(tmp_path):
