@@ -37,7 +37,7 @@ class AlignmentConfig:
             raise ValidationError("momentum must lie in [0, 1)")
 
 
-COST_BLOCK_ROWS = 1024  # sample rows per (rows, R, L) difference temporary and per training encoder pass
+COST_BLOCK_ROWS = 1024  # sample rows per (rows, R, L) difference and per encoder pass (train, pseudolabel)
 
 
 def cost_matrix(samples: np.ndarray, rules: np.ndarray) -> np.ndarray:
@@ -60,7 +60,6 @@ def cost_matrix(samples: np.ndarray, rules: np.ndarray) -> np.ndarray:
 @dataclass
 class TransportPlan:
     matrix: np.ndarray  # (B, R) strictly positive entries
-    col_marginal: np.ndarray  # (R,)
     converged: bool
     iterations: int
 
@@ -141,19 +140,8 @@ def sinkhorn_stack(
             live, log_kernel, g = live[~done], log_kernel[~done], g[~done]
             if live.size == 0:
                 break
-    return [TransportPlan(plans[k], b, bool(converged[k]), int(iterations[k]))
+    return [TransportPlan(plans[k], bool(converged[k]), int(iterations[k]))
             for k in range(n_problems)]
-
-
-def sinkhorn(
-    cost: np.ndarray, epsilon: float, a: np.ndarray | None = None,
-    b: np.ndarray | None = None, max_iters: int = 500, tol: float = 1e-9,
-) -> TransportPlan:
-    """Entropic transport plan of one (B, R) cost matrix: sinkhorn_stack with K = 1."""
-    cost = np.asarray(cost, dtype=np.float64)
-    if cost.ndim != 2 or cost.size == 0:
-        raise ShapeError("cost matrix must be a non-empty 2-D array")
-    return sinkhorn_stack(cost[None], np.array([epsilon], dtype=np.float64), a, b, max_iters, tol)[0]
 
 
 def transport_cost(plan: TransportPlan, cost: np.ndarray) -> np.ndarray:
@@ -235,23 +223,11 @@ def batch_epsilon(cost: np.ndarray, epsilon_scale: float) -> float:
     return epsilon_scale * scale
 
 
-def align_batch(
-    sample_embeds: np.ndarray,
-    rule_embeds: np.ndarray,
-    cfg: AlignmentConfig,
-    col_marginal: np.ndarray | None = None,
-) -> tuple[np.ndarray, TransportPlan]:
-    """Per-sample transport cost and the Sinkhorn plan for one batch."""
-    cost = cost_matrix(sample_embeds, rule_embeds)
-    epsilon = batch_epsilon(cost, cfg.epsilon_scale)
-    plan = sinkhorn(cost, epsilon, b=col_marginal, max_iters=cfg.max_iters, tol=cfg.tol)
-    return transport_cost(plan, cost), plan
-
-
 def align_batches(
     costs: list[np.ndarray], cfg: AlignmentConfig, col_marginal: np.ndarray | None = None,
 ) -> list[tuple[np.ndarray, TransportPlan]]:
-    """align_batch of each batch, from its cost matrix, bitwise, with one Sinkhorn solve per size."""
+    """Per-sample transport cost and Sinkhorn plan of each batch, from its cost matrix, with
+    one sinkhorn_stack solve per batch size: bitwise as if each batch were solved alone."""
     aligned: list = [None] * len(costs)
     for size in {cost.shape[0] for cost in costs}:
         group = [k for k, cost in enumerate(costs) if cost.shape[0] == size]

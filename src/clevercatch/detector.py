@@ -21,8 +21,6 @@ from .alignment import (
     COST_BLOCK_ROWS,
     AlignmentConfig,
     CalibrationState,
-    TransportPlan,
-    align_batch,
     align_batches,
     cost_matrix,
     pseudo_labels,
@@ -114,7 +112,7 @@ class _Aligner:
     """Pseudo-labels for successive batches against the encoders' rules.
 
     Calibration starts at the first batch and keeps running across the
-    batches in call order; plans and unconverged plans are counted.
+    batches in the order given; plans and unconverged plans are counted.
     """
 
     def __init__(self, encoders: EncoderModel, cfg: AlignmentConfig):
@@ -125,11 +123,6 @@ class _Aligner:
         self.calibration = CalibrationState(momentum=cfg.momentum)
         self.plans = self.unconverged = 0
 
-    def __call__(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Transport costs and calibrated pseudo-labels of one feature batch."""
-        embeds = sample_encode(self.se, batch)
-        return self._calibrate(*align_batch(embeds, self.rule_embeds, self.cfg, self.col_marginal))
-
     def cost(self, batch: np.ndarray) -> np.ndarray:
         """Cost matrix of one feature batch against the rule embeddings, shape (B, R), encoded
         COST_BLOCK_ROWS rows at a time; a one-row remainder joins the block before it."""
@@ -137,16 +130,16 @@ class _Aligner:
         return np.concatenate([cost_matrix(sample_encode(self.se, b), self.rule_embeds) for b in blocks])
 
     def batches(self, costs: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-        """One call per batch, given its cost matrix, in list order, bitwise, with
-        one Sinkhorn solve per batch size."""
-        aligned = align_batches(costs, self.cfg, self.col_marginal)
-        return [self._calibrate(costs, plan) for costs, plan in aligned]  # calibrates in batch order
-
-    def _calibrate(self, costs: np.ndarray, plan: TransportPlan) -> tuple[np.ndarray, np.ndarray]:
-        self.plans += 1
-        self.unconverged += not plan.converged
-        update_calibration(self.calibration, costs)
-        return costs, pseudo_labels(costs, self.calibration, self.cfg.tau, self.cfg.eps)
+        """Transport costs and pseudo-labels of each batch, given its cost matrix, calibrated
+        in list order, with one Sinkhorn solve per batch size."""
+        aligned = []
+        for batch_costs, plan in align_batches(costs, self.cfg, self.col_marginal):
+            self.plans += 1
+            self.unconverged += not plan.converged
+            update_calibration(self.calibration, batch_costs)
+            targets = pseudo_labels(batch_costs, self.calibration, self.cfg.tau, self.cfg.eps)
+            aligned.append((batch_costs, targets))
+        return aligned
 
     def warn_unconverged(self, where: str) -> None:
         if self.unconverged:
@@ -271,9 +264,10 @@ def pseudo_label_classifier(
 ) -> PseudoLabelReport:
     """Detector-free classifier from one alignment pass over the full dataset.
 
-    Calibration uses the batch statistics of all samples at once and is not
-    updated afterwards; predictions flag pseudo-labels strictly above the
-    threshold.
+    The rows are encoded COST_BLOCK_ROWS at a time and solved as one transport
+    problem. Calibration uses the batch statistics of all samples at once and
+    is not updated afterwards; predictions flag pseudo-labels strictly above
+    the threshold.
     """
     align_cfg = align_cfg if align_cfg is not None else AlignmentConfig()
     features = np.asarray(features, dtype=np.float64)
@@ -281,7 +275,7 @@ def pseudo_label_classifier(
         raise ShapeError("features must be a non-empty 2-D array")
     _check_binding(features, encoders)
     aligner = _Aligner(encoders, align_cfg)
-    costs, labels = aligner(features)
+    [(costs, labels)] = aligner.batches([aligner.cost(features)])
     aligner.warn_unconverged("pseudo_label_classifier")
     return PseudoLabelReport(costs=costs, labels=labels, predictions=labels > threshold)
 

@@ -230,18 +230,6 @@ def _triplet_grads(e_rule: np.ndarray, e_pos: np.ndarray, e_neg: np.ndarray, coe
     return c * (e_neg - e_pos), c * (e_pos - e_rule), -c * (e_neg - e_rule)
 
 
-def _triplet_batch_loss(
-    e_rule: np.ndarray,
-    e_pos: np.ndarray,
-    e_neg: np.ndarray,
-    weights: np.ndarray,
-    margin: float,
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Mean weighted hinge plus gradients w.r.t. the three embedding batches."""
-    loss, _, _, coef = _triplet_hinges(e_rule, e_pos, e_neg, weights, margin)
-    return (loss, *_triplet_grads(e_rule, e_pos, e_neg, coef))
-
-
 def _separation(e_rule: np.ndarray, e_pos: np.ndarray, e_neg: np.ndarray) -> float:
     d_pos = ((e_pos - e_rule) ** 2).sum(axis=1)
     d_neg = ((e_neg - e_rule) ** 2).sum(axis=1)

@@ -1,12 +1,15 @@
 """Reference implementations that the tests check the library against.
 
 None of these run in the pipeline: finite-difference gradient checks, the
-scalar triplet loss, the separation rate of a triplet batch, the
+scalar triplet loss and the batch triplet loss with its gradients, the
+separation rate of a triplet batch, the
 per-prescriber-year share groups and the prescriber-by-prescriber feature
 loop that the vectorized feature pass must match bitwise, the plain
 supervised trainer that hybrid_train must reproduce bitwise at lambda = 0,
-the batch-by-batch hybrid loop that hybrid_train's per-epoch stacked
-transport solve must match bitwise,
+the whole-matrix alignment path (every row of a batch encoded at once, each
+batch solved alone), which pseudo_label_classifier must match bitwise, the
+batch-by-batch hybrid loop on that path, which hybrid_train's per-epoch
+stacked transport solve must match bitwise,
 the record-at-a-time claims parser that the columnar one must match, the
 line-at-a-time features.csv reader that the numpy one must match, the
 pretraining loop that runs every backward pass, which encoders.pretrain must
@@ -27,10 +30,19 @@ import numpy as np
 from scipy.special import expit
 
 from clevercatch import nn
-from clevercatch.alignment import AlignmentConfig
+from clevercatch.alignment import (
+    AlignmentConfig,
+    batch_epsilon,
+    cost_matrix,
+    pseudo_labels,
+    sinkhorn_stack,
+    transport_cost,
+    update_calibration,
+)
 from clevercatch.detector import (
     DetectorConfig,
     DetectorModel,
+    PseudoLabelReport,
     TrainEpochStats,
     _Aligner,
     bce_with_grad,
@@ -46,7 +58,8 @@ from clevercatch.encoders import (
     _rule_encode_bwd,
     _rule_encode_fwd,
     _separation,
-    _triplet_batch_loss,
+    _triplet_grads,
+    _triplet_hinges,
     gen_synthetic_triplets,
     init_encoders,
     rule_encode,
@@ -169,6 +182,18 @@ def triplet_loss(
     return weight * max(0.0, d_pos - d_neg + margin)
 
 
+def triplet_batch_loss(
+    e_rule: np.ndarray,
+    e_pos: np.ndarray,
+    e_neg: np.ndarray,
+    weights: np.ndarray,
+    margin: float,
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Mean weighted hinge plus gradients w.r.t. the three embedding batches."""
+    loss, _, _, coef = _triplet_hinges(e_rule, e_pos, e_neg, weights, margin)
+    return (loss, *_triplet_grads(e_rule, e_pos, e_neg, coef))
+
+
 def separation_rate(
     re: RuleEncoderParams, se: nn.Mlp, ruleset: RuleSet, batch: TripletBatch
 ) -> float:
@@ -218,7 +243,7 @@ def pretrain(
             e_rule, re_cache = _rule_encode_fwd(re, ruleset.p_idx[rule_ids], ruleset.q_idx[rule_ids])
             e_pos, pos_cache = nn.mlp_forward(se, train.pos[idx])
             e_neg, neg_cache = nn.mlp_forward(se, train.neg[idx])
-            loss, d_rule, d_pos, d_neg = _triplet_batch_loss(
+            loss, d_rule, d_pos, d_neg = triplet_batch_loss(
                 e_rule, e_pos, e_neg, ruleset.weights[rule_ids], cfg.margin
             )
             if not np.isfinite(loss):
@@ -379,6 +404,40 @@ def supervised_train(
     return DetectorModel(mlp=mlp, lam=0.0, seed=int(seed)), history
 
 
+class WholeMatrixAligner(_Aligner):
+    """The whole-matrix alignment path: a batch is encoded in one sample_encode
+    pass, and its cost matrix is solved alone as a K = 1 sinkhorn_stack.
+
+    detector._Aligner encodes in COST_BLOCK_ROWS blocks and solves same-size
+    batches together; both must give these costs and pseudo-labels bitwise.
+    """
+
+    def __call__(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        cost = cost_matrix(sample_encode(self.se, batch), self.rule_embeds)
+        epsilon = batch_epsilon(cost, self.cfg.epsilon_scale)
+        plan = sinkhorn_stack(cost[None], np.array([epsilon]), b=self.col_marginal,
+                              max_iters=self.cfg.max_iters, tol=self.cfg.tol)[0]
+        costs = transport_cost(plan, cost)
+        self.plans += 1
+        self.unconverged += not plan.converged
+        update_calibration(self.calibration, costs)
+        return costs, pseudo_labels(costs, self.calibration, self.cfg.tau, self.cfg.eps)
+
+
+def pseudo_label_classifier(
+    features: np.ndarray,
+    encoders: EncoderModel,
+    align_cfg: AlignmentConfig | None = None,
+    threshold: float = 0.5,
+) -> PseudoLabelReport:
+    """detector.pseudo_label_classifier through WholeMatrixAligner: every row
+    encoded at once and aligned in one transport problem."""
+    aligner = WholeMatrixAligner(encoders, align_cfg if align_cfg is not None else AlignmentConfig())
+    costs, labels = aligner(np.asarray(features, dtype=np.float64))
+    aligner.warn_unconverged("pseudo_label_classifier")
+    return PseudoLabelReport(costs=costs, labels=labels, predictions=labels > threshold)
+
+
 def hybrid_train(
     features: np.ndarray,
     labels: LabelTable,
@@ -398,7 +457,7 @@ def hybrid_train(
     y, mask = labels.to_dense(n)
     aligner = None
     if cfg.lam > 0.0:
-        aligner = _Aligner(encoders, align_cfg if align_cfg is not None else AlignmentConfig())
+        aligner = WholeMatrixAligner(encoders, align_cfg if align_cfg is not None else AlignmentConfig())
     rng = nn.make_rng(seed)
     mlp = init_detector(features.shape[1], cfg.hidden, rng)
     opt = nn.adam(cfg.learning_rate)

@@ -26,7 +26,7 @@ import oracles
 from oracles import supervised_train
 
 from clevercatch import nn
-from clevercatch.alignment import AlignmentConfig, sinkhorn
+from clevercatch.alignment import AlignmentConfig, sinkhorn_stack
 from clevercatch.cli import main as cli_main
 from clevercatch.detector import (
     DetectorConfig,
@@ -39,7 +39,6 @@ from clevercatch.detector import (
 from clevercatch.encoders import (
     EncoderModel,
     PretrainConfig,
-    _triplet_batch_loss,
     pretrain,
 )
 from clevercatch.evaluation import (
@@ -182,7 +181,7 @@ def test_c02_analytic_gradients_match_finite_differences(capsys):
 
     def triplet_loss_and_grad(theta):
         e_rule, e_pos, e_neg = oracles.unflatten_arrays(theta, shapes)
-        loss, d_rule, d_pos, d_neg = _triplet_batch_loss(
+        loss, d_rule, d_pos, d_neg = oracles.triplet_batch_loss(
             e_rule, e_pos, e_neg, weights, margin
         )
         flat, _ = oracles.flatten_arrays([d_rule, d_pos, d_neg])
@@ -268,7 +267,7 @@ def test_c03_transport_plans_match_log_domain_oracle(capsys):
         cost = rng.uniform(0.0, 5.0, (n, m))
         a, b = marginal(n), marginal(m)
         epsilon = float(rng.uniform(0.05, 1.0))
-        plan = sinkhorn(cost, epsilon, a=a, b=b, max_iters=20_000, tol=1e-9)
+        plan = sinkhorn_stack(cost[None], np.array([epsilon]), a=a, b=b, max_iters=20_000, tol=1e-9)[0]
         all_converged &= plan.converged
         max_marginal = max(
             max_marginal,
@@ -282,8 +281,8 @@ def test_c03_transport_plans_match_log_domain_oracle(capsys):
     for _ in range(10):
         cost = rng.uniform(0.0, 4.0, (12, 7))
         a, b = marginal(12), marginal(7)
-        base = sinkhorn(cost, 0.3, a=a, b=b, max_iters=20_000, tol=1e-11)
-        moved = sinkhorn(cost + 2.5, 0.3, a=a, b=b, max_iters=20_000, tol=1e-11)
+        base = sinkhorn_stack(cost[None], np.array([0.3]), a=a, b=b, max_iters=20_000, tol=1e-11)[0]
+        moved = sinkhorn_stack(cost[None] + 2.5, np.array([0.3]), a=a, b=b, max_iters=20_000, tol=1e-11)[0]
         max_shift = max(max_shift, float(np.abs(base.matrix - moved.matrix).max()))
 
     elapsed = time.perf_counter() - start

