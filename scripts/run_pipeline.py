@@ -55,7 +55,7 @@ def run(seed: int, providers: int, out_dir: Path) -> None:
     ruleset = parse_rules(paths["rules"], claims.drugs)
     labels = parse_labels(paths["labels"], claims.prescribers)
     print(
-        f"cohort: {len(data.rows)} claim rows, {providers} prescribers, "
+        f"cohort: {data.claim_rows} claim rows, {providers} prescribers, "
         f"{int(data.truth.labels.sum())} fraudulent, {len(ruleset.rules)} rules"
     )
 

@@ -127,7 +127,7 @@ def cmd_simulate(run: Run):
     run.outputs.update(paths)
     n_fraud = int(data.truth.labels.sum())
     print(
-        f"simulate: {len(data.rows)} claim rows, "
+        f"simulate: {data.claim_rows} claim rows, "
         f"{len(data.truth.npis)} prescribers ({n_fraud} fraudulent), "
         f"{len(data.truth.rules)} rules -> {run.out_dir}"
     )

@@ -97,12 +97,15 @@ def parse_claims_csv(path) -> ClaimsTable:
     n_cells = len(prescribers) * years.size * len(drugs)
     if n_cells > np.iinfo(np.int64).max:
         raise ParseError(f"{path}: {n_cells} (npi, year, drug) cells exceed the int64 key range")
-    year_rank = np.searchsorted(years, year)
-    key = (npi_idx * years.size + year_rank) * len(drugs) + drug_idx
-    _, first, group = np.unique(key, return_index=True, return_inverse=True)
-    del key, year_rank
-    n_duplicates = n - first.size
-    if n_duplicates:
+    key = _cell_keys(npi_idx, year, drug_idx, years, len(drugs))
+    key.sort()  # in place: a file without duplicates needs no np.unique temporaries
+    has_duplicates = bool((key[1:] == key[:-1]).any())
+    del key
+    if has_duplicates:
+        key = _cell_keys(npi_idx, year, drug_idx, years, len(drugs))
+        _, first, group = np.unique(key, return_index=True, return_inverse=True)
+        del key
+        n_duplicates = n - first.size
         order = np.argsort(first)
         keep = first[order]
         position = np.empty_like(order)
@@ -122,6 +125,15 @@ def parse_claims_csv(path) -> ClaimsTable:
         drugs=Vocabulary(drugs),
         prescribers=Vocabulary(prescribers),
     )
+
+
+def _cell_keys(npi_idx, year, drug_idx, years: np.ndarray, n_drugs: int) -> np.ndarray:
+    """One int64 key per (npi, year, drug) record, built in place to hold two columns at most."""
+    key = npi_idx * years.size
+    key += np.searchsorted(years, year)
+    key *= n_drugs
+    key += drug_idx
+    return key
 
 
 def _record_error(path, lineno: int, row: list[str]) -> ParseError | None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -34,6 +35,8 @@ FILLS_PER_CLAIM = 1.2
 DAYS_PER_FILL = 30
 BENE_PER_CLAIM = 0.6
 COST_NOISE = 0.1
+
+CLAIM_BLOCK = 1024  # providers whose claims are drawn and formatted together
 
 
 @dataclass
@@ -76,6 +79,8 @@ class SimConfig:
             raise ValidationError("pair floor must lie strictly between 0 and 1")
         if self.price_median <= 0 or self.volume_median <= 0 or self.min_volume < 1:
             raise ValidationError("prices and volumes must be positive")
+        if self.price_sigma < 0 or self.volume_sigma < 0:
+            raise ValidationError("price and volume sigmas must be non-negative")
         if not 0.0 <= self.opioid_rule_weight <= 1.0:
             raise ValidationError("opioid rule weight must lie in [0, 1]")
 
@@ -92,22 +97,13 @@ class GroundTruth:
 
 
 @dataclass
-class ClaimRow:
-    npi: str
-    year: int
-    drug: str
-    claims: int
-    fills: int
-    days: int
-    cost: float
-    bene: int
-
-
-@dataclass
 class SimData:
+    """A cohort's ground truth and the generator its claims are drawn from next."""
+
     config: SimConfig
-    rows: list[ClaimRow]
     truth: GroundTruth
+    rng: np.random.Generator  # consumed by _claim_lines
+    claim_rows: int = 0  # claims.csv rows drawn so far; all of them once the file is written
 
 
 def _drug_roles(cfg: SimConfig) -> tuple[list[tuple[int, int, float]], list[int]]:
@@ -146,12 +142,10 @@ def _plant_opioid(shares: np.ndarray, opioids: list[int], boost: float) -> np.nd
 
 
 def generate(cfg: SimConfig) -> SimData:
-    """Generate the full dataset; the draw order below is part of the contract.
+    """Draw drug prices and the fraud assignment; _claim_lines draws the claims.
 
-    Order: drug prices, fraud assignment permutation, then per provider and
-    year a Dirichlet share draw, a volume draw, a multinomial claims draw, and
-    a cost-noise vector. Coverage-guard rows (one claim of any rule drug never
-    sampled anywhere) are appended afterwards without consuming randomness.
+    The draw order is part of the contract: drug prices, the fraud assignment
+    permutation, then the claims in the order _claim_lines documents.
     """
     rng = nn.make_rng(cfg.seed)
     drugs = [f"D{i:03d}" for i in range(cfg.n_drugs)]
@@ -185,63 +179,6 @@ def generate(cfg: SimConfig) -> SimData:
             "drugs": [drugs[d] for d in opioids],
         }
 
-    pair_index = {drugs[p]: (p, q) for p, q, _ in pairs}
-    rows: list[ClaimRow] = []
-    seen_drugs = np.zeros(cfg.n_drugs, dtype=bool)
-    alpha = np.full(cfg.n_drugs, cfg.dirichlet_alpha)
-    for i in range(cfg.n_providers):
-        scenario = scenario_by_provider.get(i)
-        for t in range(cfg.n_years):
-            shares = rng.dirichlet(alpha)
-            if scenario is not None:
-                if scenario["scenario"] == "cost_preference":
-                    p, q = pair_index[scenario["pair"][0]]
-                    shares = _plant_cost(shares, p, q, cfg.boost, cfg.pair_floor)
-                else:
-                    shares = _plant_opioid(shares, opioids, cfg.boost)
-            volume = max(
-                cfg.min_volume,
-                int(np.rint(rng.lognormal(math.log(cfg.volume_median), cfg.volume_sigma))),
-            )
-            claims = rng.multinomial(volume, shares / shares.sum())
-            noise = rng.uniform(1.0 - COST_NOISE, 1.0 + COST_NOISE, cfg.n_drugs)
-            for d in np.flatnonzero(claims):
-                c = int(claims[d])
-                fills = int(np.rint(FILLS_PER_CLAIM * c))
-                rows.append(
-                    ClaimRow(
-                        npi=npis[i],
-                        year=cfg.base_year + t,
-                        drug=drugs[d],
-                        claims=c,
-                        fills=fills,
-                        days=DAYS_PER_FILL * fills,
-                        cost=round(c * float(prices[d]) * float(noise[d]), 2),
-                        bene=int(np.rint(BENE_PER_CLAIM * c)),
-                    )
-                )
-                seen_drugs[d] = True
-
-    rule_drugs = sorted({d for p, q, _ in pairs for d in (p, q)} | set(opioids))
-    guard_targets = [d for d in rule_drugs if not seen_drugs[d]]
-    honest = [i for i in range(cfg.n_providers) if labels[i] == 0] or list(
-        range(cfg.n_providers)
-    )
-    for j, d in enumerate(guard_targets):
-        i = honest[j % len(honest)]
-        rows.append(
-            ClaimRow(
-                npi=npis[i],
-                year=cfg.base_year,
-                drug=drugs[d],
-                claims=1,
-                fills=1,
-                days=DAYS_PER_FILL,
-                cost=round(float(prices[d]), 2),
-                bene=1,
-            )
-        )
-
     rules = [
         Rule(kind="binary", p=drugs[p], q=drugs[q], weight=min(1.0, gap / GAP_FULL_WEIGHT))
         for p, q, gap in pairs
@@ -260,14 +197,64 @@ def generate(cfg: SimConfig) -> SimData:
         opioid_drugs=[drugs[d] for d in opioids],
         prices={drugs[d]: float(prices[d]) for d in range(cfg.n_drugs)},
     )
-    return SimData(config=cfg, rows=rows, truth=truth)
+    return SimData(config=cfg, truth=truth, rng=rng)
 
 
-def write_claims_csv(path, rows: list[ClaimRow]) -> None:
-    write_csv(path, CLAIMS_HEADER, (
-        f"{r.npi},{r.year},{SPECIALTY},{r.drug},{r.claims},{r.fills},{r.days},{r.cost:.2f},{r.bene}"
-        for r in rows
-    ))
+def _claim_lines(data: SimData) -> Iterator[str]:
+    """claims.csv lines in (provider, year, drug) order, drawn CLAIM_BLOCK providers at a time.
+
+    Per provider and year, in order: a Dirichlet share draw, the planting, a
+    volume draw, a multinomial claims draw and a cost-noise vector; the draw
+    order is part of the contract. Coverage-guard rows (one claim of any rule
+    drug never sampled anywhere) come last and consume no randomness.
+    """
+    cfg, truth, rng = data.config, data.truth, data.rng
+    drugs = list(truth.prices)  # in drug index order
+    drug_index = {name: d for d, name in enumerate(drugs)}
+    prices = np.array(list(truth.prices.values()))
+    opioids = [drug_index[name] for name in truth.opioid_drugs]
+    years = [cfg.base_year + t for t in range(cfg.n_years)]
+    alpha = np.full(cfg.n_drugs, cfg.dirichlet_alpha)
+    seen_drugs = np.zeros(cfg.n_drugs, dtype=bool)
+    for start in range(0, cfg.n_providers, CLAIM_BLOCK):
+        npis = truth.npis[start:start + CLAIM_BLOCK]
+        counts = np.empty((len(npis), cfg.n_years, cfg.n_drugs), dtype=np.int64)
+        noise = np.empty(counts.shape)
+        for b, npi in enumerate(npis):
+            scenario = truth.scenarios.get(npi)
+            for t in range(cfg.n_years):
+                shares = rng.dirichlet(alpha)
+                if scenario is not None:
+                    if scenario["scenario"] == "cost_preference":
+                        p, q = (drug_index[name] for name in scenario["pair"])
+                        shares = _plant_cost(shares, p, q, cfg.boost, cfg.pair_floor)
+                    else:
+                        shares = _plant_opioid(shares, opioids, cfg.boost)
+                volume = max(
+                    cfg.min_volume,
+                    int(np.rint(rng.lognormal(math.log(cfg.volume_median), cfg.volume_sigma))),
+                )
+                counts[b, t] = rng.multinomial(volume, shares / shares.sum())
+                noise[b, t] = rng.uniform(1.0 - COST_NOISE, 1.0 + COST_NOISE, cfg.n_drugs)
+        b, t, d = np.nonzero(counts)
+        claims = counts[b, t, d]
+        # claims x price x noise in that order: the costs' last bits depend on it
+        cost = claims * prices[d] * noise[b, t, d]
+        fills = np.rint(FILLS_PER_CLAIM * claims).astype(np.int64)
+        bene = np.rint(BENE_PER_CLAIM * claims).astype(np.int64)
+        seen_drugs[d] = True
+        data.claim_rows += claims.size
+        columns = (b, t, d, claims, fills, cost, bene)
+        for i, y, k, c, f, x, e in zip(*(column.tolist() for column in columns)):
+            yield f"{npis[i]},{years[y]},{SPECIALTY},{drugs[k]},{c},{f},{DAYS_PER_FILL * f},{x:.2f},{e}"
+
+    rule_drugs = sorted({drug_index[name] for pair in truth.pairs for name in pair} | set(opioids))
+    guard_targets = [d for d in rule_drugs if not seen_drugs[d]]
+    honest = np.flatnonzero(truth.labels == 0).tolist() or list(range(cfg.n_providers))
+    for j, d in enumerate(guard_targets):
+        npi = truth.npis[honest[j % len(honest)]]
+        data.claim_rows += 1
+        yield f"{npi},{cfg.base_year},{SPECIALTY},{drugs[d]},1,1,{DAYS_PER_FILL},{float(prices[d]):.2f},1"
 
 
 def write_labels_csv(path, npis: list[str], labels: np.ndarray) -> None:
@@ -275,7 +262,11 @@ def write_labels_csv(path, npis: list[str], labels: np.ndarray) -> None:
 
 
 def write_sim_data(cfg: SimConfig, out_dir) -> tuple[SimData, dict[str, Path]]:
-    """Generate and write claims, labels, rules, and the ground-truth manifest."""
+    """Generate and write claims, labels, rules, and the ground-truth manifest.
+
+    claims.csv is drawn and written one block of providers at a time, so no
+    row outlives its block; the returned SimData counts the rows written.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     data = generate(cfg)
@@ -285,7 +276,7 @@ def write_sim_data(cfg: SimConfig, out_dir) -> tuple[SimData, dict[str, Path]]:
         "rules": out / "rules.csv",
         "ground_truth": out / "ground_truth.json",
     }
-    write_claims_csv(paths["claims"], data.rows)
+    write_csv(paths["claims"], CLAIMS_HEADER, _claim_lines(data))
     write_labels_csv(paths["labels"], data.truth.npis, data.truth.labels)
     write_rules_csv(data.truth.rules, paths["rules"])
     manifest = {

@@ -12,6 +12,8 @@ batch-by-batch hybrid loop on that path, which hybrid_train's per-epoch
 stacked transport solve must match bitwise,
 the record-at-a-time claims parser that the columnar one must match, the
 line-at-a-time features.csv reader that the numpy one must match, the
+row-by-row claims generator whose files the block-streamed simulator must
+match byte for byte, the
 pretraining loop that runs every backward pass, which encoders.pretrain must
 match bitwise, the scalar supervised and alignment losses, and the serial
 ablation loop that the pooled one must match bitwise, and the MLP forward
@@ -23,7 +25,9 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -80,8 +84,22 @@ from clevercatch.evaluation import (
 )
 from clevercatch.features import BLOCK, FeatureMatrix, build_feature_matrix, feature_columns
 from clevercatch.ingest import CHANNELS, CLAIMS_HEADER, ClaimsTable, LabelTable
+from clevercatch.io_utils import atomic_write_text, dumps_canonical, write_csv
 from clevercatch.nn import make_rng
-from clevercatch.rules import Rule, RuleSet
+from clevercatch.rules import Rule, RuleSet, write_rules_csv
+from clevercatch.simulator import (
+    BENE_PER_CLAIM,
+    COST_NOISE,
+    DAYS_PER_FILL,
+    FILLS_PER_CLAIM,
+    GAP_FULL_WEIGHT,
+    SPECIALTY,
+    SimConfig,
+    _drug_roles,
+    _plant_cost,
+    _plant_opioid,
+    write_labels_csv,
+)
 from clevercatch.vocab import Vocabulary
 
 logger = logging.getLogger("clevercatch.ingest")  # where the library parser warns, so tests compare both
@@ -801,3 +819,99 @@ def mlp_backward(
         grads[2 * i + 1] = dz.sum(axis=0)
         g = dz @ layer.weight.T
     return grads, g
+
+
+def write_sim_data(cfg: SimConfig, out_dir) -> dict[str, Path]:
+    """Generate a cohort one claim row at a time, holding every row, and write its four files.
+
+    Same draws in the same order as the library: drug prices, the fraud
+    assignment permutation, then per provider and year a Dirichlet share
+    draw, the planting, a volume draw, a multinomial claims draw and a
+    cost-noise vector. Coverage-guard rows come last.
+    """
+    rng = make_rng(cfg.seed)
+    drugs = [f"D{i:03d}" for i in range(cfg.n_drugs)]
+    npis = [str(1000000000 + i) for i in range(cfg.n_providers)]
+    pairs, opioids = _drug_roles(cfg)
+
+    prices = rng.lognormal(math.log(cfg.price_median), cfg.price_sigma, cfg.n_drugs)
+    for p, q, gap in pairs:
+        base = min(prices[p], prices[q])
+        prices[q] = base
+        prices[p] = base * (1.0 + gap)
+
+    n_fraud = int(round(cfg.fraud_rate * cfg.n_providers))
+    n_cost = int(round(cfg.scenario_mix * n_fraud))
+    order = rng.permutation(cfg.n_providers)
+    cost_ids = sorted(int(i) for i in order[:n_cost])
+    opioid_ids = sorted(int(i) for i in order[n_cost:n_fraud])
+    labels = np.zeros(cfg.n_providers, dtype=np.int64)
+    labels[cost_ids] = 1
+    labels[opioid_ids] = 1
+    scenario_by_provider: dict[int, dict] = {}
+    for rank, i in enumerate(cost_ids):
+        p, q, _ = pairs[rank % len(pairs)]
+        scenario_by_provider[i] = {"scenario": "cost_preference", "pair": [drugs[p], drugs[q]]}
+    for i in opioid_ids:
+        scenario_by_provider[i] = {"scenario": "opioid", "drugs": [drugs[d] for d in opioids]}
+
+    pair_index = {drugs[p]: (p, q) for p, q, _ in pairs}
+    rows: list[tuple] = []  # (npi, year, drug, claims, fills, days, cost, bene)
+    seen_drugs = np.zeros(cfg.n_drugs, dtype=bool)
+    alpha = np.full(cfg.n_drugs, cfg.dirichlet_alpha)
+    for i in range(cfg.n_providers):
+        scenario = scenario_by_provider.get(i)
+        for t in range(cfg.n_years):
+            shares = rng.dirichlet(alpha)
+            if scenario is not None:
+                if scenario["scenario"] == "cost_preference":
+                    p, q = pair_index[scenario["pair"][0]]
+                    shares = _plant_cost(shares, p, q, cfg.boost, cfg.pair_floor)
+                else:
+                    shares = _plant_opioid(shares, opioids, cfg.boost)
+            volume = max(
+                cfg.min_volume,
+                int(np.rint(rng.lognormal(math.log(cfg.volume_median), cfg.volume_sigma))),
+            )
+            claims = rng.multinomial(volume, shares / shares.sum())
+            noise = rng.uniform(1.0 - COST_NOISE, 1.0 + COST_NOISE, cfg.n_drugs)
+            for d in np.flatnonzero(claims):
+                c = int(claims[d])
+                fills = int(np.rint(FILLS_PER_CLAIM * c))
+                cost = round(c * float(prices[d]) * float(noise[d]), 2)
+                bene = int(np.rint(BENE_PER_CLAIM * c))
+                rows.append((npis[i], cfg.base_year + t, drugs[d], c, fills, DAYS_PER_FILL * fills, cost, bene))
+                seen_drugs[d] = True
+
+    rule_drugs = sorted({d for p, q, _ in pairs for d in (p, q)} | set(opioids))
+    guard_targets = [d for d in rule_drugs if not seen_drugs[d]]
+    honest = [i for i in range(cfg.n_providers) if labels[i] == 0] or list(range(cfg.n_providers))
+    for j, d in enumerate(guard_targets):
+        i = honest[j % len(honest)]
+        rows.append((npis[i], cfg.base_year, drugs[d], 1, 1, DAYS_PER_FILL, round(float(prices[d]), 2), 1))
+
+    rules = [
+        Rule(kind="binary", p=drugs[p], q=drugs[q], weight=min(1.0, gap / GAP_FULL_WEIGHT))
+        for p, q, gap in pairs
+    ]
+    rules += [Rule(kind="unary", p=drugs[d], q=None, weight=cfg.opioid_rule_weight) for d in opioids]
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = {name: out / f"{name}.{ext}" for name, ext in
+             (("claims", "csv"), ("labels", "csv"), ("rules", "csv"), ("ground_truth", "json"))}
+    write_csv(paths["claims"], CLAIMS_HEADER, (
+        f"{npi},{year},{SPECIALTY},{drug},{c},{fills},{days},{cost:.2f},{bene}"
+        for npi, year, drug, c, fills, days, cost, bene in rows
+    ))
+    write_labels_csv(paths["labels"], npis, labels)
+    write_rules_csv(rules, paths["rules"])
+    manifest = {
+        "config": asdict(cfg),
+        "planted_rules": [{"kind": r.kind, "p": r.p, "q": r.q, "weight": r.weight} for r in rules],
+        "scenarios": {npis[i]: scenario_by_provider[i] for i in sorted(scenario_by_provider)},
+        "opioid_drugs": [drugs[d] for d in opioids],
+        "prices": {drugs[d]: float(prices[d]) for d in range(cfg.n_drugs)},
+    }
+    atomic_write_text(paths["ground_truth"], dumps_canonical(manifest) + "\n")
+    return paths

@@ -276,6 +276,17 @@ class TestErrorContract:
             "boost",
         )
 
+    def test_negative_sigma(self, tmp_path, capsys):
+        # numpy's lognormal raised ValueError: sigma < 0, with a traceback
+        self.check_error(
+            capsys,
+            ["--out-dir", str(tmp_path), "--set", "simulator.n_providers=20",
+             "--set", "simulator.price_sigma=-1", "simulate"],
+            "ConfigError",
+            "sigma",
+        )
+        assert not (tmp_path / "claims.csv").exists()
+
     def test_malformed_input_file(self, tmp_path, capsys):
         (tmp_path / "claims.csv").write_text("not,a,claims,file\n")
         (tmp_path / "rules.csv").write_text("kind,drug_p,drug_q,weight\n")

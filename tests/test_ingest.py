@@ -393,10 +393,9 @@ def test_year_beyond_int64_is_malformed(tmp_path):
         parse_claims_csv(path)
 
 
-def test_parse_claims_peak_memory_per_row(tmp_path):
-    """Ingest memory is linear in the rows at a known rate: at most 300 B per row."""
+def write_distinct_claims(path, n_prescribers, n_drugs=25, n_years=2):
+    """A claims file with every (npi, year, drug) cell once, drugs shuffled per year."""
     rng = np.random.default_rng(0)
-    n_prescribers, n_drugs, n_years = 1_000, 25, 2
     rows = []
     for i in range(n_prescribers):
         for year in range(2019, 2019 + n_years):
@@ -404,9 +403,27 @@ def test_parse_claims_peak_memory_per_row(tmp_path):
                 values = rng.integers(1, 500, size=5)
                 rows.append(f"{1_000_000 + i},{year},gp,Drug{d:03d},{values[0]},{values[1]},"
                             f"{values[2]},{values[3]}.25,{values[4]}")
-    path = tmp_path / "claims.csv"
     write_claims(path, rows)
-    del rows
+
+
+def test_parse_claims_peak_memory_per_row(tmp_path):
+    """Ingest memory is linear in the rows at a known rate: at most 300 B per row."""
+    path = tmp_path / "claims.csv"
+    write_distinct_claims(path, 1_000)
     peak = traced_peak(parse_claims_csv, path)
-    assert parse_claims_csv(path).n_records == n_prescribers * n_drugs * n_years == 50_000
+    assert parse_claims_csv(path).n_records == 1_000 * 25 * 2 == 50_000
     assert peak / 50_000 <= 300, f"{peak / 50_000:.0f} B per row"
+
+
+def test_parse_claims_without_duplicates_peak_memory_per_added_row(tmp_path):
+    """The kept columns take 64 B per row. A file without duplicates is checked
+    by sorting one cell key in place, about 68 B per added row in all; the
+    np.unique index and inverse arrays took about 111 B."""
+    rows, peaks = [], []
+    for n_prescribers in (400, 1_200):
+        path = tmp_path / f"claims{n_prescribers}.csv"
+        write_distinct_claims(path, n_prescribers)
+        rows.append(n_prescribers * 25 * 2)
+        peaks.append(traced_peak(parse_claims_csv, path))
+    per_row = (peaks[1] - peaks[0]) / (rows[1] - rows[0])
+    assert per_row <= 80, f"{per_row:.0f} B per added row"

@@ -5,11 +5,14 @@ import json
 import numpy as np
 import pytest
 
+import oracles
+from clevercatch import simulator
 from clevercatch.errors import ValidationError
 from clevercatch.features import build_feature_matrix
 from clevercatch.ingest import parse_claims_csv, parse_labels
 from clevercatch.rules import RuleSet, parse_rules
 from clevercatch.simulator import SimConfig, generate, write_sim_data
+from conftest import traced_peak
 
 
 def small_config(**overrides) -> SimConfig:
@@ -18,11 +21,24 @@ def small_config(**overrides) -> SimConfig:
     return SimConfig(**base)
 
 
+def claim_rows(path) -> list[tuple]:
+    """(npi, year, drug, claims, fills, days, cost, bene) of each claims.csv row, as parsed."""
+    table = parse_claims_csv(path)
+    npis, drugs = table.prescribers.names, table.drugs.names
+    return [
+        (npis[i], year, drugs[d], *metrics)
+        for i, year, d, metrics in zip(
+            table.npi_idx.tolist(), table.year.tolist(), table.drug_idx.tolist(), table.metrics.tolist()
+        )
+    ]
+
+
 class TestDeterminism:
-    def test_generate_is_reproducible(self):
+    def test_generate_is_reproducible(self, tmp_path):
         cfg = small_config(n_providers=40)
-        a, b = generate(cfg), generate(cfg)
-        assert a.rows == b.rows
+        a, paths_a = write_sim_data(cfg, tmp_path / "a")
+        b, paths_b = write_sim_data(cfg, tmp_path / "b")
+        assert claim_rows(paths_a["claims"]) == claim_rows(paths_b["claims"])
         np.testing.assert_array_equal(a.truth.labels, b.truth.labels)
         assert a.truth.scenarios == b.truth.scenarios
         assert a.truth.prices == b.truth.prices
@@ -35,10 +51,10 @@ class TestDeterminism:
         for key in paths_a:
             assert paths_a[key].read_bytes() == paths_b[key].read_bytes(), key
 
-    def test_seed_changes_the_data(self):
-        a = generate(small_config(n_providers=40, seed=1))
-        b = generate(small_config(n_providers=40, seed=2))
-        assert a.rows != b.rows
+    def test_seed_changes_the_data(self, tmp_path):
+        _, paths_a = write_sim_data(small_config(n_providers=40, seed=1), tmp_path / "a")
+        _, paths_b = write_sim_data(small_config(n_providers=40, seed=2), tmp_path / "b")
+        assert claim_rows(paths_a["claims"]) != claim_rows(paths_b["claims"])
 
     def test_rules_depend_only_on_drug_count_and_rule_weight(self, tmp_path):
         a = generate(small_config(n_providers=50, seed=1))
@@ -96,36 +112,75 @@ class TestGroundTruth:
 
 class TestCoverageGuards:
     @pytest.mark.parametrize("seed", range(4))
-    def test_every_rule_drug_appears_in_the_rows(self, seed):
+    def test_every_rule_drug_appears_in_the_rows(self, seed, tmp_path):
         # A single sparse provider leaves many drugs unsampled; guard rows
         # must still make every rule drug parseable and bindable.
         cfg = SimConfig(n_providers=1, n_years=1, fraud_rate=0.0, seed=seed)
-        data = generate(cfg)
-        row_drugs = {r.drug for r in data.rows}
+        data, paths = write_sim_data(cfg, tmp_path)
+        row_drugs = {drug for _, _, drug, *_ in claim_rows(paths["claims"])}
         for rule in data.truth.rules:
             assert rule.p in row_drugs
             if rule.q is not None:
                 assert rule.q in row_drugs
 
-    def test_guard_rows_are_minimal_single_claims(self):
+    def test_guard_rows_are_minimal_single_claims(self, tmp_path):
         cfg = SimConfig(n_providers=1, n_years=1, fraud_rate=0.0, seed=0)
-        data = generate(cfg)
+        data, paths = write_sim_data(cfg, tmp_path)
         multinomial_drugs = set()
         guards = []
-        for row in data.rows:
-            if row.claims == 1 and row.fills == 1 and row.bene == 1 and (
-                row.cost == round(data.truth.prices[row.drug], 2)
+        for row in claim_rows(paths["claims"]):
+            _, _, drug, claims, fills, _, cost, bene = row
+            if claims == 1 and fills == 1 and bene == 1 and (
+                cost == round(data.truth.prices[drug], 2)
             ):
                 guards.append(row)
             else:
-                multinomial_drugs.add(row.drug)
+                multinomial_drugs.add(drug)
         rule_drugs = {r.p for r in data.truth.rules} | {
             r.q for r in data.truth.rules if r.q is not None
         }
-        assert rule_drugs - multinomial_drugs <= {g.drug for g in guards}
-        for g in guards:
-            assert g.year == cfg.base_year
-            assert g.days == 30
+        assert rule_drugs - multinomial_drugs <= {drug for _, _, drug, *_ in guards}
+        for _, year, _, _, _, days, _, _ in guards:
+            assert year == cfg.base_year
+            assert days == 30
+
+
+class TestStreamedClaims:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            *({"n_providers": 1, "n_years": 1, "fraud_rate": 0.0, "seed": seed} for seed in range(4)),
+            {"n_providers": simulator.CLAIM_BLOCK + 1, "seed": 1},
+            {"n_providers": 40, "n_years": 1, "seed": 2},
+            {"n_providers": 40, "n_years": 4, "seed": 2},
+            {"n_providers": 40, "n_drugs": 4, "seed": 3},
+            {"n_providers": 40, "n_drugs": 32, "seed": 3},
+            {"n_providers": 40, "fraud_rate": 0.0, "seed": 4},
+            {"n_providers": 40, "scenario_mix": 0.0, "seed": 5},
+            {"n_providers": 40, "scenario_mix": 1.0, "seed": 5},
+        ],
+    )
+    def test_files_match_the_row_by_row_generator(self, tmp_path, overrides):
+        cfg = small_config(**overrides)
+        data, paths = write_sim_data(cfg, tmp_path / "streamed")
+        expected = oracles.write_sim_data(cfg, tmp_path / "rowwise")
+        assert paths.keys() == expected.keys()
+        for key in paths:
+            assert paths[key].read_bytes() == expected[key].read_bytes(), key
+        assert data.claim_rows == len(paths["claims"].read_text().splitlines()) - 1
+
+    def test_peak_memory_per_added_prescriber(self, tmp_path):
+        """Claims are drawn and formatted CLAIM_BLOCK providers at a time, so
+        only the per-provider truth grows with the cohort: about 130 B per
+        provider. Holding every row cost about 3.9 KB per provider at one year
+        (19 rows of about 200 B)."""
+        sizes = (simulator.CLAIM_BLOCK, 2 * simulator.CLAIM_BLOCK)
+        peaks = [
+            traced_peak(write_sim_data, small_config(n_providers=n, n_years=1, seed=1), tmp_path / str(n))
+            for n in sizes
+        ]
+        per_provider = (peaks[1] - peaks[0]) / (sizes[1] - sizes[0])
+        assert per_provider <= 512, f"{per_provider:.0f} B per added provider"
 
 
 @pytest.fixture(scope="module")
@@ -136,12 +191,12 @@ def pipeline(tmp_path_factory):
     ruleset = parse_rules(paths["rules"], claims.drugs)
     features = build_feature_matrix(claims, ruleset)
     labels = parse_labels(paths["labels"], claims.prescribers)
-    return data, claims, ruleset, features, labels
+    return data, claims, ruleset, features, labels, paths
 
 
 class TestPlantedSignal:
     def test_files_parse_and_bind(self, pipeline):
-        data, claims, ruleset, features, labels = pipeline
+        data, claims, ruleset, features, labels, _ = pipeline
         assert claims.prescribers.size == 150
         assert len(ruleset) == len(data.truth.rules)
         assert features.values.shape[1] == 15 * len(ruleset)
@@ -151,11 +206,13 @@ class TestPlantedSignal:
         )
 
     def test_claims_totals_survive_the_round_trip(self, pipeline):
-        data, claims, _, _, _ = pipeline
-        assert int(claims.metrics[:, 0].sum()) == sum(r.claims for r in data.rows)
+        data, claims, _, _, _, paths = pipeline
+        lines = paths["claims"].read_text().splitlines()[1:]
+        assert claims.n_records == len(lines) == data.claim_rows
+        assert int(claims.metrics[:, 0].sum()) == sum(int(line.split(",")[4]) for line in lines)
 
     def test_cost_preference_providers_show_positive_pair_contrast(self, pipeline):
-        data, claims, ruleset, features, _ = pipeline
+        data, claims, ruleset, features, _, _ = pipeline
         rule_pos = {(r.p, r.q): j for j, r in enumerate(ruleset.rules)}
         honest = [
             i
@@ -178,7 +235,7 @@ class TestPlantedSignal:
         assert np.mean(planted_values) > 0.1
 
     def test_opioid_providers_show_elevated_unary_shares(self, pipeline):
-        data, claims, ruleset, features, _ = pipeline
+        data, claims, ruleset, features, _, _ = pipeline
         unary_cols = [
             features.columns.index(f"rule{j + 1}_clm_mean")
             for j, r in enumerate(ruleset.rules)
@@ -231,6 +288,8 @@ class TestConfigValidation:
             {"dirichlet_alpha": 0.0},
             {"pair_floor": 1.0},
             {"price_median": 0.0},
+            {"price_sigma": -0.1},
+            {"volume_sigma": -1.0},
             {"min_volume": 0},
             {"opioid_rule_weight": 1.5},
         ],
