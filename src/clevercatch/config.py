@@ -38,6 +38,8 @@ class EvaluateConfig:
     def __post_init__(self):
         if not self.ks or any(k < 1 for k in self.ks):
             raise ValidationError("ks must be a non-empty list of positive integers")
+        if any(a >= b for a, b in zip(self.ks, self.ks[1:])):
+            raise ValidationError("ks must be distinct and ascending")
 
 
 @dataclass
@@ -48,6 +50,8 @@ class AblationConfig:
 
     def __post_init__(self):
         configs_for_groups(self.groups)
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValidationError("ablation seeds must be distinct")
         if not 0.0 <= self.eval_fraction < 1.0:
             raise ValidationError("eval fraction must lie in [0, 1)")
 

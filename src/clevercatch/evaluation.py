@@ -55,6 +55,14 @@ def _rank_order(scores: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(scores.size), -scores))
 
 
+def _tie_blocks(y: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Score, positives and rows flagged at the end of each tie block in rank order."""
+    order = _rank_order(s)
+    sorted_s = s[order]
+    ends = np.flatnonzero(np.append(sorted_s[1:] != sorted_s[:-1], True))
+    return sorted_s[ends], np.cumsum(y[order])[ends], ends + 1
+
+
 def pr_auc(labels, scores) -> float:
     """Average precision with block-end tie handling.
 
@@ -66,20 +74,9 @@ def pr_auc(labels, scores) -> float:
     n_pos = int(y.sum())
     if n_pos == 0:
         raise UndefinedMetricError("pr_auc needs at least one positive label")
-    order = _rank_order(s)
-    sorted_s = s[order]
-    sorted_y = y[order]
-    cum_pos = np.cumsum(sorted_y)
-    n = y.size
-    is_block_end = np.append(sorted_s[1:] != sorted_s[:-1], True)
-    block_end_positions = np.flatnonzero(is_block_end)
-    block_end = block_end_positions[
-        np.searchsorted(block_end_positions, np.arange(n), side="left")
-    ]
-    positive_positions = np.flatnonzero(sorted_y == 1)
-    ends = block_end[positive_positions]
-    contributions = [int(cum_pos[e]) / int(e + 1) for e in ends]
-    return math.fsum(contributions) / n_pos
+    _, tp, flagged = _tie_blocks(y, s)
+    block_positives = np.diff(tp, prepend=0)
+    return math.fsum(np.repeat(tp / flagged, block_positives)) / n_pos
 
 
 def recall_at_k(labels, scores, k: int) -> float:
@@ -142,17 +139,8 @@ def pr_curve(labels, scores) -> PrCurve:
     n_pos = int(y.sum())
     if n_pos == 0:
         raise UndefinedMetricError("pr_curve needs at least one positive label")
-    order = _rank_order(s)
-    sorted_s = s[order]
-    cum_pos = np.cumsum(y[order])
-    ends = np.flatnonzero(np.append(sorted_s[1:] != sorted_s[:-1], True))
-    tp = cum_pos[ends].astype(np.float64)
-    flagged = (ends + 1).astype(np.float64)
-    return PrCurve(
-        thresholds=sorted_s[ends].copy(),
-        precisions=tp / flagged,
-        recalls=tp / n_pos,
-    )
+    thresholds, tp, flagged = _tie_blocks(y, s)
+    return PrCurve(thresholds=thresholds, precisions=tp / flagged, recalls=tp / n_pos)
 
 
 @dataclass

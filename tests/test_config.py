@@ -129,6 +129,29 @@ class TestIniParsing:
         with pytest.raises(ConfigError, match=r"\[ablation\] ablation groups must be distinct"):
             load_config(None, ["ablation.groups=opioid,opioid"])
 
+    @pytest.mark.parametrize("ks", ["10,10", "100,10", "10,50,20"])
+    def test_ks_must_be_distinct_and_ascending(self, tmp_path, ks):
+        # a repeated k would write two r@k report columns, and ablate reports
+        # recall at the last k as the largest
+        message = r"^\[evaluate\] ks must be distinct and ascending$"
+        with pytest.raises(ConfigError, match=message):
+            load_config(write_ini(tmp_path, f"[evaluate]\nks = {ks}\n"))
+        with pytest.raises(ConfigError, match=message):
+            load_config(overrides=[f"evaluate.ks={ks}"])
+
+    def test_ablation_seeds_must_be_distinct(self, tmp_path):
+        # a repeated seed would train every configuration twice and write its rows twice
+        message = r"^\[ablation\] ablation seeds must be distinct$"
+        with pytest.raises(ConfigError, match=message):
+            load_config(write_ini(tmp_path, "[ablation]\nseeds = 3, 1, 3\n"))
+        with pytest.raises(ConfigError, match=message):
+            load_config(overrides=["ablation.seeds=3,3"])
+
+    def test_empty_groups_select_full_and_lambda0_only(self, tmp_path):
+        # the hybrid against supervised-only comparison in the README
+        assert load_config(overrides=["ablation.groups="]).ablation.groups == ()
+        assert load_config(write_ini(tmp_path, "[ablation]\ngroups =\n")).ablation.groups == ()
+
     def test_malformed_ini_reports_the_file(self, tmp_path):
         path = write_ini(tmp_path, "not an ini file at all\n")
         with pytest.raises(ConfigError, match="run.ini"):
