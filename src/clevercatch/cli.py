@@ -149,10 +149,12 @@ def cmd_pretrain(run: Run):
     path = run.output("encoders")
     save_encoders(path, encoders)
     last, ran = stats[-1], [s for s in stats if s.ran]
+    batches = sum(s.batches for s in ran)
     print(
         f"pretrain: {len(ran)} of {len(stats)} epochs run, final loss {last.mean_loss:.6f}, "
         f"holdout separation {last.holdout_separation:.3f}, backward skipped on "
-        f"{sum(s.zero_grad_batches for s in ran)} of {sum(s.batches for s in ran)} batches -> {path}"
+        f"{sum(s.zero_grad_batches for s in ran)} of {batches} batches, forward skipped on "
+        f"{sum(s.batches for s in ran if s.forward_skipped)} of {batches} batches -> {path}"
     )
 
 

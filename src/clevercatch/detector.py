@@ -50,8 +50,8 @@ class DetectorConfig:
     def __post_init__(self):
         if self.lam < 0:
             raise ValidationError("lambda must be non-negative")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValidationError("epochs and batch size must be positive")
+        if min(self.epochs, self.batch_size, *self.hidden) < 1:
+            raise ValidationError("epochs, batch size and hidden widths must be positive")
         if self.learning_rate <= 0:
             raise ValidationError("learning rate must be positive")
 

@@ -44,8 +44,8 @@ class PretrainConfig:
     weight_floor: float = 0.05
 
     def __post_init__(self):
-        if self.latent_dim < 1 or self.index_dim < 1:
-            raise ValidationError("encoder dimensions must be positive")
+        if min(self.latent_dim, self.index_dim, *self.re_hidden, *self.se_hidden) < 1:
+            raise ValidationError("encoder dimensions and hidden widths must be positive")
         if self.margin < 0:
             raise ValidationError("margin must be non-negative")
         if not 0.0 <= self.holdout_fraction < 1.0:
@@ -245,6 +245,55 @@ class EpochStats:
     batches: int
     zero_grad_batches: int  # output gradient exactly zero, so backward skipped
     ran: bool = True  # False: a copy of the last epoch of its phase, after the still-epoch stop
+    forward_skipped: bool = False  # every hinge certified clear, so no batch ran a forward pass
+
+
+def _drift(opt: nn.OptimizerState, params: list[np.ndarray], steps: int) -> list[np.ndarray]:
+    """Bound on how far each element moves in `steps` more zero-gradient Adam steps, after
+    at least one step: step k moves it by at most lr |m| / ((1 - beta1^(t+1)) (sqrt(v) + eps))
+    rho^k with rho = beta1 / sqrt(beta2), plus a relative few ulp and one ulp of |p|."""
+    rho = opt.beta1 / np.sqrt(opt.beta2)
+    total = steps if rho == 1.0 else rho * (1.0 - rho**steps) / (1.0 - rho)
+    scale = opt.learning_rate * total / (1.0 - opt.beta1 ** (opt.step_count + 1))
+    scale *= 1.0 + (4 * steps + 16) * 2.0**-52
+    bounds = [scale * np.abs(m) / (np.sqrt(v) + opt.eps) for m, v in zip(opt.moments1, opt.moments2)]
+    return [b + steps * np.spacing(np.abs(p) + b) for p, b in zip(params, bounds)]
+
+
+def _reach(mlp: nn.Mlp, drifts: list[np.ndarray], amax: list[np.ndarray], d_in: np.ndarray):
+    """Bound on each output's move when the input moves by d_in and the parameters by
+    drifts, for inputs whose |activation| entering each layer stays within amax."""
+    for layer, dw, db, a in zip(mlp.layers, drifts[::2], drifts[1::2], amax):
+        d_in = d_in @ (np.abs(layer.weight) + dw) + a @ dw + db  # activations are 1-Lipschitz
+    return d_in
+
+
+def _hinge_room(re: RuleEncoderParams, se: nn.Mlp, ruleset: RuleSet, triplets: TripletBatch,
+                train: np.ndarray, cfg: PretrainConfig):
+    """One pass over the training triplets: the largest t = ||delta_se + delta_re|| that every
+    weighted hinge absorbs and stays clear, and the largest |activation| entering each layer.
+    With distances a, b, t moves a hinge by at most 2 (a + b) t + 2 t^2, the clear threshold
+    by k times that; k adds 1e-6 for rounding and BLAS-path differences."""
+    k = 1e-9 + 1e-6
+    e_rule, cache = nn.mlp_forward(re.mlp, _rule_inputs(re, ruleset.p_idx, ruleset.q_idx))
+    re_amax = [np.abs(a).max(axis=0) for a in cache.activations[:-1]]
+    se_amax = [np.zeros(layer.weight.shape[0]) for layer in se.layers]
+    room = np.inf
+    for start in range(0, train.size, cfg.batch_size):
+        idx = train[start : start + cfg.batch_size]
+        idx = idx[ruleset.weights[triplets.rule_idx[idx]] != 0]
+        dist = []
+        for side in (triplets.pos, triplets.neg):
+            acts = nn.mlp_forward(se, side[idx])[1].activations
+            for top, a in zip(se_amax, acts):  # no whole-block |a| temporary
+                np.maximum(top, np.maximum(a.max(axis=0, initial=0), -a.min(axis=0, initial=0)), out=top)
+            dist.append(((acts[-1] - e_rule[triplets.rule_idx[idx]]) ** 2).sum(axis=1))
+            del acts  # dropped before the next forward
+        d_pos, d_neg = dist
+        g = np.maximum(-(d_pos - d_neg + cfg.margin + k * (d_pos + d_neg + abs(cfg.margin))), 0.0)
+        g, s = g / (1.0 + k), np.sqrt(d_pos) + np.sqrt(d_neg)  # solve 2 t^2 + 2 s t = g for t
+        room = min(room, float((g / (s + np.sqrt(s * s + 2.0 * g) + 1e-300)).min(initial=np.inf)))
+    return room, re_amax, se_amax
 
 
 def pretrain(
@@ -260,6 +309,11 @@ def pretrain(
     A zero-gradient Adam update shrinks at every step, so no later step can
     move a bit that a whole epoch of them did not, and frozen encoders keep
     every hinge clear. The remaining epochs repeat the last one of their phase.
+
+    After two clear epochs it tries to certify that every weighted hinge stays
+    clear wherever the remaining zero-gradient steps can move both encoders. By
+    induction over those steps every later gradient is zero, so the later epochs
+    take the same optimizer steps without running the batch forwards.
     """
     rng = nn.make_rng(seed)
     re, se = init_encoders(ruleset.vocab.size, BLOCK * len(ruleset), cfg, rng)
@@ -277,6 +331,8 @@ def pretrain(
     re_names, se_names = re.parameter_names(), se.parameter_names()
     history: list[EpochStats] = []
     still = 0  # consecutive still epochs
+    n_batches = -(-train.size // cfg.batch_size)
+    certified, was_clear, last_try = False, False, None
     for epoch in range(cfg.epochs):
         phase = "se" if epoch % 2 == 0 else "re"
         if still == 2:  # both encoders are frozen: repeat the last epoch of this phase
@@ -284,12 +340,14 @@ def pretrain(
             history.append(repeat)
             continue
         params = se.parameters() if phase == "se" else re.parameters()
+        opt, names = (se_opt, se_names) if phase == "se" else (re_opt, re_names)
         start_bits = [p.tobytes() for p in params]
         clear = True
         order = rng.permutation(train.size)
-        losses: list[float] = []
-        n_zero = 0
-        for start in range(0, train.size, cfg.batch_size):
+        losses, n_zero = ([0.0] * n_batches, n_batches) if certified else ([], 0)
+        for _ in range(n_batches if certified else 0):  # each batch proved zero-gradient
+            nn.optimizer_step(opt, params, None, names)
+        for start in range(0, 0 if certified else train.size, cfg.batch_size):
             idx = train[order[start : start + cfg.batch_size]]
             rule_ids = triplets.rule_idx[idx]
             weights = ruleset.weights[rule_ids]
@@ -318,21 +376,38 @@ def pretrain(
                     grads_pos, _ = nn.mlp_backward(se, pos_cache, grads[1])
                     grads_neg, _ = nn.mlp_backward(se, neg_cache, grads[2])
                     grads = [gp + gn for gp, gn in zip(grads_pos, grads_neg)]
-                nn.optimizer_step(se_opt, se.parameters(), grads, se_names)
-            else:
-                if grads is not None:
-                    cache = nn.ForwardCache(re.mlp, [a[rows] for a in re_cache.activations])
-                    grads = _rule_encode_bwd(
-                        re, ruleset.p_idx[rule_ids], ruleset.q_idx[rule_ids], cache, grads[0]
-                    )
-                nn.optimizer_step(re_opt, re.parameters(), grads, re_names)
+            elif grads is not None:
+                cache = nn.ForwardCache(re.mlp, [a[rows] for a in re_cache.activations])
+                grads = _rule_encode_bwd(
+                    re, ruleset.p_idx[rule_ids], ruleset.q_idx[rule_ids], cache, grads[0]
+                )
+            nn.optimizer_step(opt, params, grads, names)
         if phase == "se":  # an "re" epoch leaves the sample encoder as it was
             hold_pos, hold_neg = sample_encode(se, holdout.pos), sample_encode(se, holdout.neg)
         e_hold = rule_encode(re, ruleset)[holdout.rule_idx]
         sep = _separation(e_hold, hold_pos, hold_neg) if len(holdout) else float("nan")
-        history.append(EpochStats(epoch, phase, float(np.mean(losses)), sep, len(losses), n_zero))
+        history.append(EpochStats(
+            epoch, phase, float(np.mean(losses)), sep, len(losses), n_zero, forward_skipped=certified
+        ))
         moved = any(p.tobytes() != bits for p, bits in zip(params, start_bits))
         still = still + 1 if clear and not moved else 0
+        if clear and was_clear and not certified and epoch + 1 < cfg.epochs:
+            rest = range(epoch + 1, cfg.epochs)  # even epochs step the sample encoder
+            re_drift = _drift(re_opt, re.parameters(), n_batches * len(rest[epoch % 2 :: 2]))
+            se_drift = _drift(se_opt, se.parameters(), n_batches * len(rest[(epoch + 1) % 2 :: 2]))
+            d_rule = np.tile(np.maximum(re_drift[0].max(axis=0), re_drift[1]), 2)
+
+            def spread(re_amax, se_amax):  # t for activations within these maxima
+                d_se = _reach(se, se_drift, se_amax, np.zeros(se.input_dim))
+                return np.linalg.norm(d_se + _reach(re.mlp, re_drift[2:], re_amax, d_rule))
+
+            # after a failed try, pass over the triplets again only once the drift bound
+            # has shrunk enough that the last try would have held
+            if last_try is None or spread(*last_try[1:]) < last_try[0]:
+                last_try = _hinge_room(re, se, ruleset, triplets, train, cfg)
+                certified = spread(*last_try[1:]) < last_try[0]
+            del re_drift, se_drift, d_rule, spread  # not held through the remaining epochs
+        was_clear = clear
     return EncoderModel(re, se, ruleset), history
 
 

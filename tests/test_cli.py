@@ -148,9 +148,13 @@ class TestPipeline:
         shutil.copytree(pipeline_dirs / "a", out)
         run_ok("pretrain", out)
         # 4 epochs of 360 training triplets in batches of 256: 2 batches each
-        summary = r"(\d+) of (\d+) epochs run, .* backward skipped on (\d+) of (\d+) batches"
+        summary = (
+            r"(\d+) of (\d+) epochs run, .* backward skipped on (\d+) of (\d+) batches, "
+            r"forward skipped on (\d+) of (\d+) batches -> "
+        )
         found = re.search(summary, capsys.readouterr().out)
         assert found is not None and found[1] == found[2] == "4" and int(found[3]) <= int(found[4]) == 8
+        assert int(found[5]) <= int(found[3]) and found[6] == found[4]
         assert (out / "encoders.json").read_bytes() == (pipeline_dirs / "a" / "encoders.json").read_bytes()
         # 41 training triplets in batches of 2: 21 each. The still-epoch stop ends
         # this run early, and only the epochs that ran are counted.
@@ -159,6 +163,8 @@ class TestPipeline:
         found = re.search(summary, capsys.readouterr().out)
         assert found is not None and int(found[1]) < int(found[2]) == 48
         assert int(found[3]) <= int(found[4]) == 21 * int(found[1])
+        # certified clear epochs run no forward pass, and every batch in them has a zero gradient
+        assert 0 < int(found[5]) <= int(found[3]) and found[6] == found[4]
 
     def test_unconverged_transport_plans_are_counted(self, pipeline_dirs, tmp_path, caplog):
         out = tmp_path / "run"
@@ -468,6 +474,20 @@ def test_commands_leak_no_warning_to_stderr(tmp_path):
     result = run("score")
     assert result.returncode == 1
     assert result.stderr == f"error: ParseError: {features}: no feature rows\n"
+
+
+@pytest.mark.parametrize("setting, section, message", [
+    ("pretrain.se_hidden=0", "pretrain", "encoder dimensions and hidden widths"),
+    ("pretrain.re_hidden=0", "pretrain", "encoder dimensions and hidden widths"),
+    ("pretrain.se_hidden=-3", "pretrain", "encoder dimensions and hidden widths"),
+    ("detector.hidden=64,0", "detector", "epochs, batch size and hidden widths"),
+])
+def test_a_hidden_width_below_one_is_one_config_error_line(tmp_path, setting, section, message):
+    env = dict(os.environ, PYTHONPATH=str(Path(clevercatch.__file__).parents[1]))
+    argv = [sys.executable, "-m", "clevercatch", "--out-dir", str(tmp_path), "--set", setting, "pretrain"]
+    result = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert result.returncode == 1
+    assert result.stderr == f"error: ConfigError: [{section}] {message} must be positive\n"
 
 
 class TestEncoderBinding:

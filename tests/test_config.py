@@ -147,6 +147,25 @@ class TestIniParsing:
         with pytest.raises(ConfigError, match=message):
             load_config(overrides=["ablation.seeds=3,3"])
 
+    @pytest.mark.parametrize("section, key, text, message", [
+        ("pretrain", "se_hidden", "0", "encoder dimensions and hidden widths must be positive"),
+        ("pretrain", "re_hidden", "0", "encoder dimensions and hidden widths must be positive"),
+        ("pretrain", "se_hidden", "128,-3", "encoder dimensions and hidden widths must be positive"),
+        ("detector", "hidden", "64,0", "epochs, batch size and hidden widths must be positive"),
+        ("detector", "hidden", "-1", "epochs, batch size and hidden widths must be positive"),
+    ])
+    def test_hidden_widths_must_be_positive(self, tmp_path, section, key, text, message):
+        # a zero width divides by zero in the weight init, a negative one is a numpy shape error
+        message = rf"^\[{section}\] {message}$"
+        with pytest.raises(ConfigError, match=message):
+            load_config(write_ini(tmp_path, f"[{section}]\n{key} = {text}\n"))
+        with pytest.raises(ConfigError, match=message):
+            load_config(overrides=[f"{section}.{key}={text}"])
+
+    def test_empty_hidden_widths_still_give_linear_networks(self):
+        cfg = load_config(overrides=["pretrain.se_hidden=", "detector.hidden="])
+        assert cfg.pretrain.se_hidden == cfg.detector.hidden == ()
+
     def test_empty_groups_select_full_and_lambda0_only(self, tmp_path):
         # the hybrid against supervised-only comparison in the README
         assert load_config(overrides=["ablation.groups="]).ablation.groups == ()

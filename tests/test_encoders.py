@@ -493,6 +493,110 @@ def test_pretrain_runs_every_epoch_while_parameters_move():
     assert last != before  # the last epoch moved a bit
 
 
+def count_certificate_passes(run, *args):
+    """Call run; count the reference passes over the training triplets that pretrain makes."""
+    calls = []
+    room = encoders._hinge_room
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(encoders, "_hinge_room", lambda *a: calls.append(1) or room(*a))
+        result = run(*args)
+    return result, len(calls)
+
+
+@pytest.mark.parametrize("margin", [1.0, 100.0])
+def test_the_certificate_skips_forwards_at_the_shipped_widths(margin):
+    # 1 800 training triplets in 8 batches: a zero-gradient epoch decays Adam's steps
+    # by only 0.43, so the certificate holds late and the still-epoch stop never comes
+    ruleset = random_ruleset(nn.make_rng(7), Vocabulary(f"D{i}" for i in range(10)), 7)
+    cfg = PretrainConfig(triplet_count=2000, margin=margin)
+    (history, ran, full), passes = count_certificate_passes(
+        assert_pretrain_matches_oracle, ruleset, cfg, 0
+    )
+    skipped = [h for h in history if h.forward_skipped]
+    assert ran < full and ran + sum(h.batches for h in skipped) == full
+    assert skipped and skipped[-1].epoch == cfg.epochs - 1 and 1 <= passes <= 2
+    assert all(h.zero_grad_batches == h.batches and h.mean_loss == 0.0 for h in skipped)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(margin=0.0, learning_rate=3e-2, epochs=20),  # clear from epoch 1; the one try fails
+    dict(margin=100.0, band_lo=0.05),  # no epoch is clear, so nothing is tried
+])
+def test_a_certificate_that_never_holds_costs_at_most_one_pass(overrides):
+    ruleset = random_ruleset(nn.make_rng(7), Vocabulary(f"D{i}" for i in range(10)), 7)
+    cfg = PretrainConfig(triplet_count=2000, **overrides)
+    (history, ran, full), passes = count_certificate_passes(
+        assert_pretrain_matches_oracle, ruleset, cfg, 0
+    )
+    assert ran == full and passes <= 1 and not any(h.forward_skipped for h in history)
+
+
+def adam_after_random_steps(rng, shapes, learning_rate, n_steps, step_count):
+    """Parameters (some exactly zero) and an Adam state after n_steps random gradients,
+    the first taken as step step_count + 1. Some elements' gradients are of order 1e-170,
+    where g * g underflows: m != 0 with v = 0."""
+    params = [rng.normal(0.0, 1.0, shape) * (rng.random(shape) < 0.8) for shape in shapes]
+    scales = [10.0 ** rng.choice([-170, -3, 0], shape) for shape in shapes]
+    scales[0].flat[0] = 1e-170
+    opt = nn.adam(learning_rate)
+    opt.step_count = step_count  # late steps have bias corrections near 1, where the bound is tight
+    for _ in range(n_steps):
+        masks = [rng.random(s.shape) < 0.7 for s in scales]
+        masks[0].flat[0] = True
+        nn.optimizer_step(opt, params, [rng.normal(0.0, 1.0, s.shape) * s * m for s, m in zip(scales, masks)])
+    return params, opt
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    seed=st.integers(0, 2**32),
+    n_steps=st.integers(1, 5),
+    step_count=st.sampled_from([0, 10, 10_000]),
+    later=st.integers(0, 400),
+    learning_rate=st.sampled_from([1e-3, 3e-2, 1.0]),
+)
+def test_drift_bounds_every_later_zero_gradient_step(seed, n_steps, step_count, later, learning_rate):
+    rng = nn.make_rng(seed)
+    params, opt = adam_after_random_steps(rng, [(3, 4), (4,), (2,)], learning_rate, n_steps, step_count)
+    assert any(((m != 0) & (v == 0)).any() for m, v in zip(opt.moments1, opt.moments2))
+    start = [p.copy() for p in params]
+    bounds = encoders._drift(opt, params, later)
+    for _ in range(later):
+        nn.optimizer_step(opt, params, None)
+    for p, p0, bound in zip(params, start, bounds, strict=True):
+        assert np.all(np.abs(p - p0) <= bound)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    seed=st.integers(0, 2**32),
+    widths=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+    last=st.sampled_from(["identity", "relu", "sigmoid"]),
+    scale=st.sampled_from([1e-9, 1e-4, 1e-1]),
+)
+def test_reach_bounds_how_far_outputs_move(seed, widths, last, scale):
+    rng = nn.make_rng(seed)
+    dims = [int(rng.integers(1, 8)), *widths]
+    mlp = nn.init_mlp(dims, ["relu"] * (len(dims) - 2) + [last], rng)
+    x = rng.normal(0.0, 1.0, (30, dims[0]))
+    out, cache = nn.mlp_forward(mlp, x)
+    amax = [np.abs(a).max(axis=0) for a in cache.activations[:-1]]
+    drifts = [scale * rng.random(p.shape) for p in mlp.parameters()]
+    d_in = scale * rng.random(dims[0])
+    bound = encoders._reach(mlp, drifts, amax, d_in)
+
+    def sign(shape):  # moves inside the bounds, many of them at a corner
+        return rng.choice([-1.0, -0.5, 0.0, 1.0], shape)
+
+    for _ in range(5):
+        moved = nn.Mlp([
+            nn.Layer(layer.weight + sign(dw.shape) * dw, layer.bias + sign(db.shape) * db, layer.activation)
+            for layer, dw, db in zip(mlp.layers, drifts[::2], drifts[1::2])
+        ])
+        moved_out, _ = nn.mlp_forward(moved, x + sign(x.shape) * d_in)
+        assert np.all(np.abs(moved_out - out) <= bound * (1 + 1e-9) + 1e-13)
+
+
 def test_pretrain_peak_memory_grows_with_the_triplets_it_keeps():
     """Doubling the triplets adds at most 1.4 times their bytes to the traced peak:
     the draw is kept once, and only the holdout is copied out of it."""
