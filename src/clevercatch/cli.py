@@ -5,8 +5,10 @@ pseudolabel, train, score, evaluate, and ablate. Every command reads its
 settings from one INI configuration (optionally patched with repeated
 --set section.key=value overrides), derives its stage seed from the root
 --seed, and writes a <command>_manifest.json beside its outputs recording
-input and output hashes, the configuration snapshot, and the command's wall
-time from the entry of main to the manifest write.
+input and output hashes, the configuration snapshot, library versions, and the
+command's wall time from the entry of main to the manifest write. Timings vary
+between runs, so manifests are not part of the byte-identical rerun contract
+that model files and CSVs obey.
 
 Input files resolve from [paths] in the configuration when present and
 otherwise from the output directory under conventional names, so the
@@ -29,8 +31,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__, nn
 from .config import ConfigError, RunConfig, load_config
@@ -57,7 +61,7 @@ from .evaluation import (
 )
 from .features import build_feature_matrix, read_features_csv, write_features_csv
 from .ingest import parse_claims_csv, parse_labels
-from .manifest import RunManifest
+from .io_utils import atomic_write_text, dumps_canonical, sha256_file
 from .rules import parse_rules
 from .simulator import write_sim_data
 from .vocab import Vocabulary
@@ -83,15 +87,16 @@ DEFAULT_NAMES = {
 class Run:
     """One command invocation: its settings, the files it names, and its manifest.
 
-    Handlers ask for files by key. An input is hashed into the manifest when
-    it is asked for; an output is recorded, and main hashes it once the
-    handler has written it.
+    Handlers ask for files by key. An input is hashed when it is asked for; an
+    output is recorded, and write_manifest hashes it once the handler has
+    written it.
     """
 
+    command: str
     cfg: RunConfig
     seed: int
     out_dir: Path
-    manifest: RunManifest
+    inputs: dict[str, dict] = field(default_factory=dict)
     outputs: dict[str, Path] = field(default_factory=dict)
 
     def path(self, key: str) -> Path:
@@ -104,7 +109,7 @@ class Run:
         path = self.path(key)
         if not self.cfg.has_path(key) and not path.exists():
             raise ConfigError(f"no paths.{key} configured and {path} does not exist")
-        self.manifest.add_input(key, path)
+        self.inputs[key] = _file_record(path)
         return path
 
     def output(self, key: str) -> Path:
@@ -112,6 +117,26 @@ class Run:
         path.parent.mkdir(parents=True, exist_ok=True)
         self.outputs[key] = path
         return path
+
+    def write_manifest(self, started: float) -> None:
+        """Hash the outputs, then write <command>_manifest.json with the wall
+        time from started to the last hash."""
+        outputs = {key: _file_record(path) for key, path in self.outputs.items()}
+        doc = {
+            "command": self.command,
+            "seed": self.seed,
+            "versions": {"clevercatch": __version__, "numpy": np.__version__},
+            "config": asdict(self.cfg),
+            "inputs": self.inputs,
+            "outputs": outputs,
+            "timings_seconds": {self.command: round(time.monotonic() - started, 6)},
+        }
+        path = self.out_dir / f"{self.command}_manifest.json"
+        atomic_write_text(path, dumps_canonical(doc) + "\n")
+
+
+def _file_record(path: Path) -> dict[str, str]:
+    return {"path": str(path), "sha256": sha256_file(path)}
 
 
 def _load_claims_and_rules(run: Run):
@@ -122,7 +147,7 @@ def _load_claims_and_rules(run: Run):
 
 def cmd_simulate(run: Run):
     sim_cfg = replace(run.cfg.simulator, seed=nn.derive_seed(run.seed, "simulate"))
-    run.manifest.config = replace(run.cfg, simulator=sim_cfg)  # the seed the data came from
+    run.cfg = replace(run.cfg, simulator=sim_cfg)  # the manifest records the seed used
     data, paths = write_sim_data(sim_cfg, run.out_dir)
     run.outputs.update(paths)
     n_fraud = int(data.truth.labels.sum())
@@ -189,7 +214,8 @@ def cmd_train(run: Run):
     save_detector(path, model)
     last = stats[-1]
     print(
-        f"train: {labels.n_labeled} labeled of {features.values.shape[0]} prescribers, "
+        f"train: {labels.n_labeled} labeled ({int(labels.labels.sum())} positive) "
+        f"of {features.values.shape[0]} prescribers, "
         f"lambda {cfg.detector.lam}, final losses "
         f"supervised {last.supervised_loss:.6f} alignment {last.alignment_loss:.6f} "
         f"-> {path}"
@@ -328,12 +354,9 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         handler, _ = COMMANDS[args.command]
-        run = Run(cfg, root_seed, out_dir, RunManifest(args.command, root_seed, cfg))
+        run = Run(args.command, cfg, root_seed, out_dir)
         handler(run)
-        for key, path in run.outputs.items():
-            run.manifest.add_output(key, path)
-        run.manifest.timings[args.command] = time.monotonic() - started
-        run.manifest.write(out_dir / f"{args.command}_manifest.json")
+        run.write_manifest(started)
     except (CleverCatchError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {_single_line(str(exc))}", file=sys.stderr)
         return 1

@@ -86,55 +86,26 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_int_tuple(text: str) -> tuple[int, ...]:
-    items = [part.strip() for part in text.split(",") if part.strip()]
-    return tuple(int(part) for part in items)
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {text.strip()!r}")
+    return value
 
 
-def _parse_str_tuple(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+def _items(text: str) -> list[str]:
+    return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def _convert(section: str, key: str, text: str, kind) -> object:
-    try:
-        if kind is bool:
-            return _parse_bool(text)
-        if kind is int:
-            return int(text)
-        if kind is float:
-            value = float(text)
-            if not math.isfinite(value):
-                raise ValueError(f"must be finite, got {text.strip()!r}")
-            return value
-        if kind is str:
-            return text.strip()
-        if kind == "int_tuple":
-            return _parse_int_tuple(text)
-        if kind == "str_tuple":
-            return _parse_str_tuple(text)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key}: {exc}") from None
-    raise ConfigError(f"{section}.{key}: unsupported value kind {kind!r}")
-
-
-def _dataclass_kinds(cls) -> dict[str, object]:
-    kinds: dict[str, object] = {}
-    for item in fields(cls):
-        if item.type in ("int", int):
-            kinds[item.name] = int
-        elif item.type in ("float", float):
-            kinds[item.name] = float
-        elif item.type in ("bool", bool):
-            kinds[item.name] = bool
-        elif item.type in ("str", str):
-            kinds[item.name] = str
-        elif "tuple[int" in str(item.type):
-            kinds[item.name] = "int_tuple"
-        elif "tuple[str" in str(item.type):
-            kinds[item.name] = "str_tuple"
-        else:
-            raise ConfigError(f"unmappable config field {cls.__name__}.{item.name}")
-    return kinds
+# Parsers of a setting's text, keyed by its field's annotation string; a
+# parser raises ValueError on text it cannot read.
+_PARSERS = {
+    "int": int,
+    "float": _parse_float,
+    "bool": _parse_bool,
+    "tuple[int, ...]": lambda text: tuple(int(part) for part in _items(text)),
+    "tuple[str, ...]": lambda text: tuple(_items(text)),
+}
 
 
 # Sections map onto stage config dataclasses; [detector] accepts "lambda" as
@@ -156,13 +127,16 @@ _NOT_SETTINGS = {("simulator", "seed")}
 
 def _build_section(section: str, raw: dict[str, str]):
     cls, aliases = _SECTION_SPECS[section]
-    kinds = _dataclass_kinds(cls)
+    annotations = {item.name: item.type for item in fields(cls)}
     kwargs: dict[str, object] = {}
     for key, text in raw.items():
         name = aliases.get(key, key)
-        if name not in kinds or (section, name) in _NOT_SETTINGS:
+        if name not in annotations or (section, name) in _NOT_SETTINGS:
             raise ConfigError(f"unknown key {section}.{key}")
-        kwargs[name] = _convert(section, key, text, kinds[name])
+        try:
+            kwargs[name] = _PARSERS[annotations[name]](text)
+        except ValueError as exc:
+            raise ConfigError(f"{section}.{key}: {exc}") from None
     try:
         return cls(**kwargs)
     except ValidationError as exc:

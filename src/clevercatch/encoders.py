@@ -383,6 +383,7 @@ def pretrain(
                 )
             nn.optimizer_step(opt, params, grads, names)
         if phase == "se":  # an "re" epoch leaves the sample encoder as it was
+            hold_pos = hold_neg = None  # the last pair is dead before the next is encoded
             hold_pos, hold_neg = sample_encode(se, holdout.pos), sample_encode(se, holdout.neg)
         e_hold = rule_encode(re, ruleset)[holdout.rule_idx]
         sep = _separation(e_hold, hold_pos, hold_neg) if len(holdout) else float("nan")

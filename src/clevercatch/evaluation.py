@@ -155,7 +155,9 @@ class EvalResult:
 def evaluate_scores(
     labels, scores, ks: tuple[int, ...] = DEFAULT_KS, threshold: float = 0.5
 ) -> EvalResult:
-    """All ranking metrics for one score vector."""
+    """All ranking metrics for one score vector; the labels must hold both classes."""
+    if _check_eval_input(labels, scores)[0].all():  # pr_auc and every recall would read 1
+        raise UndefinedMetricError("ranking metrics need at least one negative label")
     prf = prf_at_threshold(labels, scores, threshold)
     return EvalResult(
         pr_auc=pr_auc(labels, scores),

@@ -166,6 +166,16 @@ class TestPipeline:
         # certified clear epochs run no forward pass, and every batch in them has a zero gradient
         assert 0 < int(found[5]) <= int(found[3]) and found[6] == found[4]
 
+    def test_train_reports_the_labeled_rows_of_each_class(self, pipeline_dirs, tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dirs / "a", out)
+        rows = (out / "labels.csv").read_text().splitlines()[1:]
+        positives = sum(row.endswith(",1") for row in rows)
+        run_ok("train", out)
+        found = re.search(r"^train: (\d+) labeled \((\d+) positive\) of 60 prescribers, ", capsys.readouterr().out)
+        assert found is not None and (int(found[1]), int(found[2])) == (len(rows), positives)
+        assert 0 < positives < len(rows)
+
     def test_unconverged_transport_plans_are_counted(self, pipeline_dirs, tmp_path, caplog):
         out = tmp_path / "run"
         shutil.copytree(pipeline_dirs / "a", out)
@@ -330,6 +340,19 @@ class TestErrorContract:
         )
         before = (pipeline_dirs / "a" / "evaluate_manifest.json").read_bytes()
         assert (out / "evaluate_manifest.json").read_bytes() == before  # no fallback run
+
+    def test_evaluate_on_positive_only_labels(self, pipeline_dirs, tmp_path, capsys):
+        # every ranking of one class is perfect: evaluate once printed pr_auc 1.000000
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dirs / "a", out)
+        header, *rows = (out / "labels.csv").read_text().splitlines(keepends=True)
+        (out / "labels.csv").write_text(header + "".join(r for r in rows if r.rstrip().endswith(",1")))
+        self.check_error(
+            capsys,
+            ["--seed", "3", "--out-dir", str(out), *SPEED, "evaluate"],
+            "UndefinedMetricError",
+            "ranking metrics need at least one negative label",
+        )
 
     def test_evaluate_without_scores_writes_no_report(self, pipeline_dirs, tmp_path, capsys):
         # score writes scores.csv; evaluate has no second way to compute scores

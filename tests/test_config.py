@@ -1,12 +1,14 @@
 """INI run configuration: parsing, typed overrides, and rejection messages."""
 
+from dataclasses import fields
+
 import pytest
 
 from clevercatch.config import (
+    _PARSERS,
     _SECTION_SPECS,
     PATH_KEYS,
     RunConfig,
-    _dataclass_kinds,
     load_config,
 )
 from clevercatch.errors import ConfigError
@@ -109,9 +111,15 @@ class TestIniParsing:
         with pytest.raises(ConfigError, match="alignment.weighted_marginals"):
             load_config(write_ini(tmp_path, "[alignment]\nweighted_marginals = maybe\n"))
 
+    def test_every_field_has_a_parser(self):
+        # load_config looks a setting's parser up by its field's annotation
+        for cls, _ in _SECTION_SPECS.values():
+            for item in fields(cls):
+                assert item.type in _PARSERS, f"{cls.__name__}.{item.name}: {item.type!r}"
+
     @pytest.mark.parametrize("section,key", [
-        (section, key) for section, (cls, _) in _SECTION_SPECS.items()
-        for key, kind in _dataclass_kinds(cls).items() if kind is float
+        (section, item.name) for section, (cls, _) in _SECTION_SPECS.items()
+        for item in fields(cls) if item.type == "float"
     ])
     @pytest.mark.parametrize("text", ["nan", "inf", "-Infinity"])
     def test_non_finite_floats_rejected_from_file_and_override(self, tmp_path, section, key, text):

@@ -1,6 +1,7 @@
 """Encoder pretraining: triplet generation, losses, alternation, persistence."""
 
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -220,6 +221,23 @@ def test_pretrain_alternates_and_improves(toy_ruleset):
     for a, b in zip(model.se.parameters(), again.se.parameters()):
         assert np.array_equal(a, b)
     assert [h.mean_loss for h in history] == [h.mean_loss for h in again_history]
+
+
+def test_pretrain_frees_each_holdout_pair_before_encoding_the_next(toy_ruleset, monkeypatch):
+    """Each "se" epoch encodes the holdout as a (pos, neg) pair; no encoding of
+    an earlier pair may still be alive when a call of the next pair starts."""
+    encoded = []  # a weak reference to each call's result, in call order
+
+    def tracked(se, deltas):
+        alive = sum(ref() is not None for ref in encoded[: len(encoded) // 2 * 2])
+        assert alive == 0, f"{alive} earlier holdout encodings alive at call {len(encoded)}"
+        out = sample_encode(se, deltas)
+        encoded.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(encoders, "sample_encode", tracked)
+    pretrain(toy_ruleset, small_cfg(epochs=6), seed=0)
+    assert len(encoded) == 6  # three "se" epochs
 
 
 def test_encoder_round_trip(tmp_path, toy_ruleset):

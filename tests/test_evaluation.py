@@ -261,6 +261,12 @@ class TestPrCurve:
 
 
 class TestEvaluateScores:
+    @pytest.mark.parametrize("value", [0, 1])
+    def test_one_class_labels_are_undefined(self, value):
+        # all-positive labels once scored pr_auc 1 and full recall whatever the scores
+        with pytest.raises(UndefinedMetricError):
+            evaluate_scores(np.full(6, value), np.linspace(0, 1, 6), ks=(5,))
+
     def test_bundles_individual_metrics(self):
         rng = np.random.default_rng(5)
         scores = rng.uniform(size=40)
