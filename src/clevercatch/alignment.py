@@ -5,16 +5,21 @@ Sinkhorn plan over squared Euclidean costs. Each sample's plan-weighted mean
 cost is calibrated against running batch statistics and squashed through a
 sigmoid, giving a pseudo-label in (0, 1): samples that sit close to the rule
 embeddings (i.e. exhibit rule-satisfying contrast patterns) score high.
+Aligner owns that step, from one feature matrix's rows to pseudo-labels.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
+from .encoders import EncoderModel, rule_encode, sample_encode
 from .errors import ContractError, NumericError, ShapeError, ValidationError
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -223,17 +228,63 @@ def batch_epsilon(cost: np.ndarray, epsilon_scale: float) -> float:
     return epsilon_scale * scale
 
 
-def align_batches(
-    costs: list[np.ndarray], cfg: AlignmentConfig, col_marginal: np.ndarray | None = None,
-) -> list[tuple[np.ndarray, TransportPlan]]:
-    """Per-sample transport cost and Sinkhorn plan of each batch, from its cost matrix, with
-    one sinkhorn_stack solve per batch size: bitwise as if each batch were solved alone."""
-    aligned: list = [None] * len(costs)
-    for size in {cost.shape[0] for cost in costs}:
-        group = [k for k, cost in enumerate(costs) if cost.shape[0] == size]
-        epsilons = [batch_epsilon(costs[k], cfg.epsilon_scale) for k in group]
-        plans = sinkhorn_stack(np.stack([costs[k] for k in group]), np.array(epsilons),
-                               b=col_marginal, max_iters=cfg.max_iters, tol=cfg.tol)
-        for k, plan in zip(group, plans):
-            aligned[k] = transport_cost(plan, costs[k]), plan
-    return aligned
+class Aligner:
+    """Pseudo-labels for batches of one feature matrix's rows against the encoders' rules.
+
+    Every row is encoded once, COST_BLOCK_ROWS rows at a time (a one-row
+    remainder joins the block before it), and its costs against the rule
+    embeddings are kept. Calibration starts at the first batch labeled and
+    carries over, in the order given, from one call to the next; plans and
+    unconverged plans are counted.
+    """
+
+    def __init__(self, encoders: EncoderModel, cfg: AlignmentConfig | None, features: np.ndarray):
+        if encoders.se.input_dim != features.shape[1]:
+            raise ShapeError(
+                f"feature width {features.shape[1]} does not match encoder width "
+                f"{encoders.se.input_dim}"
+            )
+        ruleset = encoders.ruleset
+        cfg = self.cfg = cfg if cfg is not None else AlignmentConfig()
+        self.se, self.features = encoders.se, features
+        self.rule_embeds = rule_encode(encoders.re, ruleset)
+        self.col_marginal = rule_marginal(ruleset.weights, cfg.weighted_marginals, cfg.weight_floor)
+        self.calibration = CalibrationState(momentum=cfg.momentum)
+        self.plans = self.unconverged = 0
+        blocks = np.split(features, range(COST_BLOCK_ROWS, features.shape[0] - 1, COST_BLOCK_ROWS))
+        self.cost = np.concatenate([self._cost(block) for block in blocks])
+
+    def _cost(self, rows: np.ndarray) -> np.ndarray:
+        return cost_matrix(sample_encode(self.se, rows), self.rule_embeds)
+
+    def label(self, batches: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Transport costs and pseudo-labels of each batch of row indices, with one Sinkhorn
+        solve per batch size: bitwise as if each batch were encoded and solved alone."""
+        solved = {}  # batch position -> (its cost matrix, its plan)
+        for size in {batch.size for batch in batches}:
+            group = [k for k, batch in enumerate(batches) if batch.size == size]
+            if size > 1:  # one gather per size: the stack is the only copy of the rows' costs
+                costs = self.cost[np.stack([batches[k] for k in group])]
+            else:  # a one-row forward takes BLAS's matrix-vector path: it is encoded alone
+                costs = np.stack([self._cost(self.features[batches[k]]) for k in group])
+            epsilons = np.array([batch_epsilon(cost, self.cfg.epsilon_scale) for cost in costs])
+            plans = sinkhorn_stack(costs, epsilons, b=self.col_marginal,
+                                   max_iters=self.cfg.max_iters, tol=self.cfg.tol)
+            solved.update(zip(group, zip(costs, plans)))
+        labeled = []
+        for k in range(len(batches)):  # calibrated in list order
+            cost, plan = solved[k]
+            self.plans += 1
+            self.unconverged += not plan.converged
+            batch_costs = transport_cost(plan, cost)
+            update_calibration(self.calibration, batch_costs)
+            targets = pseudo_labels(batch_costs, self.calibration, self.cfg.tau, self.cfg.eps)
+            labeled.append((batch_costs, targets))
+        return labeled
+
+    def warn_unconverged(self, where: str) -> None:
+        if self.unconverged:
+            logger.warning(
+                "%s: %d of %d transport plans stopped at max_iters=%d before converging",
+                where, self.unconverged, self.plans, self.cfg.max_iters,
+            )

@@ -47,7 +47,7 @@ from .detector import (
     write_pseudo_labels_csv,
 )
 from .encoders import load_encoders, pretrain, save_encoders
-from .errors import CleverCatchError
+from .errors import CleverCatchError, ValidationError
 from .evaluation import (
     MetricsRow,
     ablation_run,
@@ -237,7 +237,10 @@ def cmd_score(run: Run):
 def cmd_evaluate(run: Run):
     cfg = run.cfg
     npis, scores = read_scores_csv(run.input("scores"))
-    labels = parse_labels(run.input("labels"), Vocabulary(npis))
+    labels_path = run.input("labels")
+    labels = parse_labels(labels_path, Vocabulary(npis))
+    if labels.n_labeled == 0:
+        raise ValidationError(f"{labels_path}: no label names a scored prescriber")
     y = labels.labels
     s = scores[labels.idx]
     ks = evaluable_ks(cfg.evaluate.ks, y.size)

@@ -4,35 +4,23 @@ The detector is an MLP with a sigmoid head over rule-contrast features. Each
 training batch contributes a supervised binary cross-entropy term averaged
 over its labeled members plus lambda times a binary cross-entropy term against
 transport-calibrated pseudo-labels averaged over the whole batch. Encoders are
-frozen during detector training; pseudo-labels are recomputed per batch per
-epoch so calibration keeps evolving. With lambda = 0, the alignment pathway is
-skipped entirely and training reduces exactly to the supervised-only loop.
+frozen during detector training; alignment.Aligner recomputes pseudo-labels
+per batch per epoch so calibration keeps evolving. With lambda = 0, alignment
+is skipped entirely and training reduces exactly to the supervised-only loop.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .alignment import (
-    COST_BLOCK_ROWS,
-    AlignmentConfig,
-    CalibrationState,
-    align_batches,
-    cost_matrix,
-    pseudo_labels,
-    rule_marginal,
-    update_calibration,
-)
-from .encoders import EncoderModel, rule_encode, sample_encode
+from .alignment import AlignmentConfig, Aligner
+from .encoders import EncoderModel
 from .errors import NumericError, ParseError, ShapeError, ValidationError
 from .ingest import LabelTable
 from .io_utils import atomic_write_text, dumps_canonical, fmt_float, read_json_document, write_csv
-
-logger = logging.getLogger(__name__)
 
 SCORE_CLAMP = 1e-7
 
@@ -100,55 +88,6 @@ class TrainEpochStats:
     alignment_loss: float
 
 
-def _check_binding(features: np.ndarray, encoders: EncoderModel) -> None:
-    if encoders.se.input_dim != features.shape[1]:
-        raise ShapeError(
-            f"feature width {features.shape[1]} does not match encoder width "
-            f"{encoders.se.input_dim}"
-        )
-
-
-class _Aligner:
-    """Pseudo-labels for successive batches against the encoders' rules.
-
-    Calibration starts at the first batch and keeps running across the
-    batches in the order given; plans and unconverged plans are counted.
-    """
-
-    def __init__(self, encoders: EncoderModel, cfg: AlignmentConfig):
-        ruleset = encoders.ruleset
-        self.se, self.cfg = encoders.se, cfg
-        self.rule_embeds = rule_encode(encoders.re, ruleset)
-        self.col_marginal = rule_marginal(ruleset.weights, cfg.weighted_marginals, cfg.weight_floor)
-        self.calibration = CalibrationState(momentum=cfg.momentum)
-        self.plans = self.unconverged = 0
-
-    def cost(self, batch: np.ndarray) -> np.ndarray:
-        """Cost matrix of one feature batch against the rule embeddings, shape (B, R), encoded
-        COST_BLOCK_ROWS rows at a time; a one-row remainder joins the block before it."""
-        blocks = np.split(batch, range(COST_BLOCK_ROWS, batch.shape[0] - 1, COST_BLOCK_ROWS))
-        return np.concatenate([cost_matrix(sample_encode(self.se, b), self.rule_embeds) for b in blocks])
-
-    def batches(self, costs: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Transport costs and pseudo-labels of each batch, given its cost matrix, calibrated
-        in list order, with one Sinkhorn solve per batch size."""
-        aligned = []
-        for batch_costs, plan in align_batches(costs, self.cfg, self.col_marginal):
-            self.plans += 1
-            self.unconverged += not plan.converged
-            update_calibration(self.calibration, batch_costs)
-            targets = pseudo_labels(batch_costs, self.calibration, self.cfg.tau, self.cfg.eps)
-            aligned.append((batch_costs, targets))
-        return aligned
-
-    def warn_unconverged(self, where: str) -> None:
-        if self.unconverged:
-            logger.warning(
-                "%s: %d of %d transport plans stopped at max_iters=%d before converging",
-                where, self.unconverged, self.plans, self.cfg.max_iters,
-            )
-
-
 def hybrid_train(
     features: np.ndarray,
     labels: LabelTable,
@@ -179,9 +118,7 @@ def hybrid_train(
     if cfg.lam > 0.0:
         if encoders is None:
             raise ValidationError("lambda > 0 needs encoders")
-        _check_binding(features, encoders)
-        aligner = _Aligner(encoders, align_cfg if align_cfg is not None else AlignmentConfig())
-        costs = aligner.cost(features)
+        aligner = Aligner(encoders, align_cfg, features)
     rng = nn.make_rng(seed)
     mlp = init_detector(features.shape[1], cfg.hidden, rng)
     opt = nn.adam(cfg.learning_rate)
@@ -190,13 +127,10 @@ def hybrid_train(
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         batches = [order[start : start + cfg.batch_size] for start in range(0, n, cfg.batch_size)]
-        aligned = aligner.batches(  # a one-row forward takes BLAS's matrix-vector path: it runs alone
-            [costs[i] if i.size > 1 else aligner.cost(features[i]) for i in batches]
-        ) if aligner else [None] * len(batches)
+        aligned = aligner.label(batches) if aligner else [None] * len(batches)
         sup_sum = 0.0
         sup_count = 0
         align_sum = 0.0
-        align_count = 0
         for idx, costs_and_targets in zip(batches, aligned):
             batch = features[idx]
             out, cache = nn.mlp_forward(mlp, batch)
@@ -212,22 +146,18 @@ def hybrid_train(
                 align_loss_value, d_align = bce_with_grad(scores, costs_and_targets[1])
                 d_scores += cfg.lam * d_align
                 align_sum += align_loss_value * idx.size
-                align_count += idx.size
             grads, _ = nn.mlp_backward(mlp, cache, d_scores[:, None])
             nn.optimizer_step(opt, mlp.parameters(), grads, names)
         epoch_sup = sup_sum / sup_count if sup_count else float("nan")
-        epoch_align = align_sum / align_count if align_count else 0.0
+        epoch_align = align_sum / n if aligner else 0.0  # every row is aligned once per epoch
         if not (np.isfinite(epoch_sup) or sup_count == 0) or not np.isfinite(epoch_align):
             raise NumericError(f"detector training diverged at epoch {epoch}")
         history.append(TrainEpochStats(epoch, float(epoch_sup), float(epoch_align)))
-    encoder_fingerprint = ""
+    fingerprint = ""
     if aligner is not None:
         aligner.warn_unconverged("hybrid_train")
-        encoder_fingerprint = encoders.file_sha256
-    model = DetectorModel(
-        mlp=mlp, lam=cfg.lam, seed=int(seed), encoder_fingerprint=encoder_fingerprint
-    )
-    return model, history
+        fingerprint = encoders.file_sha256
+    return DetectorModel(mlp, cfg.lam, int(seed), fingerprint), history
 
 
 @dataclass
@@ -264,18 +194,16 @@ def pseudo_label_classifier(
 ) -> PseudoLabelReport:
     """Detector-free classifier from one alignment pass over the full dataset.
 
-    The rows are encoded COST_BLOCK_ROWS at a time and solved as one transport
+    All rows are labeled as one batch, so they are solved as one transport
     problem. Calibration uses the batch statistics of all samples at once and
     is not updated afterwards; predictions flag pseudo-labels strictly above
     the threshold.
     """
-    align_cfg = align_cfg if align_cfg is not None else AlignmentConfig()
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] < 1:
         raise ShapeError("features must be a non-empty 2-D array")
-    _check_binding(features, encoders)
-    aligner = _Aligner(encoders, align_cfg)
-    [(costs, labels)] = aligner.batches([aligner.cost(features)])
+    aligner = Aligner(encoders, align_cfg, features)
+    [(costs, labels)] = aligner.label([np.arange(features.shape[0])])
     aligner.warn_unconverged("pseudo_label_classifier")
     return PseudoLabelReport(costs=costs, labels=labels, predictions=labels > threshold)
 

@@ -295,11 +295,12 @@ def ablation_run(
     subset slices its rules' blocks from it. A subset that would leave no
     rules is skipped with a note. With eval_fraction > 0 the labeled set is
     split and metrics are computed on the held-out part only; otherwise on
-    all labeled prescribers. A k above the smallest evaluated set is dropped
-    before any configuration trains. Each (seed, configuration) job runs in
-    spawned worker processes, at most one per usable CPU, as two tasks:
-    pretraining, then training, scoring and evaluation, submitted once its
-    encoders come back (lambda = 0 needs none and is submitted at once).
+    all labeled prescribers. Evaluated labels of one class fail, and a k above
+    the smallest evaluated set is dropped, before any configuration trains.
+    Each (seed, configuration) job runs in spawned worker processes, at most
+    one per usable CPU, as two tasks: pretraining, then training, scoring and
+    evaluation, submitted once its encoders come back (lambda = 0 needs none
+    and is submitted at once).
     Results are taken in job order, so the report, or the error of the first
     failing job, equals that of a serial run. Once a job fails, the tasks of
     later jobs that have not started are cancelled and they train no more.
@@ -315,6 +316,8 @@ def ablation_run(
         if eval_fraction > 0.0 else (labels, labels)
         for seed in seeds
     ]
+    if any(e.labels.all() or not e.labels.any() for _, e in splits):
+        raise UndefinedMetricError("ranking metrics need a positive and a negative evaluated label")
     ks = evaluable_ks(ks, min((e.n_labeled for _, e in splits), default=labels.n_labeled))
     features = build_feature_matrix(claims, ruleset).values
     jobs: list[tuple] = []  # (name, seed, rule subset, its features, train labels, eval labels)

@@ -144,7 +144,7 @@ def read_features_csv(path) -> FeatureMatrix:
             handle.readline()
             npis, values = _read_feature_rows(path, handle, len(columns))
         else:
-            values = np.ascontiguousarray(table["values"])
+            values = table["values"]  # a view into the record array: no second copy
     if not npis:
         raise ParseError(f"{path}: no feature rows")
     return FeatureMatrix(values=values, columns=columns, npis=npis)

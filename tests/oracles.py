@@ -36,6 +36,7 @@ from scipy.special import expit
 from clevercatch import nn
 from clevercatch.alignment import (
     AlignmentConfig,
+    CalibrationState,
     batch_epsilon,
     cost_matrix,
     pseudo_labels,
@@ -48,7 +49,6 @@ from clevercatch.detector import (
     DetectorModel,
     PseudoLabelReport,
     TrainEpochStats,
-    _Aligner,
     bce_with_grad,
     init_detector,
 )
@@ -104,6 +104,7 @@ from clevercatch.vocab import Vocabulary
 
 logger = logging.getLogger("clevercatch.ingest")  # where the library parser warns, so tests compare both
 _evaluation_logger = logging.getLogger("clevercatch.evaluation")
+_alignment_logger = logging.getLogger("clevercatch.alignment")
 
 
 @dataclass
@@ -422,13 +423,24 @@ def supervised_train(
     return DetectorModel(mlp=mlp, lam=0.0, seed=int(seed)), history
 
 
-class WholeMatrixAligner(_Aligner):
+class WholeMatrixAligner:
     """The whole-matrix alignment path: a batch is encoded in one sample_encode
     pass, and its cost matrix is solved alone as a K = 1 sinkhorn_stack.
 
-    detector._Aligner encodes in COST_BLOCK_ROWS blocks and solves same-size
-    batches together; both must give these costs and pseudo-labels bitwise.
+    alignment.Aligner encodes every row once in COST_BLOCK_ROWS blocks and
+    solves same-size batches together; both must give these costs,
+    pseudo-labels and unconverged-plan warnings bitwise.
     """
+
+    def __init__(self, encoders: EncoderModel, cfg: AlignmentConfig):
+        self.se, self.cfg = encoders.se, cfg
+        self.rule_embeds = rule_encode(encoders.re, encoders.ruleset)
+        self.col_marginal = None
+        if cfg.weighted_marginals:
+            floored = np.maximum(encoders.ruleset.weights, cfg.weight_floor)
+            self.col_marginal = floored / floored.sum()
+        self.calibration = CalibrationState(momentum=cfg.momentum)
+        self.plans = self.unconverged = 0
 
     def __call__(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         cost = cost_matrix(sample_encode(self.se, batch), self.rule_embeds)
@@ -440,6 +452,13 @@ class WholeMatrixAligner(_Aligner):
         self.unconverged += not plan.converged
         update_calibration(self.calibration, costs)
         return costs, pseudo_labels(costs, self.calibration, self.cfg.tau, self.cfg.eps)
+
+    def warn_unconverged(self, where: str) -> None:
+        if self.unconverged:
+            _alignment_logger.warning(
+                "%s: %d of %d transport plans stopped at max_iters=%d before converging",
+                where, self.unconverged, self.plans, self.cfg.max_iters,
+            )
 
 
 def pseudo_label_classifier(

@@ -8,10 +8,10 @@ from scipy.special import expit, logsumexp
 from clevercatch import alignment, nn
 from clevercatch.alignment import (
     AlignmentConfig,
+    Aligner,
     _logsumexp,
     CalibrationState,
     TransportPlan,
-    align_batches,
     batch_epsilon,
     cost_matrix,
     pseudo_labels,
@@ -20,7 +20,10 @@ from clevercatch.alignment import (
     transport_cost,
     update_calibration,
 )
+from clevercatch.encoders import BLOCK, EncoderModel, PretrainConfig, init_encoders
 from clevercatch.errors import ContractError, ShapeError, ValidationError
+from clevercatch.rules import Rule, RuleSet
+from clevercatch.vocab import Vocabulary
 
 from conftest import traced_peak
 
@@ -270,20 +273,37 @@ def test_batch_epsilon_guards():
     assert batch_epsilon(np.zeros((2, 2)), 0.1) == pytest.approx(0.1)
 
 
-def test_align_batches_end_to_end():
-    rng = nn.make_rng(0)
-    samples = rng.normal(size=(10, 4))
-    rules = rng.normal(size=(3, 4))
-    cfg = AlignmentConfig()
-    cost = cost_matrix(samples, rules)
-    [(costs, plan)] = align_batches([cost], cfg)
-    assert costs.shape == (10,)
-    assert plan.matrix.shape == (10, 3)
-    assert cost.shape == (10, 3)
-    assert plan.converged
+def three_rule_aligner(rows):
+    """An Aligner of untrained encoders over `rows` random feature rows of three rules."""
+    vocab = Vocabulary(["A", "B", "C"])
+    rules = [Rule("binary", "A", "B", 0.9), Rule("unary", "C", None, 0.5), Rule("binary", "B", "C", 0.2)]
+    encoders = EncoderModel(
+        *init_encoders(vocab.size, BLOCK * 3, PretrainConfig(), nn.make_rng(0)), RuleSet(rules, vocab)
+    )
+    return Aligner(encoders, AlignmentConfig(), nn.make_rng(1).normal(0.0, 0.1, (rows, BLOCK * 3)))
+
+
+def test_aligner_labels_a_batch_end_to_end():
+    aligner = three_rule_aligner(10)
+    [(costs, labels)] = aligner.label([np.arange(10)])
+    assert costs.shape == labels.shape == (10,)
+    assert aligner.cost.shape == (10, 3)
+    assert (aligner.plans, aligner.unconverged) == (1, 0)
+    assert np.all((labels > 0.0) & (labels < 1.0))
     # per-sample transport cost is a convex combination of that sample's costs
-    assert np.all(costs >= cost.min(axis=1) - 1e-12)
-    assert np.all(costs <= cost.max(axis=1) + 1e-12)
+    assert np.all(costs >= aligner.cost.min(axis=1) - 1e-12)
+    assert np.all(costs <= aligner.cost.max(axis=1) + 1e-12)
+
+
+def test_aligner_calibration_carries_over_between_calls():
+    batches = [np.array([3, 0, 7]), np.array([5]), np.array([1, 2, 4]), np.array([9, 6])]
+    together = three_rule_aligner(10).label(batches)
+    aligner = three_rule_aligner(10)
+    one_by_one = [labeled for batch in batches for labeled in aligner.label([batch])]
+    assert aligner.plans == len(batches)
+    for (costs, labels), (expected_costs, expected_labels) in zip(one_by_one, together, strict=True):
+        assert costs.tobytes() == expected_costs.tobytes()
+        assert labels.tobytes() == expected_labels.tobytes()
 
 
 def test_alignment_config_validation():

@@ -179,7 +179,7 @@ class TestPipeline:
     def test_unconverged_transport_plans_are_counted(self, pipeline_dirs, tmp_path, caplog):
         out = tmp_path / "run"
         shutil.copytree(pipeline_dirs / "a", out)
-        with caplog.at_level(logging.WARNING, logger="clevercatch.detector"):
+        with caplog.at_level(logging.WARNING, logger="clevercatch.alignment"):
             for command in ("pseudolabel", "train"):
                 run_ok(command, out)
             assert caplog.records == []
@@ -353,6 +353,32 @@ class TestErrorContract:
             "UndefinedMetricError",
             "ranking metrics need at least one negative label",
         )
+
+    def test_evaluate_on_labels_that_name_no_scored_prescriber(self, pipeline_dirs, tmp_path, capsys):
+        # evaluate once blamed the ks: "all ks in (5, 10) exceed the 0 labeled prescribers"
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dirs / "a", out)
+        (out / "labels.csv").write_text("npi,label\n42,1\n43,0\n")
+        self.check_error(
+            capsys,
+            ["--seed", "3", "--out-dir", str(out), *SPEED, "evaluate"],
+            "ValidationError",
+            f"{out / 'labels.csv'}: no label names a scored prescriber",
+        )
+
+    def test_ablate_on_positive_only_labels(self, tmp_path, capsys):
+        # without a held-out split these once trained every configuration before failing
+        run_ok("simulate", tmp_path)
+        header, *rows = (tmp_path / "labels.csv").read_text().splitlines(keepends=True)
+        (tmp_path / "labels.csv").write_text(header + "".join(r for r in rows if r.rstrip().endswith(",1")))
+        self.check_error(
+            capsys,
+            ["--seed", "3", "--out-dir", str(tmp_path), *SPEED,
+             "--set", "ablation.eval_fraction=0", "ablate"],
+            "UndefinedMetricError",
+            "ranking metrics need a positive and a negative evaluated label",
+        )
+        assert not (tmp_path / "ablation_report.csv").exists()
 
     def test_evaluate_without_scores_writes_no_report(self, pipeline_dirs, tmp_path, capsys):
         # score writes scores.csv; evaluate has no second way to compute scores

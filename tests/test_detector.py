@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from clevercatch import detector, nn
+from clevercatch import alignment, nn
 from clevercatch.alignment import AlignmentConfig
 from clevercatch.detector import (
     DetectorConfig,
@@ -163,7 +163,7 @@ def toy_problem_encoders():
     max_iters=st.sampled_from([1, 2, 500]),
     weighted=st.booleans(),
     lam=st.sampled_from([0.0, 0.5]),
-    block=st.sampled_from([detector.COST_BLOCK_ROWS, 2, 3, 4]),  # rows per encoder pass
+    block=st.sampled_from([alignment.COST_BLOCK_ROWS, 2, 3, 4]),  # rows per encoder pass
 )
 @example(seed=3, n=33, batch_size=8, epochs=2, max_iters=1, weighted=True, lam=0.5, block=1024)  # n = 1 (mod 8)
 @example(seed=3, n=33, batch_size=8, epochs=3, max_iters=500, weighted=False, lam=0.5, block=1024)
@@ -172,7 +172,7 @@ def toy_problem_encoders():
 def test_hybrid_train_matches_the_batch_by_batch_loop(
     seed, n, batch_size, epochs, max_iters, weighted, lam, block, caplog, monkeypatch
 ):
-    monkeypatch.setattr(detector, "COST_BLOCK_ROWS", block)
+    monkeypatch.setattr(alignment, "COST_BLOCK_ROWS", block)
     features, labels, _ = toy_problem(nn.make_rng(seed), n=n)
     if labels.n_labeled == 0:
         labels = LabelTable(np.array([0]), np.array([1]))
@@ -182,7 +182,7 @@ def test_hybrid_train_matches_the_batch_by_batch_loop(
     runs = []
     for train in (hybrid_train, oracles.hybrid_train):
         caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="clevercatch.detector"):
+        with caplog.at_level(logging.WARNING, logger="clevercatch.alignment"):
             model, history = train(features, labels, cfg, seed, encoders, align_cfg)
         runs.append((model, history, [r.getMessage() for r in caplog.records]))
     (model, history, warned), (expected, expected_history, expected_warned) = runs
@@ -207,12 +207,12 @@ def test_hybrid_train_peak_memory_per_added_row():
     all layer activations, about 2 KB per row at 7 rules."""
     encoders = seven_rule_encoders()
     peaks = []
-    for n in (2 * detector.COST_BLOCK_ROWS, 6 * detector.COST_BLOCK_ROWS):
+    for n in (2 * alignment.COST_BLOCK_ROWS, 6 * alignment.COST_BLOCK_ROWS):
         features = nn.make_rng(1).normal(0.0, 0.1, (n, BLOCK * 7))
         idx = np.arange(0, n, 10)
         labels = LabelTable(idx, (idx % 20 == 0).astype(np.int64))
         peaks.append(traced_peak(hybrid_train, features, labels, DetectorConfig(epochs=1), 3, encoders))
-    per_row = (peaks[1] - peaks[0]) / (4 * detector.COST_BLOCK_ROWS)
+    per_row = (peaks[1] - peaks[0]) / (4 * alignment.COST_BLOCK_ROWS)
     assert per_row <= 512, f"{per_row:.0f} B per added row"
 
 
@@ -294,10 +294,10 @@ def test_pseudo_label_classifier_peak_memory_per_added_row():
     all layer activations, about 2 KB per row at 7 rules."""
     encoders = seven_rule_encoders()
     peaks = []
-    for n in (2 * detector.COST_BLOCK_ROWS, 6 * detector.COST_BLOCK_ROWS):
+    for n in (2 * alignment.COST_BLOCK_ROWS, 6 * alignment.COST_BLOCK_ROWS):
         features = nn.make_rng(1).normal(0.0, 0.1, (n, BLOCK * 7))
         peaks.append(traced_peak(pseudo_label_classifier, features, encoders))
-    per_row = (peaks[1] - peaks[0]) / (4 * detector.COST_BLOCK_ROWS)
+    per_row = (peaks[1] - peaks[0]) / (4 * alignment.COST_BLOCK_ROWS)
     assert per_row <= 512, f"{per_row:.0f} B per added row"
 
 

@@ -455,6 +455,19 @@ class TestAblationRun:
 
     FAILURE = (ValidationError, "need at least 5 triplets to cover 5 rules, got 3")
 
+    @pytest.mark.parametrize("label", [1, 0])
+    def test_one_class_labels_fail_before_features_or_workers(self, monkeypatch, label):
+        # with eval_fraction 0 these once trained every configuration before evaluate_scores raised
+        def refuse(*args, **kwargs):
+            raise AssertionError("ablation_run went past one-class labels")
+
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(evaluation, "build_feature_matrix", refuse)
+        claims, _, ruleset, kwargs = self.failing_setup()
+        labels = LabelTable(np.arange(30, dtype=np.int64), np.full(30, label, dtype=np.int64))
+        with pytest.raises(UndefinedMetricError, match="need a positive and a negative evaluated label"):
+            ablation_run(claims, labels, ruleset, **kwargs)
+
     def test_a_failing_pretraining_raises_the_serial_loops_error(self):
         claims, labels, ruleset, kwargs = self.failing_setup()
         errors = []

@@ -338,6 +338,17 @@ def test_feature_csv_round_trip(tmp_path):
         read_features_csv(bad)
 
 
+def test_read_features_csv_keeps_one_copy_of_the_matrix(tmp_path):
+    # the values stay a view into numpy's record array; copying them out peaked at 2.1x
+    rows, width = 4000, 105
+    values = nn.make_rng(0).normal(size=(rows, width))
+    npis = tuple(str(1_000_000_000 + i) for i in range(rows))
+    path = tmp_path / "features.csv"
+    write_features_csv(FeatureMatrix(values, tuple(f"f{j}" for j in range(width)), npis), path)
+    assert read_features_csv(path).values.tobytes() == values.tobytes()
+    assert traced_peak(read_features_csv, path) < 1.5 * values.nbytes
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_read_features_csv_rejects_non_finite_values(tmp_path, value):
     path = tmp_path / "features.csv"
