@@ -82,19 +82,24 @@ def _check_marginal(m: np.ndarray | None, size: int, name: str) -> np.ndarray:
     return m
 
 
-def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
-    """scipy.special.logsumexp of finite real input along one axis, bitwise.
+def _sum0(x: np.ndarray, pairwise: bool) -> np.ndarray:
+    """x.sum(axis=0), in the order numpy sums an outer axis or, if pairwise, a contiguous one."""
+    if pairwise and x.shape[0] >= 8:  # the orders differ from 8 terms on: sum a copy with axis 0 last
+        return np.ascontiguousarray(np.moveaxis(x, 0, -1)).sum(axis=-1)
+    return x.sum(axis=0)
 
-    The same operations in the same order as scipy 1.17, without its
-    array-API dispatch, which dominates the cost on small batches: the m
-    entries equal to the maximum are left out of the shifted exp-sum, which is
-    divided by m before log1p.
-    """
-    x_max = x.max(axis=axis, keepdims=True)
-    is_max = x == x_max
-    m = is_max.sum(axis=axis, keepdims=True, dtype=x.dtype)
-    s = np.exp(np.where(is_max, -np.inf, x) - x_max).sum(axis=axis, keepdims=True) / m
-    return (np.log1p(s) + np.log(m) + x_max).squeeze(axis)
+
+def _logsumexp0(x: np.ndarray, pairwise: bool) -> np.ndarray:
+    """scipy.special.logsumexp of finite real input over axis 0, bitwise, overwriting x:
+    scipy 1.17's operations without its array-API dispatch (the m maxima are left out of
+    the shifted exp-sum, which is divided by m before log1p), summed in _sum0's order."""
+    x_max = x.max(axis=0)
+    not_max = x != x_max
+    m = x.shape[0] - not_max.sum(axis=0, dtype=x.dtype)
+    np.subtract(x, x_max, out=x)
+    np.exp(x, out=x)
+    x *= not_max
+    return np.log1p(_sum0(x, pairwise) / m) + np.log(m) + x_max
 
 
 def sinkhorn_stack(
@@ -111,6 +116,11 @@ def sinkhorn_stack(
     plan is taken at the first sweep where its worst violation is below tol,
     or at sweep max_iters, and reports which. A problem leaves the working
     arrays in the sweep its plan is taken.
+
+    Every reduction runs over axis 0, where numpy reduces fastest, of one of two copies
+    of the log-kernel: (R, K, B) for sums over rules and (B, K, R) for sums over rows.
+    The sums keep numpy's order for the (K, B, R) layout: pairwise over the contiguous
+    rule axis, in sequence over the strided rows, but pairwise over rows at one rule.
     """
     costs = np.asarray(costs, dtype=np.float64)
     epsilons = np.asarray(epsilons, dtype=np.float64)
@@ -125,24 +135,26 @@ def sinkhorn_stack(
     n_problems, n_rows, n_cols = costs.shape
     a = _check_marginal(a, n_rows, "row")
     b = _check_marginal(b, n_cols, "column")
-    log_kernel = -costs / epsilons[:, None, None]
+    by_rule = -costs.transpose(2, 0, 1).copy() / epsilons[:, None]  # the log-kernel -C / epsilon,
+    by_row = -costs.transpose(1, 0, 2).copy() / epsilons[:, None]  # rules first and rows first
     log_a, log_b = np.log(a), np.log(b)
     plans = np.empty_like(costs)
     iterations = np.empty(n_problems, dtype=np.int64)
     converged = np.zeros(n_problems, dtype=bool)
-    live = np.arange(n_problems)  # the problems still in the working arrays log_kernel and g
+    live = np.arange(n_problems)  # the problems still in the working arrays
     g = np.zeros((n_problems, n_cols))
     for iteration in range(1, max_iters + 1):
-        f = log_a - _logsumexp(log_kernel + g[:, None, :], axis=2)
-        g = log_b - _logsumexp(log_kernel + f[:, :, None], axis=1)
-        plan = np.exp(f[:, :, None] + g[:, None, :] + log_kernel)
-        done = np.abs(plan.sum(axis=2) - a).max(axis=1) < tol
+        f = log_a - _logsumexp0(by_rule + g.T[:, :, None], True)
+        g = log_b - _logsumexp0(by_row + f.T[:, :, None], n_cols == 1)
+        plan = f + g.T[:, :, None] + by_rule  # (R, K, B)
+        np.exp(plan, out=plan)
+        done = np.abs(_sum0(plan, True) - a).max(axis=1) < tol
         converged[live[done]] = True
         done |= iteration == max_iters
         if done.any():
-            plans[live[done]] = plan[done]
+            plans[live[done]] = plan[:, done].transpose(1, 2, 0)
             iterations[live[done]] = iteration
-            live, log_kernel, g = live[~done], log_kernel[~done], g[~done]
+            live, g, by_rule, by_row = live[~done], g[~done], by_rule[:, ~done], by_row[:, ~done]
             if live.size == 0:
                 break
     return [TransportPlan(plans[k], bool(converged[k]), int(iterations[k]))
@@ -218,14 +230,13 @@ def rule_marginal(weights: np.ndarray, weighted: bool, weight_floor: float) -> n
     return floored / total
 
 
-def batch_epsilon(cost: np.ndarray, epsilon_scale: float) -> float:
-    """Scale-adaptive regularizer: epsilon_scale * median(C) with zero guards."""
-    scale = float(np.median(cost))
-    if scale <= 0:
-        scale = float(cost.max())
-    if scale <= 0:
-        scale = 1.0
-    return epsilon_scale * scale
+def stack_epsilons(costs: np.ndarray, epsilon_scale: float) -> np.ndarray:
+    """Scale-adaptive regularizers of a (K, B, R) cost stack: epsilon_scale times
+    each problem's median cost, or its largest where that is 0, or 1.0."""
+    flat = costs.reshape(costs.shape[0], -1)
+    scale = np.median(flat, axis=1)
+    scale = np.where(scale > 0, scale, flat.max(axis=1))
+    return epsilon_scale * np.where(scale > 0, scale, 1.0)
 
 
 class Aligner:
@@ -267,7 +278,7 @@ class Aligner:
                 costs = self.cost[np.stack([batches[k] for k in group])]
             else:  # a one-row forward takes BLAS's matrix-vector path: it is encoded alone
                 costs = np.stack([self._cost(self.features[batches[k]]) for k in group])
-            epsilons = np.array([batch_epsilon(cost, self.cfg.epsilon_scale) for cost in costs])
+            epsilons = stack_epsilons(costs, self.cfg.epsilon_scale)
             plans = sinkhorn_stack(costs, epsilons, b=self.col_marginal,
                                    max_iters=self.cfg.max_iters, tol=self.cfg.tol)
             solved.update(zip(group, zip(costs, plans)))

@@ -29,9 +29,11 @@ configuration) exit with status 1 and a single line on stderr of the form
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
+from logging.handlers import MemoryHandler
 from pathlib import Path
 
 import numpy as np
@@ -346,6 +348,12 @@ def _single_line(text: str) -> str:
 def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     args = build_parser().parse_args(argv)
+    # the package's log records wait for the outcome: a finished command hands them to the
+    # root logger, and a failed one drops them, so its error line is all of its stderr
+    package_log = logging.getLogger("clevercatch")
+    held = MemoryHandler(sys.maxsize, logging.CRITICAL + 1, logging.getLogger(), flushOnClose=False)
+    package_log.addHandler(held)
+    package_log.propagate = False
     try:
         cfg = load_config(
             getattr(args, "config", None), list(getattr(args, "overrides", []))
@@ -360,9 +368,14 @@ def main(argv: list[str] | None = None) -> int:
         run = Run(args.command, cfg, root_seed, out_dir)
         handler(run)
         run.write_manifest(started)
+        held.flush()
     except (CleverCatchError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {_single_line(str(exc))}", file=sys.stderr)
         return 1
+    finally:
+        package_log.removeHandler(held)
+        package_log.propagate = True
+        held.close()
     return 0
 
 

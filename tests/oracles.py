@@ -6,8 +6,11 @@ separation rate of a triplet batch, the
 per-prescriber-year share groups and the prescriber-by-prescriber feature
 loop that the vectorized feature pass must match bitwise, the plain
 supervised trainer that hybrid_train must reproduce bitwise at lambda = 0,
-the whole-matrix alignment path (every row of a batch encoded at once, each
-batch solved alone), which pseudo_label_classifier must match bitwise, the
+the per-batch transport regularizer and the Sinkhorn solver that reduces
+each sweep's (K, B, R) arrays along their own axes, which the per-stack
+regularizer and the outer-axis solver must match bitwise, the whole-matrix
+alignment path (every row of a batch encoded at once, each batch solved
+alone), which pseudo_label_classifier must match bitwise, the
 batch-by-batch hybrid loop on that path, which hybrid_train's per-epoch
 stacked transport solve must match bitwise,
 the record-at-a-time claims parser that the columnar one must match, the
@@ -37,10 +40,10 @@ from clevercatch import nn
 from clevercatch.alignment import (
     AlignmentConfig,
     CalibrationState,
-    batch_epsilon,
+    TransportPlan,
+    _check_marginal,
     cost_matrix,
     pseudo_labels,
-    sinkhorn_stack,
     transport_cost,
     update_calibration,
 )
@@ -423,9 +426,71 @@ def supervised_train(
     return DetectorModel(mlp=mlp, lam=0.0, seed=int(seed)), history
 
 
+def batch_epsilon(cost: np.ndarray, epsilon_scale: float) -> float:
+    """One batch's regularizer, epsilon_scale * median(C) with zero guards, which
+    alignment.stack_epsilons must give for each problem of a stack bitwise."""
+    scale = float(np.median(cost))
+    if scale <= 0:
+        scale = float(cost.max())
+    if scale <= 0:
+        scale = 1.0
+    return epsilon_scale * scale
+
+
+def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+    """scipy.special.logsumexp of finite real input along one axis, bitwise: the m
+    entries equal to the maximum are left out of the shifted exp-sum, which is
+    divided by m before log1p."""
+    x_max = x.max(axis=axis, keepdims=True)
+    is_max = x == x_max
+    m = is_max.sum(axis=axis, keepdims=True, dtype=x.dtype)
+    s = np.exp(np.where(is_max, -np.inf, x) - x_max).sum(axis=axis, keepdims=True) / m
+    return (np.log1p(s) + np.log(m) + x_max).squeeze(axis)
+
+
+def sinkhorn_stack(
+    costs: np.ndarray, epsilons: np.ndarray, a: np.ndarray | None = None,
+    b: np.ndarray | None = None, max_iters: int = 500, tol: float = 1e-9,
+) -> list[TransportPlan]:
+    """Log-domain Sinkhorn on a (K, B, R) cost stack, reducing each sweep's
+    (K, B, R) arrays along their own axes in numpy's order for that layout.
+
+    alignment.sinkhorn_stack reduces over the outer axis of rule-first and
+    row-first copies instead and must give these plans, iteration counts and
+    converged flags bitwise.
+    """
+    costs = np.asarray(costs, dtype=np.float64)
+    epsilons = np.asarray(epsilons, dtype=np.float64)
+    n_problems, n_rows, n_cols = costs.shape
+    a = _check_marginal(a, n_rows, "row")
+    b = _check_marginal(b, n_cols, "column")
+    log_kernel = -costs / epsilons[:, None, None]
+    log_a, log_b = np.log(a), np.log(b)
+    plans = np.empty_like(costs)
+    iterations = np.empty(n_problems, dtype=np.int64)
+    converged = np.zeros(n_problems, dtype=bool)
+    live = np.arange(n_problems)
+    g = np.zeros((n_problems, n_cols))
+    for iteration in range(1, max_iters + 1):
+        f = log_a - _logsumexp(log_kernel + g[:, None, :], axis=2)
+        g = log_b - _logsumexp(log_kernel + f[:, :, None], axis=1)
+        plan = np.exp(f[:, :, None] + g[:, None, :] + log_kernel)
+        done = np.abs(plan.sum(axis=2) - a).max(axis=1) < tol
+        converged[live[done]] = True
+        done |= iteration == max_iters
+        if done.any():
+            plans[live[done]] = plan[done]
+            iterations[live[done]] = iteration
+            live, log_kernel, g = live[~done], log_kernel[~done], g[~done]
+            if live.size == 0:
+                break
+    return [TransportPlan(plans[k], bool(converged[k]), int(iterations[k]))
+            for k in range(n_problems)]
+
+
 class WholeMatrixAligner:
     """The whole-matrix alignment path: a batch is encoded in one sample_encode
-    pass, and its cost matrix is solved alone as a K = 1 sinkhorn_stack.
+    pass, and its cost matrix is solved alone as a K = 1 oracle sinkhorn_stack.
 
     alignment.Aligner encodes every row once in COST_BLOCK_ROWS blocks and
     solves same-size batches together; both must give these costs,

@@ -2,21 +2,21 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import expit, logsumexp
 
 from clevercatch import alignment, nn
 from clevercatch.alignment import (
     AlignmentConfig,
     Aligner,
-    _logsumexp,
+    _logsumexp0,
     CalibrationState,
     TransportPlan,
-    batch_epsilon,
     cost_matrix,
     pseudo_labels,
     rule_marginal,
     sinkhorn_stack,
+    stack_epsilons,
     transport_cost,
     update_calibration,
 )
@@ -25,6 +25,7 @@ from clevercatch.errors import ContractError, ShapeError, ValidationError
 from clevercatch.rules import Rule, RuleSet
 from clevercatch.vocab import Vocabulary
 
+import oracles
 from conftest import traced_peak
 
 
@@ -106,6 +107,53 @@ def test_sinkhorn_stack_solves_each_problem_as_if_alone(
         assert type(plan.iterations) is int and type(plan.converged) is bool
 
 
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32),
+    n_problems=st.integers(1, 6),
+    n_rows=st.integers(1, 300),
+    n_cols=st.integers(1, 12),
+    decimals=st.sampled_from([None, 0, 1]),
+    weighted_rows=st.booleans(),
+    weighted_cols=st.booleans(),
+    max_iters=st.sampled_from([1, 2, 3, 500]),
+)
+# one rule: the row sums, pairwise past 8 and 128 terms, are where the orders part
+@example(seed=0, n_problems=2, n_rows=300, n_cols=1, decimals=None, weighted_rows=True,
+         weighted_cols=False, max_iters=500)
+@example(seed=0, n_problems=6, n_rows=300, n_cols=12, decimals=1, weighted_rows=True,
+         weighted_cols=True, max_iters=500)
+def test_sinkhorn_stack_is_bitwise_the_oracle(
+    seed, n_problems, n_rows, n_cols, decimals, weighted_rows, weighted_cols, max_iters
+):
+    # n_rows crosses numpy's 8- and 128-term pairwise blocks, n_cols the 8-term one,
+    # and rounded costs tie at the maximum of a log-sum-exp
+    rng = nn.make_rng(seed)
+    costs = rng.uniform(0.0, 5.0, size=(n_problems, n_rows, n_cols))
+    if decimals is not None:
+        costs = np.round(costs, decimals)
+    epsilons = rng.uniform(0.05, 2.0, size=n_problems)
+    a = random_marginal(rng, n_rows) if weighted_rows else None
+    b = random_marginal(rng, n_cols) if weighted_cols else None
+    ours = sinkhorn_stack(costs, epsilons, a=a, b=b, max_iters=max_iters)
+    expected = oracles.sinkhorn_stack(costs, epsilons, a=a, b=b, max_iters=max_iters)
+    for plan, oracle in zip(ours, expected, strict=True):
+        assert plan.matrix.tobytes() == oracle.matrix.tobytes()
+        assert (plan.iterations, plan.converged) == (oracle.iterations, oracle.converged)
+
+
+def test_sinkhorn_stack_growth_per_row():
+    # the solver keeps the rule-first and row-first log-kernels, the plans and one
+    # sweep's temporaries; a third (K, B, R) log-kernel would pass 384 B a row
+    rng = nn.make_rng(4)
+    rules = rng.normal(size=(7, 8))
+    peaks = []
+    for rows in (20_000, 60_000):
+        costs = cost_matrix(rng.normal(size=(rows, 8)), rules)[None]
+        peaks.append(traced_peak(sinkhorn_stack, costs, stack_epsilons(costs, 0.05)))
+    assert (peaks[1] - peaks[0]) / 40_000 <= 384
+
+
 def test_sinkhorn_diagonal_dominance():
     cost = np.array([[0.0, 1.0], [1.0, 0.0]])
     plan = sinkhorn_stack(cost[None], np.array([0.1]))[0]
@@ -148,7 +196,7 @@ def test_sinkhorn_plans_keep_column_marginal(seed, n_rows, n_cols, weighted, sca
     rng = nn.make_rng(seed)
     cost = cost_matrix(rng.normal(size=(n_rows, 4)), rng.normal(size=(n_cols, 4)))
     b = random_marginal(rng, n_cols) if weighted else None
-    plan = sinkhorn_stack(cost[None], np.array([batch_epsilon(cost, scale)]), b=b)[0]
+    plan = sinkhorn_stack(cost[None], stack_epsilons(cost[None], scale), b=b)[0]
     col_marginal = b if weighted else np.full(n_cols, 1.0 / n_cols)
     assert np.abs(plan.matrix.sum(axis=0) - col_marginal).max() <= 1e-12
 
@@ -229,16 +277,23 @@ def test_logsumexp_is_bitwise_scipy(seed, n_rows, n_cols, scale, decimals):
     if decimals is not None:  # rounding makes ties, including ties at the maximum
         x = np.round(x, decimals)
     for axis in (0, 1):
-        ours, scipys = _logsumexp(x, axis), logsumexp(x, axis=axis)
+        ours, scipys = solver_logsumexp(x, axis), logsumexp(x, axis=axis)
         assert ours.shape == scipys.shape
         assert ours.tobytes() == scipys.tobytes()
 
 
+def solver_logsumexp(x, axis):
+    """_logsumexp0 as sinkhorn_stack calls it: on a copy with the reduced axis first,
+    summed pairwise where that axis is contiguous in x, or the only one longer than 1."""
+    pairwise = axis == x.ndim - 1 or x.shape[-1] == 1
+    return _logsumexp0(np.moveaxis(x, axis, 0).copy(), pairwise)
+
+
 def test_logsumexp_counts_tied_maxima():
     x = np.array([[2.0, 2.0, 1.0], [0.0, 0.0, 0.0]])
-    assert _logsumexp(x, 1).tobytes() == logsumexp(x, axis=1).tobytes()
-    assert _logsumexp(x, 0).tobytes() == logsumexp(x, axis=0).tobytes()
-    assert _logsumexp(x, 1)[1] == np.log(3.0)
+    assert solver_logsumexp(x, 1).tobytes() == logsumexp(x, axis=1).tobytes()
+    assert solver_logsumexp(x, 0).tobytes() == logsumexp(x, axis=0).tobytes()
+    assert solver_logsumexp(x, 1)[1] == np.log(3.0)
 
 
 @settings(deadline=None)
@@ -266,11 +321,36 @@ def test_rule_marginal_modes():
     assert m.sum() == pytest.approx(1.0)
 
 
-def test_batch_epsilon_guards():
-    assert batch_epsilon(np.array([[1.0, 3.0]]), 0.05) == pytest.approx(0.1)
+def test_stack_epsilons_guards():
+    assert stack_epsilons(np.array([[[1.0, 3.0]]]), 0.05) == pytest.approx([0.1])
     # zero median falls back to the max, zero max to 1.0
-    assert batch_epsilon(np.array([[0.0, 0.0, 4.0]]), 0.1) == pytest.approx(0.4)
-    assert batch_epsilon(np.zeros((2, 2)), 0.1) == pytest.approx(0.1)
+    assert stack_epsilons(np.array([[[0.0, 0.0, 4.0]]]), 0.1) == pytest.approx([0.4])
+    assert stack_epsilons(np.zeros((1, 2, 2)), 0.1) == pytest.approx([0.1])
+    # each problem of a stack takes its own guard
+    stack = np.array([[[1.0, 3.0], [2.0, 2.0]], [[0.0, 0.0], [0.0, 4.0]], np.zeros((2, 2))])
+    assert stack_epsilons(stack, 0.1) == pytest.approx([0.2, 0.4, 0.1])
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    seed=st.integers(0, 2**32),
+    n_problems=st.integers(1, 6),
+    n_rows=st.integers(1, 300),
+    n_cols=st.integers(1, 12),
+    zeros=st.sampled_from([0.0, 0.5, 1.0]),
+    decimals=st.sampled_from([None, 0]),
+    scale=st.sampled_from([0.01, 0.05, 1.0]),
+)
+def test_stack_epsilons_are_bitwise_each_batch_alone(
+    seed, n_problems, n_rows, n_cols, zeros, decimals, scale
+):
+    rng = nn.make_rng(seed)
+    costs = rng.uniform(0.0, 5.0, size=(n_problems, n_rows, n_cols))
+    if decimals is not None:
+        costs = np.round(costs, decimals)
+    costs[rng.uniform(size=n_problems) < zeros, : n_rows // 2 + 1] = 0.0  # median 0, or all 0
+    expected = np.array([oracles.batch_epsilon(cost, scale) for cost in costs])
+    assert stack_epsilons(costs, scale).tobytes() == expected.tobytes()
 
 
 def three_rule_aligner(rows):

@@ -366,6 +366,45 @@ class TestErrorContract:
             f"{out / 'labels.csv'}: no label names a scored prescriber",
         )
 
+    @staticmethod
+    def run_cli(out: Path, command: str) -> subprocess.CompletedProcess:
+        # the package warns through logging, which pytest's capture hides in process
+        env = dict(os.environ, PYTHONPATH=str(Path(clevercatch.__file__).parents[1]))
+        argv = ["-m", "clevercatch", "--seed", "3", "--out-dir", str(out), *SPEED, command]
+        return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+
+    @pytest.mark.parametrize(
+        ("command", "message"),
+        [
+            ("evaluate", "{labels}: no label names a scored prescriber"),
+            ("train", "training needs at least one labeled prescriber"),
+            ("ablate", "ablation needs labeled prescribers"),
+        ],
+        ids=["evaluate", "train", "ablate"],
+    )
+    def test_labels_that_name_no_prescriber_fail_on_one_stderr_line(
+        self, pipeline_dirs, tmp_path, command, message
+    ):
+        # the warning about the skipped labels once came first
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dirs / "a", out)
+        (out / "labels.csv").write_text("npi,label\n42,1\n43,0\n")
+        result = self.run_cli(out, command)
+        assert result.returncode == 1
+        expected = "error: ValidationError: " + message.format(labels=out / "labels.csv")
+        assert result.stderr.splitlines() == [expected]
+
+    def test_skipped_labels_warn_once_the_command_succeeds(self, pipeline_dirs, tmp_path):
+        out = tmp_path / "run"
+        shutil.copytree(pipeline_dirs / "a", out)
+        labels = out / "labels.csv"
+        labels.write_text(labels.read_text() + "42,1\n")
+        result = self.run_cli(out, "evaluate")
+        assert result.returncode == 0, result.stderr
+        assert result.stderr.splitlines() == [
+            f"{labels}: skipped 1 labels for npis not among the 60 prescribers being labeled"
+        ]
+
     def test_ablate_on_positive_only_labels(self, tmp_path, capsys):
         # without a held-out split these once trained every configuration before failing
         run_ok("simulate", tmp_path)

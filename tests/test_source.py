@@ -128,6 +128,50 @@ def test_every_public_name_is_reached_outside_tests(library_use_block):
     assert not unreached, f"nothing outside tests/ reads {', '.join(unreached)}"
 
 
+def _unread_private(modules: dict[str, str]) -> list[str]:
+    """Module-level private functions and classes that nothing in the modules reads
+    outside their own definition."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    read = Counter()
+    for tree in trees.values():
+        read.update(_names_read(tree))
+    return [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and read[node.name] - _names_read(node)[node.name] == 0
+    ]
+
+
+def test_unread_private_detector_on_examples():
+    modules = {
+        "a": (
+            "_LIMIT = 3\n"
+            "def _used(): return _LIMIT\n"
+            "def _dead(): return 2\n"
+            "def _recursive(n): return _recursive(n - 1)\n"
+            "class _Gone:\n"
+            "    def make(self): return _Gone()\n"
+            "def _shared(): pass\n"
+            "def _by_attribute(): pass\n"
+            "def public(): return _used()\n"
+        ),
+        "b": "import a\nfrom .a import _shared\nvalue = _shared(), a._by_attribute()\n",
+    }
+    assert _unread_private(modules) == ["a._dead", "a._recursive", "a._Gone"]
+
+
+def test_every_private_function_and_class_is_read_in_the_package():
+    # tests/ may call a private helper, but not keep one alive that the package no longer uses
+    modules = {
+        path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))
+    }
+    unread = _unread_private(modules)
+    assert not unread, f"nothing in the package reads {', '.join(unread)}"
+
+
 def _csv_readers(source: str) -> int:
     """How many times a module constructs a csv.reader, as csv.reader(...) or an imported reader(...)."""
     tree = ast.parse(source)
