@@ -40,6 +40,8 @@ class AlignmentConfig:
             raise ValidationError("tau and eps must be positive")
         if not 0.0 <= self.momentum < 1.0:
             raise ValidationError("momentum must lie in [0, 1)")
+        if self.weight_floor <= 0:  # a zero-weight rule would get an empty marginal column
+            raise ValidationError("weight floor must be positive")
 
 
 COST_BLOCK_ROWS = 1024  # sample rows per (rows, R, L) difference and per encoder pass (train, pseudolabel)

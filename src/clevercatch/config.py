@@ -17,6 +17,7 @@ from .detector import DetectorConfig
 from .encoders import PretrainConfig
 from .errors import ConfigError, ValidationError
 from .evaluation import ABLATION_GROUPS, configs_for_groups
+from .io_utils import open_text
 from .simulator import SimConfig
 
 PATH_KEYS = (
@@ -161,7 +162,8 @@ def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None)
         parser.optionxform = str
-        text = Path(path).read_text(encoding="utf-8")
+        with open_text(path) as handle:
+            text = handle.read()
         try:
             parser.read_string(text, source=str(path))
         except configparser.Error as exc:

@@ -239,8 +239,12 @@ def save_detector(path, model: DetectorModel) -> None:
 def load_detector(path) -> DetectorModel:
     keys = ["format_version", "input_width", "weights", "lambda", "seed", "encoder_fingerprint"]
     doc = read_json_document(path, DETECTOR_FORMAT_VERSION, keys, "detector model")
+    try:
+        input_width, lam, seed = int(doc["input_width"]), float(doc["lambda"]), int(doc["seed"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{path}: malformed detector model: {exc}") from None
     mlp = nn.mlp_from_json(doc["weights"], str(path))
-    if mlp.input_dim != int(doc["input_width"]):
+    if mlp.input_dim != input_width:
         raise ParseError(f"{path}: stored input width does not match the weights")
     head = mlp.layers[-1]
     if mlp.output_dim != 1 or head.activation != "sigmoid":
@@ -248,9 +252,4 @@ def load_detector(path) -> DetectorModel:
             f"{path}: the detector must end in one sigmoid unit, got {mlp.output_dim} "
             f"{head.activation} output(s)"
         )
-    return DetectorModel(
-        mlp=mlp,
-        lam=float(doc["lambda"]),
-        seed=int(doc["seed"]),
-        encoder_fingerprint=str(doc["encoder_fingerprint"]),
-    )
+    return DetectorModel(mlp=mlp, lam=lam, seed=seed, encoder_fingerprint=str(doc["encoder_fingerprint"]))

@@ -60,6 +60,8 @@ class PretrainConfig:
             raise ValidationError("learning rate must be positive")
         if self.noise_sigma < 0:
             raise ValidationError("noise sigma must be non-negative")
+        if self.weight_floor < 0:
+            raise ValidationError("weight floor must be non-negative")
 
 
 @dataclass
@@ -443,19 +445,24 @@ def load_encoders(path, rules_path) -> EncoderModel:
         "format_version", "L", "d", "ruleset_fingerprint", "drugs", "re_weights", "e_null", "se_weights"
     ]
     doc = read_json_document(path, ENCODER_FORMAT_VERSION, keys, "encoder model")
-    embedding = np.asarray(doc["re_weights"]["embedding"], dtype=np.float64)
-    e_null = np.asarray(doc["e_null"], dtype=np.float64)
+    try:
+        embedding = np.asarray(doc["re_weights"]["embedding"], dtype=np.float64)
+        e_null = np.asarray(doc["e_null"], dtype=np.float64)
+        re_mlp, se_mlp = doc["re_weights"]["mlp"], doc["se_weights"]["mlp"]
+        latent_dim, index_dim = int(doc["L"]), int(doc["d"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{path}: malformed encoder model: {exc}") from None
     if embedding.ndim != 2 or e_null.shape != (embedding.shape[1],):
         raise ParseError(f"{path}: embedding table and null embedding widths disagree")
     if not (np.all(np.isfinite(embedding)) and np.all(np.isfinite(e_null))):
         raise ParseError(f"{path}: non-finite embedding entries")
-    re = RuleEncoderParams(embedding, e_null, nn.mlp_from_json(doc["re_weights"]["mlp"], str(path)))
-    se = nn.mlp_from_json(doc["se_weights"]["mlp"], str(path))
+    re = RuleEncoderParams(embedding, e_null, nn.mlp_from_json(re_mlp, str(path)))
+    se = nn.mlp_from_json(se_mlp, str(path))
     if re.mlp.input_dim != 2 * embedding.shape[1]:
         raise ParseError(f"{path}: rule network width does not match twice the index width")
-    if int(doc["L"]) != re.latent_dim or int(doc["L"]) != se.output_dim:
+    if latent_dim != re.latent_dim or latent_dim != se.output_dim:
         raise ParseError(f"{path}: latent width does not match stored networks")
-    if int(doc["d"]) != embedding.shape[1]:
+    if index_dim != embedding.shape[1]:
         raise ParseError(f"{path}: index width does not match the embedding table")
     names = doc["drugs"]
     if not isinstance(names, list) or not all(isinstance(n, str) and n for n in names):

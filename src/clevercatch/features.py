@@ -11,6 +11,7 @@ mean, max). Every coordinate lies in [-1, 1].
 
 from __future__ import annotations
 
+import logging
 import math
 import warnings
 from dataclasses import dataclass
@@ -19,8 +20,10 @@ import numpy as np
 
 from .errors import ParseError, ShapeError, ValidationError
 from .ingest import CHANNELS, ClaimsTable
-from .io_utils import FLOAT_FMT, write_csv
+from .io_utils import FLOAT_FMT, open_text, write_csv
 from .rules import RuleSet
+
+logger = logging.getLogger(__name__)
 
 STATS = ("min", "mean", "max")
 
@@ -60,8 +63,9 @@ def build_feature_matrix(claims: ClaimsTable, ruleset: RuleSet) -> FeatureMatrix
     share grid, and the per-cell rule contrasts are folded into each
     prescriber's min, mean and max in year order. The mean is a sum from zero
     divided by the count of observed years. A cell never spans prescribers, so
-    the blocks give the values of a single pass. A claims table holds at most
-    one row per (prescriber, year, drug).
+    the blocks give the values of a single pass. Rows that repeat a
+    (prescriber, year, drug) are summed in file order into the first of them,
+    with one warning for the whole table.
     """
     if ruleset.vocab != claims.drugs:
         raise ValidationError("rule set is bound to a different drug vocabulary")
@@ -74,9 +78,13 @@ def build_feature_matrix(claims: ClaimsTable, ruleset: RuleSet) -> FeatureMatrix
     values = np.empty((n, r, len(CHANNELS), len(STATS)))
     by_npi = np.argsort(claims.npi_idx, kind="stable")  # each block's rows in file order
     bounds = np.concatenate([[0], np.cumsum(np.bincount(claims.npi_idx, minlength=n))])
+    n_repeats = 0
     for first in range(0, n, PRESCRIBER_BLOCK):
         last = min(first + PRESCRIBER_BLOCK, n)
-        _fold_block(claims, by_npi[bounds[first] : bounds[last]], first, slot, ruleset, values[first:last])
+        rows = by_npi[bounds[first] : bounds[last]]
+        n_repeats += _fold_block(claims, rows, first, slot, ruleset, values[first:last])
+    if n_repeats:
+        logger.warning("summed %d duplicate (npi, year, drug) rows", n_repeats)
     return FeatureMatrix(
         values=values.reshape(n, r * BLOCK),
         columns=feature_columns(r),
@@ -84,22 +92,30 @@ def build_feature_matrix(claims: ClaimsTable, ruleset: RuleSet) -> FeatureMatrix
     )
 
 
-def _fold_block(claims: ClaimsTable, rows, first: int, slot, ruleset: RuleSet, values) -> None:
+def _fold_block(claims: ClaimsTable, rows, first: int, slot, ruleset: RuleSet, values) -> int:
     """Fill values, shape (prescribers, R, channel, stat), for prescribers first, first + 1, ...
-    from rows, the indices of their claim rows in file order."""
+    from rows, the indices of their claim rows in file order; return how many rows repeat an
+    earlier row's (prescriber, year, drug) and were summed into it."""
     years, year_rank = np.unique(claims.year[rows], return_inverse=True)
     cell_keys, cell = np.unique((claims.npi_idx[rows] - first) * years.size + year_rank, return_inverse=True)
     cell_npi = cell_keys // years.size  # cells ascend by (prescriber, year)
     drug = claims.drug_idx[rows]
-    order = np.lexsort((drug, cell))
+    order = np.lexsort((drug, cell))  # stable: a cell's rows of one drug stay in file order
+    cell, drug, metrics = cell[order], drug[order], claims.metrics[rows[order]]
+    repeat = np.flatnonzero((cell[1:] == cell[:-1]) & (drug[1:] == drug[:-1])) + 1
+    if repeat.size:
+        head = np.ones(cell.size, dtype=bool)
+        head[repeat] = False
+        # unbuffered and in file order, so each cell sums left to right from its first row
+        np.add.at(metrics, np.flatnonzero(head)[np.cumsum(head)[repeat] - 1], metrics[repeat])
+        cell, drug, metrics = cell[head], drug[head], metrics[head]
     totals = np.zeros((cell_keys.size, len(CHANNELS)))
-    np.add.at(totals, cell[order], claims.metrics[rows[order]])
-    keep = np.flatnonzero(slot[drug] < slot[-1])  # rows of named drugs
-    denom = totals[cell[keep]]
+    np.add.at(totals, cell, metrics)
+    keep = np.flatnonzero(slot[drug] < slot[-1])
+    cell, drug, metrics = cell[keep], drug[keep], metrics[keep]  # rows of named drugs
+    denom = totals[cell]
     shares = np.zeros((cell_keys.size, slot[-1] + 1, len(CHANNELS)))
-    shares[cell[keep], slot[drug[keep]]] = np.divide(
-        claims.metrics[rows[keep]], denom, out=np.zeros_like(denom), where=denom > 0
-    )
+    shares[cell, slot[drug]] = np.divide(metrics, denom, out=np.zeros_like(denom), where=denom > 0)
     contrast = shares[:, slot[ruleset.p_idx]] - shares[:, slot[ruleset.q_idx]]  # (cells, r, 5)
     del shares
     lo, total, hi = values[..., 0], values[..., 1], values[..., 2]
@@ -112,6 +128,7 @@ def _fold_block(claims: ClaimsTable, rows, first: int, slot, ruleset: RuleSet, v
     n_years = np.bincount(cell_npi, minlength=values.shape[0])
     total /= np.maximum(n_years, 1)[:, None, None]
     values[n_years == 0] = 0.0  # a prescriber without rows keeps zeros
+    return repeat.size
 
 
 def write_features_csv(features: FeatureMatrix, path) -> None:
@@ -126,7 +143,7 @@ def read_features_csv(path) -> FeatureMatrix:
     The row reader takes the file when numpy cannot read a row, a value is not
     finite or an npi repeats; it names the first faulty line.
     """
-    with open(path, "r", encoding="utf-8") as handle:
+    with open_text(path) as handle:
         fields = handle.readline().rstrip("\n").split(",")
         if fields[0] != "npi":
             raise ParseError(f"{path}: line 1: expected an npi,<feature...> header")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .io_utils import csv_records
+from .io_utils import csv_records, open_text
 from .vocab import Vocabulary
 
 logger = logging.getLogger(__name__)
@@ -42,7 +42,7 @@ LABELS_HEADER = ["npi", "label"]
 
 @dataclass
 class ClaimsTable:
-    """Columnar claims records plus the vocabularies they index into."""
+    """Columnar claims rows, as the file holds them, plus the vocabularies they index into."""
 
     npi_idx: np.ndarray  # (n,) int64 into prescribers
     year: np.ndarray  # (n,) int64
@@ -57,7 +57,7 @@ class ClaimsTable:
 
 
 def parse_claims_csv(path) -> ClaimsTable:
-    """Parse a claims CSV; duplicate (npi, year, drug) rows are summed.
+    """Parse a claims CSV into its rows as read, in file order.
 
     numpy's C reader takes the body in chunks of records and appends them to
     typed columns: prescriber and drug indices in first-appearance order, the
@@ -67,9 +67,10 @@ def parse_claims_csv(path) -> ClaimsTable:
     file with several faults reports the first, and it also takes the numbers
     that int() and float() read but numpy does not, such as 1_000. An npi that
     would need CSV quoting, or a drug name holding a line break, is rejected
-    only after every record passes. Duplicates are summed in file order.
+    only after every record passes. A (npi, year, drug) cell may span several
+    rows; the feature pass sums them.
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open_text(path, newline="") as handle:
         # the one csv.reader outside io_utils: numpy's fast path reads the
         # records from this handle, so the header is taken from it first
         if next(csv.reader(handle), None) != CLAIMS_HEADER:
@@ -78,62 +79,22 @@ def parse_claims_csv(path) -> ClaimsTable:
         if not columns.read_chunks(handle):
             columns = _Columns()
             columns.read_records(path)
-    prescribers, drugs = columns.prescribers, columns.drugs
-    n = len(columns.npi)
-    npi_idx = np.frombuffer(columns.npi, dtype=np.int64)
-    year = np.frombuffer(columns.year, dtype=np.int64)
-    drug_idx = np.frombuffer(columns.drug, dtype=np.int64)
-    metrics = np.frombuffer(columns.metrics, dtype=np.float64).reshape(n, len(CHANNELS))
     # features.csv, scores.csv and pseudo_labels.csv write npis without quoting,
     # and csv.writer leaves a bare \r in a drug name unquoted in rules.csv
-    for npi in prescribers:
+    for npi in columns.prescribers:
         if any(c in npi for c in ',"\r\n'):
             raise ParseError(f"{path}: npi {npi!r} holds a comma, a double quote or a line break")
-    for drug in drugs:
+    for drug in columns.drugs:
         if "\r" in drug or "\n" in drug:
             raise ParseError(f"{path}: drug name {drug!r} holds a line break")
-    years = np.unique(year)
-    # one int64 key per (npi, year, drug); the bound keeps the packing exact
-    n_cells = len(prescribers) * years.size * len(drugs)
-    if n_cells > np.iinfo(np.int64).max:
-        raise ParseError(f"{path}: {n_cells} (npi, year, drug) cells exceed the int64 key range")
-    key = _cell_keys(npi_idx, year, drug_idx, years, len(drugs))
-    key.sort()  # in place: a file without duplicates needs no np.unique temporaries
-    has_duplicates = bool((key[1:] == key[:-1]).any())
-    del key
-    if has_duplicates:
-        key = _cell_keys(npi_idx, year, drug_idx, years, len(drugs))
-        _, first, group = np.unique(key, return_index=True, return_inverse=True)
-        del key
-        n_duplicates = n - first.size
-        order = np.argsort(first)
-        keep = first[order]
-        position = np.empty_like(order)
-        position[order] = np.arange(order.size)
-        repeat = np.ones(n, dtype=bool)
-        repeat[keep] = False
-        summed = metrics[keep]
-        # unbuffered and in file order, so each cell sums left to right
-        np.add.at(summed, position[group[repeat]], metrics[repeat])
-        npi_idx, year, drug_idx, metrics = npi_idx[keep], year[keep], drug_idx[keep], summed
-        logger.warning("%s: summed %d duplicate (npi, year, drug) rows", path, n_duplicates)
     return ClaimsTable(
-        npi_idx=npi_idx,
-        year=year,
-        drug_idx=drug_idx,
-        metrics=metrics,
-        drugs=Vocabulary(drugs),
-        prescribers=Vocabulary(prescribers),
+        npi_idx=np.frombuffer(columns.npi, dtype=np.int64),
+        year=np.frombuffer(columns.year, dtype=np.int64),
+        drug_idx=np.frombuffer(columns.drug, dtype=np.int64),
+        metrics=np.frombuffer(columns.metrics, dtype=np.float64).reshape(-1, len(CHANNELS)),
+        drugs=Vocabulary(columns.drugs),
+        prescribers=Vocabulary(columns.prescribers),
     )
-
-
-def _cell_keys(npi_idx, year, drug_idx, years: np.ndarray, n_drugs: int) -> np.ndarray:
-    """One int64 key per (npi, year, drug) record, built in place to hold two columns at most."""
-    key = npi_idx * years.size
-    key += np.searchsorted(years, year)
-    key *= n_drugs
-    key += drug_idx
-    return key
 
 
 def _record_error(path, lineno: int, row: list[str]) -> ParseError | None:

@@ -13,9 +13,10 @@ import hashlib
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -71,9 +72,20 @@ def _write_json(obj, parts: list[str]) -> None:
         parts.append(json.dumps(obj))
 
 
+@contextmanager
+def open_text(path, newline: str | None = None) -> Iterator[TextIO]:
+    """path opened for reading as UTF-8; bytes that do not decode are a ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8", newline=newline) as handle:
+            yield handle
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
+
+
 def read_json_document(path, version: int, keys: list[str], what: str) -> dict:
     """The JSON object in path; its format version and exact key order are checked."""
-    text = Path(path).read_text(encoding="utf-8")
+    with open_text(path) as handle:
+        text = handle.read()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -119,7 +131,7 @@ def csv_records(path, headers: Sequence[Sequence[str]]) -> Iterator[tuple[int, l
     break moves the numbers of the records after it. A record must have as
     many fields as the header.
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open_text(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header not in map(list, headers):

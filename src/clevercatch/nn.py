@@ -118,7 +118,7 @@ def mlp_from_json(obj, where: str) -> Mlp:
             for entry in obj
         ]
         mlp = Mlp(layers)
-    except (KeyError, TypeError, ValidationError, ShapeError) as exc:
+    except (KeyError, TypeError, ValueError, ValidationError, ShapeError) as exc:
         raise ParseError(f"{where}: malformed network weights: {exc}") from None
     for arr in mlp.parameters():
         if not np.all(np.isfinite(arr)):

@@ -105,7 +105,7 @@ from clevercatch.simulator import (
 )
 from clevercatch.vocab import Vocabulary
 
-logger = logging.getLogger("clevercatch.ingest")  # where the library parser warns, so tests compare both
+_features_logger = logging.getLogger("clevercatch.features")
 _evaluation_logger = logging.getLogger("clevercatch.evaluation")
 _alignment_logger = logging.getLogger("clevercatch.alignment")
 
@@ -298,6 +298,33 @@ class ShareTable:
     n_prescribers: int
 
 
+def merge_repeated_rows(claims: ClaimsTable) -> tuple[ClaimsTable, int]:
+    """The table with one row per (prescriber, year, drug), at the cell's first row, and the
+    count of rows summed away; a cell's rows sum left to right in file order."""
+    position: dict[tuple[int, int, int], int] = {}
+    keep: list[int] = []
+    metrics: list[np.ndarray] = []
+    for pos in range(claims.n_records):
+        key = (int(claims.npi_idx[pos]), int(claims.year[pos]), int(claims.drug_idx[pos]))
+        at = position.get(key)
+        if at is None:
+            position[key] = len(keep)
+            keep.append(pos)
+            metrics.append(claims.metrics[pos].copy())
+        else:
+            metrics[at] = metrics[at] + claims.metrics[pos]
+    rows = np.asarray(keep, dtype=np.int64)
+    merged = ClaimsTable(
+        npi_idx=claims.npi_idx[rows],
+        year=claims.year[rows],
+        drug_idx=claims.drug_idx[rows],
+        metrics=np.vstack(metrics) if metrics else np.empty((0, len(CHANNELS))),
+        drugs=claims.drugs,
+        prescribers=claims.prescribers,
+    )
+    return merged, claims.n_records - rows.size
+
+
 def compute_shares(claims: ClaimsTable) -> ShareTable:
     """Group claims by (prescriber, year) and normalize each channel to shares."""
     raw: dict[tuple[int, int], list[int]] = {}
@@ -350,7 +377,11 @@ def aggregate_over_years(values: np.ndarray) -> np.ndarray:
 
 
 def feature_matrix(claims: ClaimsTable, ruleset: RuleSet) -> FeatureMatrix:
-    """Rule-contrast features built one prescriber and one year at a time."""
+    """Rule-contrast features built one prescriber and one year at a time, from the table
+    with its repeated (prescriber, year, drug) rows summed."""
+    claims, n_repeats = merge_repeated_rows(claims)
+    if n_repeats:
+        _features_logger.warning("summed %d duplicate (npi, year, drug) rows", n_repeats)
     shares = compute_shares(claims)
     n = claims.prescribers.size
     r = len(ruleset)
@@ -623,15 +654,13 @@ class VocabularyBuilder:
 
 
 def parse_claims_csv(path) -> ClaimsTable:
-    """Parse a claims CSV record by record; duplicate (npi, year, drug) rows are summed."""
+    """Parse a claims CSV record by record into its rows, in file order."""
     drugs = VocabularyBuilder()
     prescribers = VocabularyBuilder()
-    position: dict[tuple[int, int, int], int] = {}
     npi_idx: list[int] = []
     years: list[int] = []
     drug_idx: list[int] = []
     metrics: list[np.ndarray] = []
-    n_duplicates = 0
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -665,27 +694,16 @@ def parse_claims_csv(path) -> ClaimsTable:
                         f"{path}: line {lineno}: {CLAIMS_HEADER[4 + k]} must be a finite "
                         f"non-negative number, got {text}"
                     )
-            i = prescribers.add(npi)
-            d = drugs.add(drug)
-            key = (i, year, d)
-            at = position.get(key)
-            if at is None:
-                position[key] = len(npi_idx)
-                npi_idx.append(i)
-                years.append(year)
-                drug_idx.append(d)
-                metrics.append(values)
-            else:
-                metrics[at] = metrics[at] + values
-                n_duplicates += 1
+            npi_idx.append(prescribers.add(npi))
+            years.append(year)
+            drug_idx.append(drugs.add(drug))
+            metrics.append(values)
     for npi in prescribers.build().names:
         if any(c in npi for c in ',"\r\n'):
             raise ParseError(f"{path}: npi {npi!r} holds a comma, a double quote or a line break")
     for drug in drugs.build().names:
         if "\r" in drug or "\n" in drug:
             raise ParseError(f"{path}: drug name {drug!r} holds a line break")
-    if n_duplicates:
-        logger.warning("%s: summed %d duplicate (npi, year, drug) rows", path, n_duplicates)
     return ClaimsTable(
         npi_idx=np.asarray(npi_idx, dtype=np.int64),
         year=np.asarray(years, dtype=np.int64),

@@ -564,6 +564,56 @@ def test_commands_leak_no_warning_to_stderr(tmp_path):
     assert result.stderr == f"error: ParseError: {features}: no feature rows\n"
 
 
+def _set(doc, key, value):
+    doc[key] = value
+
+
+# faults in a model file that json.loads reads; each once raised a bare ValueError or TypeError
+MODEL_FAULTS = {
+    "encoders-latent-width-text": ("encoders.json", "pseudolabel", lambda doc: _set(doc, "L", "x")),
+    "encoders-re-weights-list": ("encoders.json", "pseudolabel",
+                                 lambda doc: _set(doc, "re_weights", list(doc["re_weights"].values()))),
+    "encoders-null-embedding-text": ("encoders.json", "pseudolabel", lambda doc: _set(doc, "e_null", "abc")),
+    "encoders-embedding-entry-text": ("encoders.json", "pseudolabel",
+                                      lambda doc: _set(doc["re_weights"]["embedding"][0], 0, "a")),
+    "detector-input-width-text": ("detector.json", "score", lambda doc: _set(doc, "input_width", "x")),
+    "detector-lambda-text": ("detector.json", "score", lambda doc: _set(doc, "lambda", "x")),
+    "detector-ragged-weight": ("detector.json", "score", lambda doc: doc["weights"][0]["weight"][0].pop()),
+}
+
+
+@pytest.mark.parametrize("name, command, edit", MODEL_FAULTS.values(), ids=MODEL_FAULTS.keys())
+def test_a_malformed_model_file_is_one_parse_error_line(pipeline_dirs, tmp_path, capsys, name, command, edit):
+    out = tmp_path / "run"
+    shutil.copytree(pipeline_dirs / "a", out)
+    doc = json.loads((out / name).read_text(encoding="utf-8"))
+    edit(doc)
+    (out / name).write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["--seed", "3", "--out-dir", str(out), *SPEED, command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ParseError: {out / name}: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("name, command", [
+    ("claims.csv", "featurize"),
+    ("rules.csv", "featurize"),
+    ("labels.csv", "evaluate"),
+    ("features.csv", "score"),
+    ("scores.csv", "evaluate"),
+    ("encoders.json", "pseudolabel"),
+    ("detector.json", "score"),
+])
+def test_an_input_that_is_not_utf8_is_one_parse_error_line(pipeline_dirs, tmp_path, name, command):
+    out = tmp_path / "run"
+    shutil.copytree(pipeline_dirs / "a", out)
+    with open(out / name, "ab") as handle:
+        handle.write(b"\xff")
+    env = dict(os.environ, PYTHONPATH=str(Path(clevercatch.__file__).parents[1]))
+    argv = [sys.executable, "-m", "clevercatch", "--seed", "3", "--out-dir", str(out), *SPEED, command]
+    result = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (1, f"error: ParseError: {out / name}: not UTF-8 text\n")
+
+
 @pytest.mark.parametrize("setting, section, message", [
     ("pretrain.se_hidden=0", "pretrain", "encoder dimensions and hidden widths"),
     ("pretrain.re_hidden=0", "pretrain", "encoder dimensions and hidden widths"),

@@ -11,7 +11,7 @@ from clevercatch.config import (
     RunConfig,
     load_config,
 )
-from clevercatch.errors import ConfigError
+from clevercatch.errors import ConfigError, ParseError
 
 
 def write_ini(tmp_path, text: str):
@@ -170,6 +170,24 @@ class TestIniParsing:
         with pytest.raises(ConfigError, match=message):
             load_config(overrides=[f"{section}.{key}={text}"])
 
+    @pytest.mark.parametrize("section, text, message", [
+        ("alignment", "0", "weight floor must be positive"),
+        ("alignment", "-1", "weight floor must be positive"),
+        ("pretrain", "-1", "weight floor must be non-negative"),
+    ])
+    def test_weight_floors_are_checked_on_load(self, tmp_path, section, text, message):
+        # a zero alignment floor leaves a zero-weight rule an empty marginal column, which
+        # once failed in pseudolabel and train without naming the setting
+        message = rf"^\[{section}\] {message}$"
+        with pytest.raises(ConfigError, match=message):
+            load_config(write_ini(tmp_path, f"[{section}]\nweight_floor = {text}\n"))
+        with pytest.raises(ConfigError, match=message):
+            load_config(overrides=[f"{section}.weight_floor={text}"])
+
+    def test_weight_floor_bounds_are_accepted(self):
+        cfg = load_config(overrides=["alignment.weight_floor=1e-9", "pretrain.weight_floor=0"])
+        assert (cfg.alignment.weight_floor, cfg.pretrain.weight_floor) == (1e-9, 0.0)
+
     def test_empty_hidden_widths_still_give_linear_networks(self):
         cfg = load_config(overrides=["pretrain.se_hidden=", "detector.hidden="])
         assert cfg.pretrain.se_hidden == cfg.detector.hidden == ()
@@ -186,6 +204,12 @@ class TestIniParsing:
 
 
 class TestOverrides:
+    def test_config_that_is_not_utf8_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_bytes(b"[detector]\nepochs = 3\xff\n")
+        with pytest.raises(ParseError, match=f"^{path}: not UTF-8 text$"):
+            load_config(path)
+
     def test_overrides_apply_without_a_file(self):
         cfg = load_config(overrides=["simulator.n_years=4", "detector.lambda=0"])
         assert cfg.simulator.n_years == 4

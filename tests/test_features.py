@@ -1,5 +1,7 @@
 """Rule-contrast features against the per-prescriber reference and a brute-force oracle."""
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,7 @@ from clevercatch.features import (
     read_features_csv,
     write_features_csv,
 )
-from clevercatch.ingest import CHANNELS, ClaimsTable
+from clevercatch.ingest import CHANNELS, ClaimsTable, parse_claims_csv
 from clevercatch.rules import Rule, RuleSet
 from clevercatch.vocab import Vocabulary
 
@@ -225,9 +227,15 @@ def test_shares_sum_to_one_or_zero(seed):
     assert np.allclose(sums, np.where(totals > 0, 1.0, 0.0), rtol=0, atol=1e-12)
 
 
+METRICS = st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, 7.0, 1e-3, 40.0, 1e6]), min_size=5, max_size=5)
+
+
 @st.composite
-def shuffled_claims_and_rules(draw):
-    """A claims table in random row order with -0 metrics and gaps in the years, plus rules."""
+def shuffled_claims_and_rules(draw, repeats: bool = False):
+    """A claims table in random row order with -0 metrics and gaps in the years, plus rules.
+
+    With repeats set, some (prescriber, year, drug) cells gain further rows.
+    """
     n_prescribers = draw(st.integers(1, 6))
     n_drugs = draw(st.integers(2, 6))
     n_years = draw(st.integers(1, 4))
@@ -239,10 +247,10 @@ def shuffled_claims_and_rules(draw):
         for t in sorted(years):
             drugs = draw(st.sets(st.integers(0, n_drugs - 1), min_size=1))
             for d in sorted(drugs):
-                metrics = draw(
-                    st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, 7.0, 1e-3, 40.0, 1e6]), min_size=5, max_size=5)
-                )
-                records.append((f"N{i}", 2019 + t, f"D{d}", *metrics))
+                records.append((f"N{i}", 2019 + t, f"D{d}", *draw(METRICS)))
+    if repeats:
+        cells = st.sampled_from([record[:3] for record in records])
+        records += [(*cell, *draw(METRICS)) for cell in draw(st.lists(cells, max_size=12))]
     vocab = Vocabulary(f"D{d}" for d in range(n_drugs))
     names = [f"N{i}" for i in range(n_prescribers + draw(st.integers(0, 3)))]  # N{n_prescribers}... have no rows
     claims = make_claims(records, drugs=vocab, prescribers=Vocabulary(draw(st.permutations(names))))
@@ -273,7 +281,7 @@ def shuffled_claims_and_rules(draw):
 
 
 @settings(deadline=None, max_examples=200)
-@given(case=shuffled_claims_and_rules(), block=st.sampled_from([features_module.PRESCRIBER_BLOCK, 3]))
+@given(case=shuffled_claims_and_rules(repeats=True), block=st.sampled_from([features_module.PRESCRIBER_BLOCK, 3]))
 def test_feature_pass_matches_per_prescriber_reference_bitwise(case, block):
     claims, ruleset = case
     with pytest.MonkeyPatch.context() as patch:
@@ -282,6 +290,50 @@ def test_feature_pass_matches_per_prescriber_reference_bitwise(case, block):
     want = oracles.feature_matrix(claims, ruleset)
     assert got.columns == want.columns and got.npis == want.npis
     assert got.values.tobytes() == want.values.tobytes()  # bitwise, signs of zero included
+
+
+def test_repeated_claims_rows_are_summed_by_the_feature_pass(tmp_path):
+    header = ",".join(oracles.CLAIMS_HEADER)
+    repeated, summed = tmp_path / "repeated.csv", tmp_path / "summed.csv"
+    repeated.write_text(f"{header}\n100,2019,gp,DrugA,3,4,120,150.00,2\n100,2019,gp,DrugB,1,1,30,10.00,1\n"
+                        "100,2019,gp,DrugA,4,5,150,200.00,3\n", encoding="utf-8")
+    summed.write_text(f"{header}\n100,2019,gp,DrugA,7,9,270,350.00,5\n100,2019,gp,DrugB,1,1,30,10.00,1\n",
+                      encoding="utf-8")
+    claims = parse_claims_csv(repeated)
+    assert claims.n_records == 3  # the parse keeps the file's rows
+    assert claims.metrics[2].tolist() == [4.0, 5.0, 150.0, 200.0, 3.0]
+    ruleset = RuleSet([Rule("binary", "DrugA", "DrugB", 1.0)], claims.drugs)
+    want = build_feature_matrix(parse_claims_csv(summed), ruleset)
+    assert build_feature_matrix(claims, ruleset).values.tobytes() == want.values.tobytes()
+    assert want.values[0, 0] == 7 / 8 - 1 / 8
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=shuffled_claims_and_rules(repeats=True), triple=st.booleans(),
+       block=st.sampled_from([features_module.PRESCRIBER_BLOCK, 1, 2, 3]))
+def test_repeated_cells_give_the_merged_tables_features_bitwise(case, triple, block):
+    """Rows repeating a (prescriber, year, drug) sum in file order into the first of them,
+    with one warning; -0 metrics and block edges included."""
+    claims, ruleset = case
+    if triple:  # the rows three times over: every cell sums at least three rows in file order
+        claims = ClaimsTable(*(np.concatenate([column] * 3) for column in
+                               (claims.npi_idx, claims.year, claims.drug_idx, claims.metrics)),
+                             drugs=claims.drugs, prescribers=claims.prescribers)
+    merged, n_repeats = oracles.merge_repeated_rows(claims)
+    want = build_feature_matrix(merged, ruleset)
+    messages = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("clevercatch.features")
+    logger.addHandler(handler)
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(features_module, "PRESCRIBER_BLOCK", block)
+            got = build_feature_matrix(claims, ruleset)
+    finally:
+        logger.removeHandler(handler)
+    assert got.values.tobytes() == want.values.tobytes()  # bitwise, signs of zero included
+    assert messages == ([f"summed {n_repeats} duplicate (npi, year, drug) rows"] if n_repeats else [])
 
 
 def synthetic_claims(n_prescribers: int = 2_000, n_drugs: int = 25, n_years: int = 2) -> ClaimsTable:
