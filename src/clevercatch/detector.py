@@ -20,7 +20,7 @@ from .alignment import AlignmentConfig, Aligner
 from .encoders import EncoderModel
 from .errors import NumericError, ParseError, ShapeError, ValidationError
 from .ingest import LabelTable
-from .io_utils import atomic_write_text, dumps_canonical, fmt_float, read_json_document, write_csv
+from .io_utils import atomic_write_text, dumps_canonical, fmt_float, json_number, read_json_document, write_csv
 
 SCORE_CLAMP = 1e-7
 
@@ -239,10 +239,8 @@ def save_detector(path, model: DetectorModel) -> None:
 def load_detector(path) -> DetectorModel:
     keys = ["format_version", "input_width", "weights", "lambda", "seed", "encoder_fingerprint"]
     doc = read_json_document(path, DETECTOR_FORMAT_VERSION, keys, "detector model")
-    try:
-        input_width, lam, seed = int(doc["input_width"]), float(doc["lambda"]), int(doc["seed"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{path}: malformed detector model: {exc}") from None
+    input_width, seed = json_number(path, doc, "input_width", True), json_number(path, doc, "seed", True)
+    lam = float(json_number(path, doc, "lambda", False))
     mlp = nn.mlp_from_json(doc["weights"], str(path))
     if mlp.input_dim != input_width:
         raise ParseError(f"{path}: stored input width does not match the weights")

@@ -19,7 +19,7 @@ import numpy as np
 from . import nn
 from .errors import FingerprintMismatch, NumericError, ParseError, ValidationError
 from .features import BLOCK
-from .io_utils import atomic_write_text, dumps_canonical, read_json_document, sha256_file
+from .io_utils import atomic_write_text, dumps_canonical, json_number, read_json_document, sha256_file
 from .rules import RuleSet, parse_rules
 from .vocab import Vocabulary
 
@@ -169,9 +169,6 @@ class TripletBatch:
     def __len__(self) -> int:
         return int(self.rule_idx.size)
 
-    def take(self, idx: np.ndarray) -> "TripletBatch":
-        return TripletBatch(self.rule_idx[idx], self.pos[idx], self.neg[idx])
-
 
 def gen_synthetic_triplets(
     ruleset: RuleSet,
@@ -210,10 +207,9 @@ def gen_synthetic_triplets(
     np.clip(pos, -1.0, 1.0, out=pos)
     neg = rng.normal(0.0, noise_sigma, (count, width))
     np.clip(neg, -1.0, 1.0, out=neg)
-    rows = np.arange(count)[:, None]
-    cols = rule_idx[:, None] * BLOCK + np.arange(BLOCK)[None, :]
-    pos[rows, cols] = rng.uniform(lo, hi, (count, 1))
-    neg[rows, cols] = rng.uniform(-hi, -lo, (count, 1))
+    rows = np.arange(count)  # each row's rule block, through an (n, R, 15) view
+    pos.reshape(count, r, BLOCK)[rows, rule_idx] = rng.uniform(lo, hi, (count, 1))
+    neg.reshape(count, r, BLOCK)[rows, rule_idx] = rng.uniform(-hi, -lo, (count, 1))
     return TripletBatch(rule_idx=rule_idx.astype(np.int64), pos=pos, neg=neg)
 
 
@@ -248,6 +244,18 @@ class EpochStats:
     zero_grad_batches: int  # output gradient exactly zero, so backward skipped
     ran: bool = True  # False: a copy of the last epoch of its phase, after the still-epoch stop
     forward_skipped: bool = False  # every hinge certified clear, so no batch ran a forward pass
+
+
+def _encode_rows(se: nn.Mlp, side: np.ndarray, idx: np.ndarray, size: int) -> np.ndarray:
+    """sample_encode(se, side[idx]), encoded size rows at a time. A one-row forward takes
+    BLAS's matrix-vector path, so a block holds at least two rows and a one-row remainder
+    joins the block before it."""
+    out = np.empty((idx.size, se.output_dim))
+    size = max(size, 2)
+    for start in range(0, max(idx.size - 1, 1), size):
+        stop = start + size if start + size < idx.size - 1 else idx.size
+        out[start:stop] = sample_encode(se, side[idx[start:stop]])
+    return out
 
 
 def _drift(opt: nn.OptimizerState, params: list[np.ndarray], steps: int) -> list[np.ndarray]:
@@ -303,7 +311,8 @@ def pretrain(
 ) -> tuple[EncoderModel, list[EpochStats]]:
     """Encoders for ruleset by alternating triplet pretraining: even epochs
     update the sample encoder, odd epochs the rule encoder (0-based). Triplets
-    are drawn once per run and a holdout slice tracks separation.
+    are drawn once per run and a holdout slice of the draw tracks separation;
+    only its embeddings are kept, encoded one batch at a time.
 
     The loop ends early, with the result of running all cfg.epochs, after two
     consecutive still epochs: each had a zero gradient on every batch, kept
@@ -325,8 +334,7 @@ def pretrain(
     )
     perm = rng.permutation(len(triplets))
     n_hold = int(round(cfg.holdout_fraction * len(triplets)))
-    holdout = triplets.take(perm[:n_hold])
-    train = perm[n_hold:]  # training rows are reached through the draw, not copied out of it
+    hold, train = perm[:n_hold], perm[n_hold:]  # rows are reached through the draw, not copied out of it
     if train.size == 0:
         raise ValidationError("holdout fraction leaves no training triplets")
     re_opt, se_opt = nn.adam(cfg.learning_rate), nn.adam(cfg.learning_rate)
@@ -373,22 +381,24 @@ def pretrain(
             clear = clear and grads is None and bool(np.all(
                 (d_pos - d_neg + cfg.margin < -1e-9 * (d_pos + d_neg + abs(cfg.margin))) | (weights == 0)
             ))
-            if phase == "se":
-                if grads is not None:
-                    grads_pos, _ = nn.mlp_backward(se, pos_cache, grads[1])
-                    grads_neg, _ = nn.mlp_backward(se, neg_cache, grads[2])
-                    grads = [gp + gn for gp, gn in zip(grads_pos, grads_neg)]
+            if grads is not None and phase == "se":
+                grads = [gp + gn for gp, gn in zip(
+                    nn.mlp_backward(se, pos_cache, grads[1])[0], nn.mlp_backward(se, neg_cache, grads[2])[0]
+                )]
             elif grads is not None:
                 cache = nn.ForwardCache(re.mlp, [a[rows] for a in re_cache.activations])
                 grads = _rule_encode_bwd(
                     re, ruleset.p_idx[rule_ids], ruleset.q_idx[rule_ids], cache, grads[0]
                 )
             nn.optimizer_step(opt, params, grads, names)
-        if phase == "se":  # an "re" epoch leaves the sample encoder as it was
+            # dead before the next batch's forward
+            e_rule = re_cache = e_pos = pos_cache = e_neg = neg_cache = grads = cache = None
+        if phase == "se" and n_hold:  # an "re" epoch leaves the sample encoder as it was
             hold_pos = hold_neg = None  # the last pair is dead before the next is encoded
-            hold_pos, hold_neg = sample_encode(se, holdout.pos), sample_encode(se, holdout.neg)
-        e_hold = rule_encode(re, ruleset)[holdout.rule_idx]
-        sep = _separation(e_hold, hold_pos, hold_neg) if len(holdout) else float("nan")
+            hold_pos = _encode_rows(se, triplets.pos, hold, cfg.batch_size)
+            hold_neg = _encode_rows(se, triplets.neg, hold, cfg.batch_size)
+        e_hold = rule_encode(re, ruleset)[triplets.rule_idx[hold]]
+        sep = _separation(e_hold, hold_pos, hold_neg) if n_hold else float("nan")
         history.append(EpochStats(
             epoch, phase, float(np.mean(losses)), sep, len(losses), n_zero, forward_skipped=certified
         ))
@@ -445,11 +455,11 @@ def load_encoders(path, rules_path) -> EncoderModel:
         "format_version", "L", "d", "ruleset_fingerprint", "drugs", "re_weights", "e_null", "se_weights"
     ]
     doc = read_json_document(path, ENCODER_FORMAT_VERSION, keys, "encoder model")
+    latent_dim, index_dim = json_number(path, doc, "L", True), json_number(path, doc, "d", True)
     try:
         embedding = np.asarray(doc["re_weights"]["embedding"], dtype=np.float64)
         e_null = np.asarray(doc["e_null"], dtype=np.float64)
         re_mlp, se_mlp = doc["re_weights"]["mlp"], doc["se_weights"]["mlp"]
-        latent_dim, index_dim = int(doc["L"]), int(doc["d"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed encoder model: {exc}") from None
     if embedding.ndim != 2 or e_null.shape != (embedding.shape[1],):

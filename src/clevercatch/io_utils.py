@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import tempfile
 from contextlib import contextmanager
@@ -97,6 +98,15 @@ def read_json_document(path, version: int, keys: list[str], what: str) -> dict:
     if list(doc.keys()) != keys:
         raise ParseError(f"{path}: expected {what} keys {keys}")
     return doc
+
+
+def json_number(path, doc: dict, key: str, integer: bool) -> int | float:
+    """doc[key] if it is a JSON integer or, unless integer is set, a finite JSON number."""
+    value = doc[key]
+    if type(value) is int or (not integer and type(value) is float and math.isfinite(value)):
+        return value
+    kind = "a JSON integer" if integer else "a finite JSON number"
+    raise ParseError(f"{path}: field {key!r} must be {kind}, got {json.dumps(value)}")
 
 
 def atomic_write_text(path, text: str | Iterable[str]) -> None:

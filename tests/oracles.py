@@ -244,8 +244,10 @@ def pretrain(
     )
     perm = rng.permutation(len(triplets))
     n_hold = int(round(cfg.holdout_fraction * len(triplets)))
-    holdout = triplets.take(perm[:n_hold])
-    train = triplets.take(perm[n_hold:])
+    holdout, train = (
+        TripletBatch(triplets.rule_idx[idx], triplets.pos[idx], triplets.neg[idx])
+        for idx in (perm[:n_hold], perm[n_hold:])
+    )
     del triplets
     if len(train) == 0:
         raise ValidationError("holdout fraction leaves no training triplets")

@@ -384,6 +384,22 @@ def test_load_detector_rejects_malformed(tmp_path):
         load_detector(no_act_file)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("lambda", float("nan"), "field 'lambda' must be a finite JSON number, got NaN"),
+    ("seed", "5", "field 'seed' must be a JSON integer, got \"5\""),
+], ids=["lambda-nan", "seed-text"])
+def test_load_detector_rejects_a_field_of_the_wrong_type(tmp_path, field, value, message):
+    mlp = nn.init_mlp([4, 3, 1], ["relu", "sigmoid"], nn.make_rng(0))
+    path = tmp_path / "detector.json"
+    save_detector(path, DetectorModel(mlp=mlp, lam=0.5, seed=5))
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc[field] = value
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ParseError) as caught:
+        load_detector(path)
+    assert str(caught.value) == f"{path}: {message}"
+
+
 @pytest.mark.parametrize(
     "dims, activations",
     [([4, 3, 2], ["relu", "identity"]), ([4, 3, 1], ["relu", "identity"]), ([4, 3, 2], ["relu", "sigmoid"])],
