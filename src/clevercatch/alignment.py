@@ -17,7 +17,7 @@ import numpy as np
 
 from . import nn
 from .encoders import EncoderModel, rule_encode, sample_encode
-from .errors import ContractError, NumericError, ShapeError, ValidationError
+from .errors import NumericError, ShapeError, ValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -64,13 +64,6 @@ def cost_matrix(samples: np.ndarray, rules: np.ndarray) -> np.ndarray:
     return cost
 
 
-@dataclass
-class TransportPlan:
-    matrix: np.ndarray  # (B, R) strictly positive entries
-    converged: bool
-    iterations: int
-
-
 def _check_marginal(m: np.ndarray | None, size: int, name: str) -> np.ndarray:
     if m is None:
         return np.full(size, 1.0 / size)
@@ -107,9 +100,10 @@ def _logsumexp0(x: np.ndarray, pairwise: bool) -> np.ndarray:
 def sinkhorn_stack(
     costs: np.ndarray, epsilons: np.ndarray, a: np.ndarray | None = None,
     b: np.ndarray | None = None, max_iters: int = 500, tol: float = 1e-9,
-) -> list[TransportPlan]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Entropic transport plans of K problems, (K, B, R) costs, by log-domain
     Sinkhorn iterations on all of them at once; each plan is that of its problem alone.
+    Returns the (K, B, R) plans, each problem's sweep count and whether it converged.
 
     The dual potentials f, g are updated with log-sum-exp reductions, so the
     kernel exp(-C / epsilon) is never formed and cannot underflow. Each sweep
@@ -159,77 +153,7 @@ def sinkhorn_stack(
             live, g, by_rule, by_row = live[~done], g[~done], by_rule[:, ~done], by_row[:, ~done]
             if live.size == 0:
                 break
-    return [TransportPlan(plans[k], bool(converged[k]), int(iterations[k]))
-            for k in range(n_problems)]
-
-
-def transport_cost(plan: TransportPlan, cost: np.ndarray) -> np.ndarray:
-    """Per-sample plan-weighted mean cost: sum_j T_ij C_ij / sum_j T_ij."""
-    matrix = plan.matrix
-    cost = np.asarray(cost, dtype=np.float64)
-    if matrix.shape != cost.shape:
-        raise ShapeError(f"plan shape {matrix.shape} does not match cost shape {cost.shape}")
-    row_mass = matrix.sum(axis=1)
-    if np.any(row_mass <= 0) or not np.all(np.isfinite(row_mass)):
-        raise NumericError("transport plan has a non-positive row mass")
-    return (matrix * cost).sum(axis=1) / row_mass
-
-
-@dataclass
-class CalibrationState:
-    """Running location/scale of transport costs, EMA after the first batch."""
-
-    momentum: float = 0.99
-    mean: float = 0.0
-    std: float = 0.0
-    initialized: bool = False
-
-    def __post_init__(self):
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValidationError("momentum must lie in [0, 1)")
-
-
-def update_calibration(state: CalibrationState, costs: np.ndarray) -> CalibrationState:
-    """Fold one batch of costs into the state (in place); first batch initializes."""
-    costs = np.asarray(costs, dtype=np.float64).ravel()
-    if costs.size == 0:
-        raise ValidationError("cannot calibrate on an empty batch")
-    if not np.all(np.isfinite(costs)):
-        raise NumericError("non-finite transport costs in calibration update")
-    batch_mean = float(costs.mean())
-    batch_std = float(costs.std())
-    if not state.initialized:
-        state.mean = batch_mean
-        state.std = batch_std
-        state.initialized = True
-    else:
-        rho = state.momentum
-        state.mean = rho * state.mean + (1.0 - rho) * batch_mean
-        state.std = rho * state.std + (1.0 - rho) * batch_std
-    return state
-
-
-def pseudo_labels(
-    costs: np.ndarray, state: CalibrationState, tau: float = 1.0, eps: float = 1e-6
-) -> np.ndarray:
-    """Sigmoid-calibrated scores: low transport cost maps to a label near 1."""
-    if not state.initialized:
-        raise ContractError("calibration state is not initialized; update it with a batch first")
-    if tau <= 0 or eps <= 0:
-        raise ValidationError("tau and eps must be positive")
-    costs = np.asarray(costs, dtype=np.float64)
-    return nn.sigmoid((state.mean - costs) / (tau * state.std + eps))
-
-
-def rule_marginal(weights: np.ndarray, weighted: bool, weight_floor: float) -> np.ndarray | None:
-    """Column marginal over rules: uniform, or proportional to floored weights."""
-    if not weighted:
-        return None
-    floored = np.maximum(np.asarray(weights, dtype=np.float64), weight_floor)
-    total = floored.sum()
-    if total <= 0:
-        raise ValidationError("weighted marginals need a positive weight floor")
-    return floored / total
+    return plans, iterations, converged
 
 
 def stack_epsilons(costs: np.ndarray, epsilon_scale: float) -> np.ndarray:
@@ -244,10 +168,11 @@ def stack_epsilons(costs: np.ndarray, epsilon_scale: float) -> np.ndarray:
 class Aligner:
     """Pseudo-labels for batches of one feature matrix's rows against the encoders' rules.
 
-    Every row is encoded once, COST_BLOCK_ROWS rows at a time (a one-row
-    remainder joins the block before it), and its costs against the rule
-    embeddings are kept. Calibration starts at the first batch labeled and
-    carries over, in the order given, from one call to the next; plans and
+    Every row is encoded once, COST_BLOCK_ROWS rows at a time, and its costs against
+    the rule embeddings are kept. A batch's transport cost is each row's plan-weighted
+    mean cost c; its pseudo-label is sigmoid((mean - c) / (tau * std + eps)), where
+    mean and std are the first batch's, then an EMA with the momentum of each later
+    batch's, carried over in the order given from one call to the next. Plans and
     unconverged plans are counted.
     """
 
@@ -259,39 +184,48 @@ class Aligner:
             )
         ruleset = encoders.ruleset
         cfg = self.cfg = cfg if cfg is not None else AlignmentConfig()
-        self.se, self.features = encoders.se, features
-        self.rule_embeds = rule_encode(encoders.re, ruleset)
-        self.col_marginal = rule_marginal(ruleset.weights, cfg.weighted_marginals, cfg.weight_floor)
-        self.calibration = CalibrationState(momentum=cfg.momentum)
+        rule_embeds = rule_encode(encoders.re, ruleset)
+        self.col_marginal = None  # uniform, or proportional to the floored rule weights
+        if cfg.weighted_marginals:
+            floored = np.maximum(ruleset.weights, cfg.weight_floor)
+            self.col_marginal = floored / floored.sum()
+        self.mean = self.std = 0.0  # the calibration, set by the first batch labeled
         self.plans = self.unconverged = 0
-        blocks = np.split(features, range(COST_BLOCK_ROWS, features.shape[0] - 1, COST_BLOCK_ROWS))
-        self.cost = np.concatenate([self._cost(block) for block in blocks])
-
-    def _cost(self, rows: np.ndarray) -> np.ndarray:
-        return cost_matrix(sample_encode(self.se, rows), self.rule_embeds)
+        self.cost = np.concatenate([
+            cost_matrix(sample_encode(encoders.se, features[start : start + COST_BLOCK_ROWS]), rule_embeds)
+            for start in range(0, features.shape[0], COST_BLOCK_ROWS)
+        ])
 
     def label(self, batches: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
         """Transport costs and pseudo-labels of each batch of row indices, with one Sinkhorn
         solve per batch size: bitwise as if each batch were encoded and solved alone."""
-        solved = {}  # batch position -> (its cost matrix, its plan)
+        solved = {}  # batch position -> (its transport costs, whether its plan converged)
         for size in {batch.size for batch in batches}:
             group = [k for k, batch in enumerate(batches) if batch.size == size]
-            if size > 1:  # one gather per size: the stack is the only copy of the rows' costs
-                costs = self.cost[np.stack([batches[k] for k in group])]
-            else:  # a one-row forward takes BLAS's matrix-vector path: it is encoded alone
-                costs = np.stack([self._cost(self.features[batches[k]]) for k in group])
-            epsilons = stack_epsilons(costs, self.cfg.epsilon_scale)
-            plans = sinkhorn_stack(costs, epsilons, b=self.col_marginal,
-                                   max_iters=self.cfg.max_iters, tol=self.cfg.tol)
-            solved.update(zip(group, zip(costs, plans)))
+            costs = self.cost[np.stack([batches[k] for k in group])]  # the only copy of the rows' costs
+            plans, _, converged = sinkhorn_stack(
+                costs, stack_epsilons(costs, self.cfg.epsilon_scale), b=self.col_marginal,
+                max_iters=self.cfg.max_iters, tol=self.cfg.tol,
+            )
+            row_mass = plans.sum(axis=2)
+            if np.any(row_mass <= 0) or not np.all(np.isfinite(row_mass)):
+                raise NumericError("transport plan has a non-positive row mass")
+            solved.update(zip(group, zip((plans * costs).sum(axis=2) / row_mass, converged)))
         labeled = []
         for k in range(len(batches)):  # calibrated in list order
-            cost, plan = solved[k]
+            batch_costs, converged = solved[k]
+            if not np.all(np.isfinite(batch_costs)):
+                raise NumericError("non-finite transport costs in calibration update")
+            batch_mean, batch_std = float(batch_costs.mean()), float(batch_costs.std())
+            if self.plans == 0:
+                self.mean, self.std = batch_mean, batch_std
+            else:
+                rho = self.cfg.momentum
+                self.mean = rho * self.mean + (1.0 - rho) * batch_mean
+                self.std = rho * self.std + (1.0 - rho) * batch_std
             self.plans += 1
-            self.unconverged += not plan.converged
-            batch_costs = transport_cost(plan, cost)
-            update_calibration(self.calibration, batch_costs)
-            targets = pseudo_labels(batch_costs, self.calibration, self.cfg.tau, self.cfg.eps)
+            self.unconverged += not converged
+            targets = nn.sigmoid((self.mean - batch_costs) / (self.cfg.tau * self.std + self.cfg.eps))
             labeled.append((batch_costs, targets))
         return labeled
 

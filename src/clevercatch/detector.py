@@ -105,7 +105,7 @@ def hybrid_train(
     are frozen and the permutation does not involve the detector, so every
     row is encoded once per run and each epoch aligns all its batches first,
     same-size ones in one stacked Sinkhorn solve: bitwise as if each were encoded
-    and aligned before its step, where BLAS rows do not depend on the batch.
+    and aligned before its step, where nn.mlp_forward's rows do not depend on the batch.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] < 1:

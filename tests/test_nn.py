@@ -103,25 +103,23 @@ GATHER_WIDTHS = [4, 5, 6, 7, 8, 16, 24, 32, 64, 128]
 @settings(deadline=None, max_examples=60)
 @given(
     seed=st.integers(0, 2**32),
-    rows=st.integers(2, 300),
+    rows=st.integers(1, 300),
     in_width=st.integers(1, 256),
     widths=st.lists(st.sampled_from(GATHER_WIDTHS), min_size=1, max_size=3),
     activations=st.lists(st.sampled_from(nn.ACTIVATIONS), min_size=3, max_size=3),
-    subset_rows=st.integers(2, 300),
+    subset_rows=st.integers(1, 300),
 )
 @example(seed=7, rows=6000, in_width=105, widths=[128, 64, 32],
          activations=["relu", "relu", "identity"], subset_rows=256)  # the sample encoder on a cohort
+@example(seed=7, rows=6000, in_width=105, widths=[128, 64, 32],
+         activations=["relu", "relu", "identity"], subset_rows=1)  # ... and on a one-row batch
 @example(seed=7, rows=7, in_width=32, widths=[64, 32],
          activations=["relu", "identity", "identity"], subset_rows=256)  # the rule encoder on 7 rules
 def test_forward_of_a_row_subset_is_the_gathered_full_forward(
     seed, rows, in_width, widths, activations, subset_rows
 ):
-    """The premise of encoding once and gathering rows (detector training, pretraining).
-
-    It holds for inputs of two rows or more. A one-row input takes OpenBLAS's
-    matrix-vector path and may differ in the last bit, so the library encodes
-    one-row batches alone.
-    """
+    """The premise of encoding once and gathering rows (detector training, pretraining),
+    one-row inputs included: nn.mlp_forward keeps them off BLAS's matrix-vector path."""
     rng = nn.make_rng(seed)
     mlp = nn.init_mlp([in_width, *widths], activations[: len(widths)], rng)
     x = rng.normal(size=(rows, in_width))
