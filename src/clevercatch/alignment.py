@@ -199,6 +199,9 @@ class Aligner:
     def label(self, batches: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
         """Transport costs and pseudo-labels of each batch of row indices, with one Sinkhorn
         solve per batch size: bitwise as if each batch were encoded and solved alone."""
+        for k, batch in enumerate(batches):
+            if batch.size == 0:
+                raise ValidationError(f"batch {k} of {len(batches)} is empty")
         solved = {}  # batch position -> (its transport costs, whether its plan converged)
         for size in {batch.size for batch in batches}:
             group = [k for k, batch in enumerate(batches) if batch.size == size]

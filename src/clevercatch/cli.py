@@ -277,7 +277,7 @@ def cmd_ablate(run: Run):
         groups=cfg.ablation.groups,
     )
     path = run.output("ablation_report")
-    write_report_csv(path, report.rows, report.ks, report.deltas)
+    write_report_csv(path, report.rows, report.ks)
     for row in report.rows:
         k_max = report.ks[-1]
         print(

@@ -14,15 +14,17 @@ import logging
 import math
 import multiprocessing
 import os
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+import sys
+from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
+from logging.handlers import BufferingHandler
 
 import numpy as np
 
 from . import nn
 from .alignment import AlignmentConfig
 from .detector import DetectorConfig, hybrid_train, score
-from .encoders import EncoderModel, PretrainConfig, pretrain
+from .encoders import PretrainConfig, pretrain
 from .errors import ParseError, ShapeError, UndefinedMetricError, ValidationError
 from .features import BLOCK, build_feature_matrix
 from .ingest import ClaimsTable, LabelTable
@@ -176,19 +178,8 @@ class MetricsRow:
 
 
 @dataclass
-class DeltaRow:
-    """Metric drop of one configuration relative to the full run, same seed."""
-
-    config: str
-    seed: int
-    d_pr_auc: float
-    d_r_at_k: dict[int, float]
-
-
-@dataclass
 class AblationReport:
     rows: list[MetricsRow]
-    deltas: list[DeltaRow]
     notes: list[str] = field(default_factory=list)
     ks: tuple[int, ...] = DEFAULT_KS
 
@@ -258,18 +249,32 @@ def ablation_subset(
     return RuleSet([ruleset.rules[j] for j in keep], ruleset.vocab), features[:, columns]
 
 
-def _train_configuration(
-    features: np.ndarray, encoders: EncoderModel | None, train_labels: LabelTable,
-    eval_labels: LabelTable, align_cfg: AlignmentConfig, detector_cfg: DetectorConfig, seed: int,
-    ks: tuple[int, ...], threshold: float,
-) -> EvalResult:
-    """Train, score and evaluate one configuration; no encoders means lambda = 0."""
-    cfg = detector_cfg if encoders is not None else dataclasses.replace(detector_cfg, lam=0.0)
-    model, _ = hybrid_train(
-        features, train_labels, cfg, nn.derive_seed(seed, "detector"), encoders, align_cfg
-    )
-    scores = score(model, features).scores
-    return evaluate_scores(eval_labels.labels, scores[eval_labels.idx], ks, threshold)
+def _run_configuration(
+    sub_rules: RuleSet, features: np.ndarray, name: str, seed: int, train_labels: LabelTable,
+    eval_labels: LabelTable, pretrain_cfg: PretrainConfig, align_cfg: AlignmentConfig,
+    detector_cfg: DetectorConfig, ks: tuple[int, ...], threshold: float,
+) -> tuple[EvalResult, list[logging.LogRecord]]:
+    """Pretrain unless the job is lambda0 (lambda = 0), then train, score and evaluate it.
+
+    Returns the result and the clevercatch log records the job produced, held back
+    rather than emitted so that the caller can emit them in job order."""
+    package_log = logging.getLogger("clevercatch")
+    held = BufferingHandler(sys.maxsize)
+    saved = package_log.handlers, package_log.propagate
+    package_log.handlers, package_log.propagate = [held], False
+    try:
+        encoders = None
+        if name != "lambda0":
+            encoders, _ = pretrain(sub_rules, pretrain_cfg, nn.derive_seed(seed, "pretrain"))
+        cfg = detector_cfg if encoders is not None else dataclasses.replace(detector_cfg, lam=0.0)
+        model, _ = hybrid_train(
+            features, train_labels, cfg, nn.derive_seed(seed, "detector"), encoders, align_cfg
+        )
+        scores = score(model, features).scores
+        result = evaluate_scores(eval_labels.labels, scores[eval_labels.idx], ks, threshold)
+    finally:
+        package_log.handlers, package_log.propagate = saved
+    return result, held.buffer
 
 
 def ablation_run(
@@ -285,7 +290,7 @@ def ablation_run(
     eval_fraction: float = 0.0,
     groups: tuple[str, ...] = tuple(ABLATION_GROUPS),
 ) -> AblationReport:
-    """Retrain encoders and detector per rule subset and report metric drops.
+    """Retrain encoders and detector per rule subset and report each configuration's metrics.
 
     Configurations: full rule set, one minus-configuration per selected group
     (cost-preference pairs, opioid single-drug rules), and lambda = 0
@@ -297,14 +302,9 @@ def ablation_run(
     split and metrics are computed on the held-out part only; otherwise on
     all labeled prescribers. Evaluated labels of one class fail, and a k above
     the smallest evaluated set is dropped, before any configuration trains.
-    Each (seed, configuration) job runs in spawned worker processes, at most
-    one per usable CPU, as two tasks: pretraining, then training, scoring and
-    evaluation, submitted once its encoders come back (lambda = 0 needs none
-    and is submitted at once).
-    Results are taken in job order, so the report, or the error of the first
-    failing job, equals that of a serial run. Once a job fails, the tasks of
-    later jobs that have not started are cancelled and they train no more.
-    """
+    Each (seed, configuration) job is one task for spawned workers, one per usable CPU.
+    Results are read, and each job's log records emitted, in job order, so the report and
+    any error are a serial run's. Once a job fails, the jobs not yet started are cancelled."""
     config_names = configs_for_groups(tuple(groups))
     pretrain_cfg = pretrain_cfg if pretrain_cfg is not None else PretrainConfig()
     align_cfg = align_cfg if align_cfg is not None else AlignmentConfig()
@@ -320,7 +320,7 @@ def ablation_run(
         raise UndefinedMetricError("ranking metrics need a positive and a negative evaluated label")
     ks = evaluable_ks(ks, min((e.n_labeled for _, e in splits), default=labels.n_labeled))
     features = build_feature_matrix(claims, ruleset).values
-    jobs: list[tuple] = []  # (name, seed, rule subset, its features, train labels, eval labels)
+    jobs: list[tuple] = []  # (rule subset, its features, name, seed, train labels, eval labels)
     notes: list[str] = []
     for seed, (train_labels, eval_labels) in zip(seeds, splits):
         for name in config_names:
@@ -330,62 +330,28 @@ def ablation_run(
                 notes.append(note)
                 logger.warning(note)
                 continue
-            jobs.append((name, int(seed), *subset, train_labels, eval_labels))
+            jobs.append((*subset, name, int(seed), train_labels, eval_labels))
     # spawn, not fork: a forked worker inherits the parent's BLAS thread pool
     workers = max(1, min(len(jobs), len(os.sched_getaffinity(0))))
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-
-        def train(i: int, encoders: EncoderModel | None) -> Future:
-            _, seed, _, sub_features, train_labels, eval_labels = jobs[i]
-            return pool.submit(_train_configuration, sub_features, encoders, train_labels,
-                               eval_labels, align_cfg, detector_cfg, seed, ks, threshold)
-
         futures = [
-            train(i, None) if name == "lambda0"
-            else pool.submit(pretrain, sub_rules, pretrain_cfg, nn.derive_seed(seed, "pretrain"))
-            for i, (name, seed, sub_rules, *_) in enumerate(jobs)
+            pool.submit(_run_configuration, *job, pretrain_cfg, align_cfg, detector_cfg, ks, threshold)
+            for job in jobs
         ]
-        pretraining = {future for i, future in enumerate(futures) if jobs[i][0] != "lambda0"}
-        job_of = {future: i for i, future in enumerate(futures)}
-        pending, failed = set(futures), len(jobs)  # failed: the first failing job seen so far
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in sorted(done, key=job_of.get):
-                i = job_of[future]
-                if i > failed:  # cancelled, or its result can no longer reach the report
-                    continue
-                if future.exception() is not None:
-                    failed = i
-                    for later in futures[i + 1 :]:
-                        later.cancel()
-                elif future in pretraining:  # the job trains once its encoders come back
-                    futures[i] = train(i, future.result()[0])
-                    job_of[futures[i]] = i
-                    pending.add(futures[i])
-        results = [future.result() for future in futures]  # raises the first failing job's error
-    rows: list[MetricsRow] = []
-    deltas: list[DeltaRow] = []
-    full_results: dict[int, EvalResult] = {}
-    for (name, seed, *_), result in zip(jobs, results):
-        rows.append(MetricsRow(config=name, seed=seed, result=result))
-        if name == "full":
-            full_results[seed] = result
-        elif seed in full_results:
-            full = full_results[seed]
-            deltas.append(
-                DeltaRow(
-                    config=name,
-                    seed=seed,
-                    d_pr_auc=full.pr_auc - result.pr_auc,
-                    d_r_at_k={k: full.r_at_k[k] - result.r_at_k[k] for k in ks},
-                )
-            )
-    return AblationReport(rows=rows, deltas=deltas, notes=notes, ks=ks)
+        wait(futures, return_when=FIRST_EXCEPTION)
+        for future in futures:  # only the jobs that have not started are cancelled
+            future.cancel()
+        rows: list[MetricsRow] = []
+        for (_, _, name, seed, *_), future in zip(jobs, futures):
+            result, records = future.result()  # raises the first failing job's error
+            for record in records:
+                logging.getLogger(record.name).handle(record)
+            rows.append(MetricsRow(config=name, seed=seed, result=result))
+    return AblationReport(rows=rows, notes=notes, ks=ks)
 
 
-def write_report_csv(path, rows: list[MetricsRow], ks: tuple[int, ...] = DEFAULT_KS,
-                     deltas: list[DeltaRow] | None = None) -> None:
-    """Metrics report CSV; metric drops (vs full) go in trailing comment lines."""
+def write_report_csv(path, rows: list[MetricsRow], ks: tuple[int, ...] = DEFAULT_KS) -> None:
+    """Metrics report CSV; each row's drop against its seed's full row is a trailing comment."""
     lines = []
     for row in rows:
         r = row.result
@@ -393,12 +359,12 @@ def write_report_csv(path, rows: list[MetricsRow], ks: tuple[int, ...] = DEFAULT
         cells += [fmt_float(r.r_at_k[k]) for k in ks]
         cells += [fmt_float(r.precision), fmt_float(r.recall), fmt_float(r.f1)]
         lines.append(",".join(cells))
-    for delta in deltas or []:
-        parts = [f"pr_auc={fmt_float(delta.d_pr_auc)}"]
-        parts += [f"r@{k}={fmt_float(delta.d_r_at_k[k])}" for k in ks]
-        lines.append(
-            f"# delta vs full: config={delta.config} seed={delta.seed} " + " ".join(parts)
-        )
+    full = {row.seed: row.result for row in rows if row.config == "full"}
+    for row in (row for row in rows if row.config != "full" and row.seed in full):
+        base, r = full[row.seed], row.result
+        parts = [f"pr_auc={fmt_float(base.pr_auc - r.pr_auc)}"]
+        parts += [f"r@{k}={fmt_float(base.r_at_k[k] - r.r_at_k[k])}" for k in ks]
+        lines.append(f"# delta vs full: config={row.config} seed={row.seed} " + " ".join(parts))
     header = ["config", "seed", "pr_auc", *[f"r@{k}" for k in ks], "precision", "recall", "f1"]
     write_csv(path, header, lines, comments=[R_AT_K_NOTE])
 

@@ -53,7 +53,6 @@ from clevercatch.encoders import (
     PretrainConfig,
     RuleEncoderParams,
     TripletBatch,
-    pretrain as pretrain_encoders,
     _rule_encode_bwd,
     _rule_inputs,
     _separation,
@@ -69,10 +68,8 @@ from clevercatch.evaluation import (
     ABLATION_GROUPS,
     DEFAULT_KS,
     AblationReport,
-    DeltaRow,
-    EvalResult,
     MetricsRow,
-    _train_configuration,
+    _run_configuration,
     ablation_subset,
     configs_for_groups,
     split_labels,
@@ -810,7 +807,6 @@ def ablation_run(
         raise ValidationError("ablation needs labeled prescribers")
     features = build_feature_matrix(claims, ruleset).values
     rows: list[MetricsRow] = []
-    deltas: list[DeltaRow] = []
     notes: list[str] = []
     for seed in seeds:
         if eval_fraction > 0.0:
@@ -819,7 +815,6 @@ def ablation_run(
             )
         else:
             train_labels, eval_labels = labels, labels
-        full_result: EvalResult | None = None
         for name in config_names:
             subset = ablation_subset(name, ruleset, features)
             if subset is None:
@@ -827,37 +822,14 @@ def ablation_run(
                 notes.append(note)
                 _evaluation_logger.warning(note)
                 continue
-            sub_rules, sub_features = subset
-            encoders = None
-            if name != "lambda0":
-                seed_pretrain = nn.derive_seed(int(seed), "pretrain")
-                encoders, _ = pretrain_encoders(sub_rules, pretrain_cfg, seed_pretrain)
-            result = _train_configuration(
-                sub_features,
-                encoders,
-                train_labels,
-                eval_labels,
-                align_cfg,
-                detector_cfg,
-                int(seed),
-                ks,
-                threshold,
+            result, records = _run_configuration(
+                *subset, name, int(seed), train_labels, eval_labels,
+                pretrain_cfg, align_cfg, detector_cfg, ks, threshold,
             )
+            for record in records:
+                logging.getLogger(record.name).handle(record)
             rows.append(MetricsRow(config=name, seed=int(seed), result=result))
-            if name == "full":
-                full_result = result
-            elif full_result is not None:
-                deltas.append(
-                    DeltaRow(
-                        config=name,
-                        seed=int(seed),
-                        d_pr_auc=full_result.pr_auc - result.pr_auc,
-                        d_r_at_k={
-                            k: full_result.r_at_k[k] - result.r_at_k[k] for k in ks
-                        },
-                    )
-                )
-    return AblationReport(rows=rows, deltas=deltas, notes=notes, ks=ks)
+    return AblationReport(rows=rows, notes=notes, ks=ks)
 
 
 def _activate(z: np.ndarray, activation: str) -> np.ndarray:

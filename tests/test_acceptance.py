@@ -418,7 +418,8 @@ def test_c07_dropping_cost_rules_hurts_more(capsys, corpus):
             ks=(100,),
             eval_fraction=0.5,
         )
-        by_config = {d.config: d.d_r_at_k[100] for d in report.deltas}
+        full = next(row.result.r_at_k[100] for row in report.rows if row.config == "full")
+        by_config = {row.config: full - row.result.r_at_k[100] for row in report.rows}
         drops.append((by_config["minus-cost"], by_config["minus-opioid"]))
         wins += by_config["minus-cost"] > by_config["minus-opioid"]
     elapsed = time.perf_counter() - start

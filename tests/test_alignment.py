@@ -348,6 +348,14 @@ def test_aligner_rejects_a_plan_without_row_mass():
         aligner.label([np.arange(3)])
 
 
+def test_aligner_rejects_an_empty_batch():
+    # numpy once raised "zero-size array to reduction operation maximum" from stack_epsilons
+    aligner = three_rule_aligner(4)
+    with pytest.raises(ValidationError, match="^batch 1 of 3 is empty$"):
+        aligner.label([np.array([0, 1]), np.array([], dtype=np.int64), np.array([2])])
+    assert aligner.plans == 0
+
+
 def test_aligner_calibration_first_batch_then_ema():
     aligner = aligner_on_costs([[1.0] * 3, [1.0] * 3, [2.0] * 3, [2.0] * 3], AlignmentConfig(momentum=0.9))
     [(costs, _)] = aligner.label([np.array([0, 1])])

@@ -367,10 +367,10 @@ class TestErrorContract:
         )
 
     @staticmethod
-    def run_cli(out: Path, command: str) -> subprocess.CompletedProcess:
+    def run_cli(out: Path, command: str, extra: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
         # the package warns through logging, which pytest's capture hides in process
         env = dict(os.environ, PYTHONPATH=str(Path(clevercatch.__file__).parents[1]))
-        argv = ["-m", "clevercatch", "--seed", "3", "--out-dir", str(out), *SPEED, command]
+        argv = ["-m", "clevercatch", "--seed", "3", "--out-dir", str(out), *SPEED, *extra, command]
         return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
 
     @pytest.mark.parametrize(
@@ -504,6 +504,17 @@ class TestErrorContract:
         )
         assert multiprocessing.active_children() == []
         assert not (tmp_path / "ablation_report.csv").exists()
+
+    def test_a_failed_ablate_prints_only_its_error_line(self, tmp_path):
+        # full fails to pretrain; the minus-configurations, already running in workers,
+        # train on and warn about unconverged plans, which once reached stderr first
+        run_ok("simulate", tmp_path)
+        extra = ("--set", "pretrain.triplet_count=5", "--set", "alignment.max_iters=1")
+        result = self.run_cli(tmp_path, "ablate", extra)
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [
+            "error: ValidationError: need at least 7 triplets to cover 7 rules, got 5"
+        ]
 
     def test_ablate_drops_ks_beyond_the_held_out_labels(self, tmp_path, capsys):
         # 60 labeled prescribers, half held out: r@100 cannot be taken, as in evaluate

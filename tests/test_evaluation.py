@@ -2,8 +2,10 @@
 
 import dataclasses
 import itertools
+import logging
 import math
 import multiprocessing
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clevercatch import evaluation, nn
+from clevercatch.alignment import AlignmentConfig
 from clevercatch.detector import DetectorConfig
 from clevercatch.encoders import PretrainConfig
 from clevercatch.errors import (
@@ -22,7 +25,6 @@ from clevercatch.errors import (
 )
 from clevercatch.evaluation import (
     ABLATION_GROUPS,
-    DeltaRow,
     EvalResult,
     MetricsRow,
     PrCurve,
@@ -478,28 +480,67 @@ class TestAblationRun:
         assert errors[0] == errors[1] == self.FAILURE
         assert multiprocessing.active_children() == []  # no worker outlives the call
 
-    def test_no_job_after_a_failed_one_trains(self, monkeypatch):
-        submitted = []
+    def test_no_job_after_a_failed_one_starts(self, monkeypatch):
+        started, futures = [], []
+        n_jobs = 8  # two seeds, four configurations each
 
         class InProcessPool(ThreadPoolExecutor):
-            """One worker thread running tasks in submission order; records each submission."""
+            """One worker thread running tasks in submission order; each task after
+            job 0 waits until the last job is cancelled, or 30 s have passed."""
 
             def __init__(self, max_workers, mp_context=None):
                 super().__init__(1)
 
             def submit(self, fn, /, *args, **kwargs):
-                submitted.append((fn.__name__, args))
-                return super().submit(fn, *args, **kwargs)
+                def task(i=len(futures)):
+                    started.append(i)
+                    deadline = time.monotonic() + 30.0
+                    while i > 0 and time.monotonic() < deadline and not (
+                        len(futures) == n_jobs and futures[-1].cancelled()
+                    ):
+                        time.sleep(0.01)
+                    return fn(*args, **kwargs)
+
+                futures.append(super().submit(task))
+                return futures[-1]
 
         monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InProcessPool)
         claims, labels, ruleset, kwargs = self.failing_setup()
         with pytest.raises(Exception) as info:
             ablation_run(claims, labels, ruleset, **kwargs)
         assert (type(info.value), str(info.value)) == self.FAILURE
-        # job 0 (full, seed 2) fails first, so only the tasks submitted up front remain:
-        # every pretraining, and the two lambda0 trainings, which need no encoders
-        trainings = [args for name, args in submitted if name == "_train_configuration"]
-        assert len(trainings) == 2 and all(args[1] is None for args in trainings)
+        # job 0 (full, seed 2) fails; job 1 may have started before the cancellation
+        assert len(futures) == n_jobs
+        assert started in ([0], [0, 1])
+        assert all(future.cancelled() for future in futures[2:])
+
+    @pytest.mark.parametrize("max_iters", [1, 5])
+    def test_worker_log_records_reach_the_caller_in_job_order(self, caplog, max_iters):
+        rng = nn.make_rng(5)
+        claims = random_claims(rng, 30, 5, 2)
+        ruleset = random_ruleset(rng, claims.drugs, 5)
+        labels = LabelTable(np.arange(30, dtype=np.int64), (np.arange(30) % 4 == 0).astype(np.int64))
+        kwargs = dict(
+            pretrain_cfg=self.PRETRAIN, detector_cfg=self.DETECTOR, seeds=(2, 9), ks=(3, 5),
+            align_cfg=AlignmentConfig(max_iters=max_iters),
+        )
+        messages = []
+        for run in (ablation_run, oracles.ablation_run):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                run(claims, labels, ruleset, **kwargs)
+            assert {r.name for r in caplog.records} == {"clevercatch.alignment"}
+            messages.append([r.getMessage() for r in caplog.records])
+        # one warning per job but lambda0, which aligns nothing: 3 jobs for each of 2 seeds
+        assert messages[0] == messages[1]
+        assert len(messages[0]) == 6
+        assert all(m.startswith("hybrid_train: ") for m in messages[0])
+        if max_iters == 1:
+            assert set(messages[0]) == {
+                "hybrid_train: 4 of 4 transport plans stopped at max_iters=1 before converging"
+            }
+        else:  # the jobs' counts differ, so the order of the records shows
+            assert len(set(messages[0])) > 1
 
 
 def result_fixture() -> EvalResult:
@@ -512,15 +553,19 @@ def result_fixture() -> EvalResult:
 class TestReportCsv:
     def test_layout_and_delta_comments(self, tmp_path):
         path = tmp_path / "report.csv"
-        rows = [MetricsRow("full", 3, result_fixture())]
-        deltas = [DeltaRow("minus-cost", 3, d_pr_auc=0.125, d_r_at_k={10: 0.0, 20: 0.5})]
-        write_report_csv(path, rows, ks=(10, 20), deltas=deltas)
+        full = result_fixture()
+        minus = dataclasses.replace(full, pr_auc=0.375, r_at_k={10: 0.25, 20: 0.25})
+        rows = [MetricsRow("full", 3, full), MetricsRow("minus-cost", 3, minus),
+                MetricsRow("minus-cost", 4, minus)]  # seed 4 has no full row, so no delta
+        write_report_csv(path, rows, ks=(10, 20))
         lines = path.read_text().splitlines()
         assert lines[0] == R_AT_K_NOTE
         assert lines[1] == "config,seed,pr_auc,r@10,r@20,precision,recall,f1"
         assert lines[2] == "full,3,0.5,0.25,0.75,0.625,0.375,0.46875"
-        assert lines[3] == "# delta vs full: config=minus-cost seed=3 pr_auc=0.125 r@10=0 r@20=0.5"
-        assert len(lines) == 4
+        assert lines[3] == "minus-cost,3,0.375,0.25,0.25,0.625,0.375,0.46875"
+        assert lines[4] == "minus-cost,4,0.375,0.25,0.25,0.625,0.375,0.46875"
+        assert lines[5] == "# delta vs full: config=minus-cost seed=3 pr_auc=0.125 r@10=0 r@20=0.5"
+        assert len(lines) == 6
 
     def test_values_round_trip_losslessly(self, tmp_path):
         rng = np.random.default_rng(2)
